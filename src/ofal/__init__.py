@@ -20,7 +20,6 @@ from .core import (
     compute_rate,
     load_instance,
     load_sequence,
-    matching_cost,
     unit_instance,
     validate_pair,
 )
@@ -37,7 +36,7 @@ from .algorithms import (
     ptcp_rule,
 )
 from .offline import OptResult, noncrossing_dp_cost, optimal_bruteforce, optimal_cost
-from .permutation import PrefixOptState, permutation_run, permutation_step
+from .permutation import permutation_run
 
 __version__ = "0.1.0"
 
@@ -48,7 +47,6 @@ __all__ = [
     "OfalError",
     "OptResult",
     "ParseError",
-    "PrefixOptState",
     "PriorityRule",
     "RatioReport",
     "RequestSequence",
@@ -69,12 +67,10 @@ __all__ = [
     "guard_rule",
     "load_instance",
     "load_sequence",
-    "matching_cost",
     "noncrossing_dp_cost",
     "optimal_bruteforce",
     "optimal_cost",
     "permutation_run",
-    "permutation_step",
     "ptcp_decide",
     "ptcp_rule",
     "simulate",

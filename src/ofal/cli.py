@@ -24,6 +24,7 @@ from .adversary import (
 from .algorithms import build_rule, build_split_tree, tree_to_dict
 from .core import (
     OfalError,
+    ParseError,
     fraction_str,
     load_instance,
     load_sequence,
@@ -198,8 +199,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_run(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read config {args.config}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ParseError("config must be a JSON object")
     if args.seed_provided:
         data["seed"] = args.seed
     if args.jobs is not None:

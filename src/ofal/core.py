@@ -21,6 +21,11 @@ CoordLike = Union[Fraction, int, str, float]
 #: Extended-rational infinity used by ``compute_rate``.
 INF = math.inf
 
+#: Most digits an input number may have.  Longer ones could not be printed
+#: back (Python refuses int->str beyond 4300 digits), and a large decimal
+#: exponent would make the exact value enormous.
+MAX_NUMBER_DIGITS = 1000
+
 
 class OfalError(Exception):
     """Base class for errors raised by this package."""
@@ -60,11 +65,26 @@ def to_coord(value: CoordLike) -> Fraction:
             raise ParseError(f"non-finite coordinate: {value!r}")
         return Fraction(repr(value))
     if isinstance(value, str):
+        _check_digits(value)
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad coordinate {value!r}: {exc}") from None
     raise ParseError(f"not a coordinate: {value!r}")
+
+
+def _check_digits(text: str) -> None:
+    """Reject a numeric literal whose exact value needs more than
+    MAX_NUMBER_DIGITS digits, counting the zeros a decimal exponent adds."""
+    mantissa, _, exponent = text.lower().partition("e")
+    digits = sum(c.isdigit() for c in mantissa)
+    if exponent:
+        try:
+            digits += abs(int(exponent))
+        except ValueError:  # malformed (the parser rejects it) or too long for int()
+            digits += len(exponent)
+    if digits > MAX_NUMBER_DIGITS:
+        raise ParseError(f"number with more than {MAX_NUMBER_DIGITS} digits")
 
 
 def coord_to_json(value: Fraction) -> int | str:
@@ -228,15 +248,6 @@ class AssignmentTrace:
             raise ValidationError("total cost does not equal the sum of step costs")
 
 
-def matching_cost(trace: AssignmentTrace, inst: Instance, seq: RequestSequence) -> Fraction:
-    """Total distance cost of a trace: sum of |r_t - s_{assignment[t]}|."""
-    if len(trace.assignment) != len(seq):
-        raise ValidationError(
-            f"trace has {len(trace.assignment)} matches for {len(seq)} requests"
-        )
-    return sum((abs(r - inst.layout[j]) for r, j in zip(seq, trace.assignment)), Fraction(0))
-
-
 def validate_pair(inst: Instance, seq: RequestSequence) -> str | None:
     """None when the sequence fits the instance, else a violation message."""
     if len(seq) > inst.total_capacity:
@@ -299,10 +310,15 @@ class RatioReport:
 # ---------------------------------------------------------------------------
 
 
+def _json_int(text: str) -> int:
+    _check_digits(text)
+    return int(text)
+
+
 def _load_json(path: str | Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=Fraction)
+            return json.load(fh, parse_float=to_coord, parse_int=_json_int)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:

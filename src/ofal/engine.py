@@ -1,8 +1,10 @@
-"""Generic simulator for priority-based online assignment rules.
+"""The one simulation loop for online assignment rules.
 
-A rule sees only the request position and the current free-server set and
+A rule sees the request position and the current free-server set and
 must name a free server.  The simulator owns all capacity bookkeeping; a
 rule that names a non-free server is a hard error, not a recoverable one.
+Priority rules decide from those two inputs alone; the permutation rule
+and hybrid runs use stateful deciders that also depend on the history.
 Whether a rule really is of the fixed-priority kind (one total order per
 request position) is checked empirically by ``derive_priority_order``.
 """

@@ -28,6 +28,7 @@ from .adversary import (
 from .core import (
     INF,
     Instance,
+    ParseError,
     RequestSequence,
     ValidationError,
     compute_rate,
@@ -79,8 +80,11 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        known = {f for f in ExperimentConfig.__dataclass_fields__}
-        return ExperimentConfig(**{k: v for k, v in data.items() if k in known})
+        """Build a config; unknown or missing keys are input errors."""
+        try:
+            return ExperimentConfig(**data)
+        except TypeError as exc:
+            raise ParseError(f"bad config: {exc}") from None
 
 
 def run_algorithm(name: str, inst: Instance, seq: RequestSequence):

@@ -116,30 +116,11 @@ def run_hybrid(
     if s not in free_before(base, inst, i):
         raise ValidationError(f"server {s} is not free at step {i}")
 
-    remaining = list(inst.capacities)
-    assignment: list[int] = []
-    snapshots: list[tuple[int, ...]] = []
-    costs: list[Fraction] = []
-    total = Fraction(0)
-    free = set(j for j, c in enumerate(remaining) if c > 0)
-    for t, r in enumerate(seq):
-        j = s if t == i else rule.decide(r, frozenset(free))
-        if j not in free:
-            raise ValidationError(f"hybrid chose non-free server {j} at step {t}")
-        remaining[j] -= 1
-        if remaining[j] == 0:
-            free.remove(j)
-        cost = abs(r - inst.layout[j])
-        total += cost
-        assignment.append(j)
-        snapshots.append(tuple(remaining))
-        costs.append(cost)
-    hybrid = AssignmentTrace(
-        assignment=tuple(assignment),
-        remaining_after=tuple(snapshots),
-        per_step_cost=tuple(costs),
-        total_cost=total,
+    steps = iter(range(n))
+    forced = PriorityRule(
+        f"{rule.id}-hybrid", lambda r, free: s if next(steps) == i else rule.decide(r, free)
     )
+    hybrid = simulate(forced, inst, seq)
 
     a_chain: list[int] = []
     h_chain: list[int] = []

@@ -3,7 +3,9 @@
 Three independent routes to the same number:
 
 * ``optimal_cost``      -- successive-shortest-path min-cost flow, the
-                           metric-agnostic ground truth;
+                           metric-agnostic ground truth, built on
+                           ``AugmentingPathEngine``, which the permutation
+                           rule shares;
 * ``optimal_bruteforce``-- exhaustive enumeration, the independence oracle
                            for small inputs;
 * ``noncrossing_dp_cost`` -- a dynamic program over sorted requests that
@@ -52,39 +54,49 @@ def _scaled_problem(inst: Instance, seq: RequestSequence) -> tuple[list[int], li
     return servers, requests, scale
 
 
-def optimal_cost(inst: Instance, seq: RequestSequence) -> OptResult:
-    """Min-cost flow over source -> requests -> servers -> sink.
+class AugmentingPathEngine:
+    """Minimum-cost assignment of the requests pushed so far.
 
-    Requests have unit supply, server j has capacity c_j, and the
-    request->server arc costs |r - s|.  Solved by n successive shortest
-    augmenting paths with Dijkstra over potential-reduced costs.
+    Servers are scaled integer positions with capacities.  ``push`` adds
+    one request and augments along one shortest path of the residual
+    graph (Dijkstra over potential-reduced costs), which raises exactly
+    one server's load by one.  That server is the leftmost with spare
+    capacity at minimum path cost: spare servers all carry the same
+    potential, so reduced and true distances order them alike.
+    ``assigned`` is the current optimal request->server map and ``cost``
+    its scaled total.
     """
-    violation = validate_pair(inst, seq)
-    if violation is not None:
-        raise ValidationError(violation)
-    n = len(seq)
-    if n == 0:
-        return OptResult(cost=Fraction(0), assignment=())
-    servers, requests, scale = _scaled_problem(inst, seq)
-    k = len(servers)
-    caps = list(inst.capacities)
 
-    cost = [[abs(requests[i] - servers[j]) for j in range(k)] for i in range(n)]
-    assigned: list[int] = [-1] * n          # request -> server, -1 = unassigned
-    used = [0] * k
-    # Potentials for requests and servers keep reduced arc costs nonnegative.
-    pot_req = [0] * n
-    pot_srv = [0] * k
+    def __init__(self, servers: list[int], caps: list[int]):
+        self.servers = servers
+        self.caps = caps
+        self.loads = [0] * len(servers)
+        self.assigned: list[int] = []       # request -> server
+        self.cost = 0
+        self._rows: list[list[int]] = []    # rows[i][j] = |r_i - s_j|
+        # Potentials for requests and servers keep reduced arc costs nonnegative.
+        self._pot_req: list[int] = []
+        self._pot_srv = [0] * len(servers)
 
-    INF = float("inf")
-    for source in range(n):
+    def push(self, r: int) -> int:
+        """Absorb one request; return the server whose load grew."""
+        servers, caps, loads, assigned = self.servers, self.caps, self.loads, self.assigned
+        rows, pot_req, pot_srv = self._rows, self._pot_req, self._pot_srv
+        if len(assigned) >= sum(caps):
+            raise ValidationError("no augmenting path; capacity exhausted")
+        k = len(servers)
+        source = len(assigned)
+        rows.append([abs(r - s) for s in servers])
+        pot_req.append(0)
+        assigned.append(-1)
+        n = source + 1
+
         # Dijkstra from the new request over the residual graph; kind 0 is
-        # a request node, kind 1 a server node, and the parent arrays
-        # reconstruct the augmenting path.
+        # a request node, kind 1 a server node.
+        INF = float("inf")
         dist_req = [INF] * n
         dist_srv = [INF] * k
         par_srv = [-1] * k                  # server j reached from request i
-        par_req = [-1] * n                  # request i reached back from server j
         dist_req[source] = 0
         heap: list[tuple[int, int, int]] = [(0, 0, source)]  # (dist, kind, idx)
         while heap:
@@ -93,10 +105,12 @@ def optimal_cost(inst: Instance, seq: RequestSequence) -> OptResult:
                 if dval > dist_req[idx]:
                     continue
                 base = dval + pot_req[idx]
+                row = rows[idx]
+                own = assigned[idx]
                 for j in range(k):
-                    if assigned[idx] == j:
+                    if j == own:
                         continue
-                    nd = base + cost[idx][j] - pot_srv[j]
+                    nd = base + row[j] - pot_srv[j]
                     if nd < dist_srv[j]:
                         dist_srv[j] = nd
                         par_srv[j] = idx
@@ -107,39 +121,52 @@ def optimal_cost(inst: Instance, seq: RequestSequence) -> OptResult:
                 base = dval + pot_srv[idx]
                 for i in range(n):
                     if assigned[i] == idx:
-                        nd = base - cost[i][idx] - pot_req[i]
+                        nd = base - rows[i][idx] - pot_req[i]
                         if nd < dist_req[i]:
                             dist_req[i] = nd
-                            par_req[i] = idx
                             heapq.heappush(heap, (nd, 0, i))
-        best_j = -1
+        # Every server, and so every request it serves, is reachable from
+        # the new request; the leftmost spare server at minimum distance wins.
+        best = -1
         for j in range(k):
-            if used[j] < caps[j] and dist_srv[j] < INF:
-                if best_j < 0 or dist_srv[j] < dist_srv[best_j]:
-                    best_j = j
-        if best_j < 0:
-            raise ValidationError("no augmenting path; capacity exhausted")
+            if loads[j] < caps[j] and (best < 0 or dist_srv[j] < dist_srv[best]):
+                best = j
         # Standard potential update, capped at the target distance.
-        d_target = dist_srv[best_j]
+        d_target = dist_srv[best]
         for i in range(n):
-            if dist_req[i] < INF:
-                pot_req[i] += min(dist_req[i], d_target)
+            pot_req[i] += min(dist_req[i], d_target)
         for j in range(k):
-            if dist_srv[j] < INF:
-                pot_srv[j] += min(dist_srv[j], d_target)
+            pot_srv[j] += min(dist_srv[j], d_target)
         # Augment: alternate server/request along parent pointers.
-        j = best_j
+        j = best
         while True:
             i = par_srv[j]
             prev = assigned[i]
             assigned[i] = j
+            self.cost += rows[i][j]
             if prev == -1:
                 break
+            self.cost -= rows[i][prev]
             j = prev
-        used[best_j] += 1
+        loads[best] += 1
+        return best
 
-    total = sum(cost[i][assigned[i]] for i in range(n))
-    return OptResult(cost=Fraction(total, scale), assignment=tuple(assigned))
+
+def optimal_cost(inst: Instance, seq: RequestSequence) -> OptResult:
+    """Min-cost flow over source -> requests -> servers -> sink.
+
+    Requests have unit supply, server j has capacity c_j, and the
+    request->server arc costs |r - s|.  Solved by n successive shortest
+    augmenting paths, one ``AugmentingPathEngine.push`` per request.
+    """
+    violation = validate_pair(inst, seq)
+    if violation is not None:
+        raise ValidationError(violation)
+    servers, requests, scale = _scaled_problem(inst, seq)
+    engine = AugmentingPathEngine(servers, list(inst.capacities))
+    for r in requests:
+        engine.push(r)
+    return OptResult(cost=Fraction(engine.cost, scale), assignment=tuple(engine.assigned))
 
 
 def optimal_bruteforce(inst: Instance, seq: RequestSequence) -> OptResult:

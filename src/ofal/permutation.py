@@ -1,142 +1,26 @@
 """The prefix-optimum follower: match each request to the unique server
 slot that enters the optimal matching of the prefix seen so far.
 
-The state keeps a minimum-cost assignment of all requests so far (the
-hindsight optimum of the prefix, maintained by shortest augmenting paths
-in the residual graph).  Each arrival augments along one shortest path,
-which increases exactly one server's used capacity by one unit; that
-server is the irrevocable online match for the request, even though the
-hindsight optimum may place the request itself elsewhere.
+The state is a minimum-cost assignment of all requests so far (the
+hindsight optimum of the prefix), kept by the shared shortest augmenting
+path engine of ``offline.AugmentingPathEngine``.  Each arrival augments
+along one shortest path, which increases exactly one server's used
+capacity by one unit; that server is the irrevocable online match for the
+request, even though the hindsight optimum may place the request itself
+elsewhere.
 
-This algorithm is deliberately NOT run through the priority engine: its
-decision depends on the whole history, not just (position, free set).
+The rule runs through ``engine.simulate`` with a history-dependent
+decider: its choice depends on the whole history, not just (position,
+free set), so ``derive_priority_order`` does not apply to it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 
-from .core import (
-    AssignmentTrace,
-    Instance,
-    RequestSequence,
-    ValidationError,
-    validate_pair,
-)
-
-
-class PrefixOptState:
-    """Residual network of the prefix optimum, mutated one request at a time."""
-
-    def __init__(self, inst: Instance):
-        self.inst = inst
-        self.positions = inst.layout.positions
-        self.caps = list(inst.capacities)
-        self.requests: list[Fraction] = []
-        self.assigned: list[int] = []   # hindsight-optimal server per seen request
-        self.used = [0] * inst.k
-        self.cost = Fraction(0)         # optimal cost of the prefix
-
-    @property
-    def total_used(self) -> int:
-        return sum(self.used)
-
-    def _shortest_augmenting(self, r: Fraction) -> tuple[int, list[int], list[int]]:
-        """SPFA label-correcting search from a new request to all servers.
-
-        Residual arcs: new/old request u -> server j at cost |r_u - s_j|
-        (unless u is currently assigned to j), and server j -> request u at
-        cost -|r_u - s_j| when u is assigned to j.  Residual graphs of
-        optimal flows contain no negative cycle, so labels converge.
-        Returns (chosen server, server parents, request parents); the
-        chosen server is the leftmost among those of minimum path cost
-        with spare capacity.
-        """
-        k = self.inst.k
-        n_prev = len(self.requests)
-        INF = float("inf")
-        dist_srv: list[Fraction | float] = [INF] * k
-        dist_req: list[Fraction | float] = [INF] * (n_prev + 1)
-        par_srv = [-1] * k
-        par_req = [-1] * (n_prev + 1)
-        dist_req[n_prev] = Fraction(0)
-        all_reqs = self.requests + [r]
-
-        queue: deque[tuple[int, int]] = deque([(0, n_prev)])  # (kind, idx), kind 0=request
-        in_queue = {(0, n_prev)}
-        while queue:
-            kind, idx = queue.popleft()
-            in_queue.discard((kind, idx))
-            if kind == 0:
-                du = dist_req[idx]
-                pos_u = all_reqs[idx]
-                cur = self.assigned[idx] if idx < n_prev else -1
-                for j in range(k):
-                    if j == cur:
-                        continue
-                    nd = du + abs(pos_u - self.positions[j])
-                    if nd < dist_srv[j]:
-                        dist_srv[j] = nd
-                        par_srv[j] = idx
-                        if (1, j) not in in_queue:
-                            queue.append((1, j))
-                            in_queue.add((1, j))
-            else:
-                dj = dist_srv[idx]
-                for u in range(n_prev):
-                    if self.assigned[u] != idx:
-                        continue
-                    nd = dj - abs(all_reqs[u] - self.positions[idx])
-                    if nd < dist_req[u]:
-                        dist_req[u] = nd
-                        par_req[u] = idx
-                        if (0, u) not in in_queue:
-                            queue.append((0, u))
-                            in_queue.add((0, u))
-
-        best = -1
-        for j in range(k):
-            if self.used[j] >= self.caps[j] or dist_srv[j] == INF:
-                continue
-            if best < 0 or dist_srv[j] < dist_srv[best]:
-                best = j
-            # Equal-cost paths: leftmost terminal server wins (positions are
-            # scanned in index order, which is position order).
-        if best < 0:
-            raise ValidationError("no capacity remains")
-        return best, par_srv, par_req
-
-    def step(self, r: Fraction) -> int:
-        """Absorb one request; return the server it is matched with online."""
-        if self.total_used >= self.inst.total_capacity:
-            raise ValidationError("no capacity remains")
-        r = Fraction(r)
-        target, par_srv, par_req = self._shortest_augmenting(r)
-        n_prev = len(self.requests)
-        self.requests.append(r)
-        self.assigned.append(-1)
-        # Flip assignments along the augmenting path back to the new request.
-        j = target
-        while True:
-            u = par_srv[j]
-            prev = self.assigned[u]
-            self.assigned[u] = j
-            if u == n_prev:
-                break
-            j = prev
-        self.used[target] += 1
-        self.cost = sum(
-            (abs(q - self.positions[s]) for q, s in zip(self.requests, self.assigned)),
-            Fraction(0),
-        )
-        return target
-
-
-def permutation_step(state: PrefixOptState, r: Fraction) -> tuple[int, PrefixOptState]:
-    """One online step; the state is mutated in place and returned."""
-    server = state.step(r)
-    return server, state
+from .core import AssignmentTrace, Instance, RequestSequence, ValidationError, validate_pair
+from .engine import PriorityRule, simulate
+from .offline import AugmentingPathEngine, _scaled_problem, noncrossing_dp_cost
 
 
 def permutation_run(
@@ -146,43 +30,25 @@ def permutation_run(
 ) -> AssignmentTrace:
     """Run the algorithm over a whole sequence.
 
-    With ``check_prefix_optimal`` every prefix's stored cost is re-derived
-    with the offline flow solver; meant for tests, not production sweeps.
+    With ``check_prefix_optimal`` every prefix's stored optimum cost is
+    compared with the independent non-crossing DP; meant for tests, not
+    production sweeps.
     """
     violation = validate_pair(inst, seq)
     if violation is not None:
         raise ValidationError(violation)
-    state = PrefixOptState(inst)
-    remaining = list(inst.capacities)
-    assignment: list[int] = []
-    snapshots: list[tuple[int, ...]] = []
-    costs: list[Fraction] = []
-    total = Fraction(0)
-    for t, r in enumerate(seq):
-        before = list(state.used)
-        j = state.step(r)
-        deltas = [b - a for a, b in zip(before, state.used)]
-        if sorted(deltas) != [0] * (inst.k - 1) + [1] or deltas[j] != 1:
-            raise AssertionError("prefix optimum did not grow by a single server unit")
-        if check_prefix_optimal:
-            from .offline import optimal_cost
+    servers, requests, scale = _scaled_problem(inst, seq)
+    engine = AugmentingPathEngine(servers, list(inst.capacities))
+    scaled = iter(requests)
 
-            expect = optimal_cost(inst, seq.prefix(t + 1)).cost
-            if state.cost != expect:
-                raise AssertionError(
-                    f"prefix {t + 1}: stored cost {state.cost} != optimal {expect}"
-                )
-        if remaining[j] <= 0:
-            raise AssertionError("matched a full server")
-        remaining[j] -= 1
-        cost = abs(r - inst.layout[j])
-        total += cost
-        assignment.append(j)
-        snapshots.append(tuple(remaining))
-        costs.append(cost)
-    return AssignmentTrace(
-        assignment=tuple(assignment),
-        remaining_after=tuple(snapshots),
-        per_step_cost=tuple(costs),
-        total_cost=total,
-    )
+    def decide(r: Fraction, free: frozenset[int]) -> int:
+        j = engine.push(next(scaled))
+        if check_prefix_optimal:
+            t = len(engine.assigned)
+            stored = Fraction(engine.cost, scale)
+            expect = noncrossing_dp_cost(inst, seq.prefix(t))
+            if stored != expect:
+                raise AssertionError(f"prefix {t}: stored cost {stored} != optimal {expect}")
+        return j
+
+    return simulate(PriorityRule("permutation", decide), inst, seq)

@@ -194,7 +194,6 @@ class OppositeReport:
 
     opposite: bool
     failing_indices: tuple[int, ...]
-    zone_counts: dict | None = None
 
 
 def check_opposite(

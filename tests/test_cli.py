@@ -48,6 +48,20 @@ class TestInspection:
         assert code == EXIT_ERROR
         assert "error" in err
 
+    def test_oversize_integer_literal(self, capsys, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text('{"servers": [0, ' + "9" * 5000 + "]}")
+        code, _, err = run_cli(capsys, "alpha", str(path))
+        assert code == EXIT_ERROR
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_oversize_exponent(self, capsys, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text('{"servers": [0, 1e200000]}')
+        code, _, err = run_cli(capsys, "tree", str(path))
+        assert code == EXIT_ERROR
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestSimulation:
     def test_simulate_greedy(self, capsys, inst_file, seq_file):
@@ -140,6 +154,15 @@ class TestBatch:
         assert (tmp_path / "rows.csv").exists()
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["violations"] == []
+
+        # A misspelled key, a missing required key, a non-object and
+        # invalid JSON are input errors.
+        missing = {k: v for k, v in config.items() if k != "algorithms"}
+        for text in (json.dumps(dict(config, trails=500)), json.dumps(missing), "[1, 2]", "{"):
+            cfg.write_text(text)
+            code, _, err = run_cli(capsys, "run", str(cfg))
+            assert code == EXIT_ERROR
+            assert err.startswith("error:") and err.count("\n") == 1
 
     def test_reproduce_text(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "csv", "reproduce", "thm46", "--k", "3")

@@ -14,7 +14,6 @@ from ofal.core import (
     instance_to_dict,
     load_instance,
     load_sequence,
-    matching_cost,
     parse_instance,
     save_instance,
     sequence_to_dict,
@@ -46,6 +45,12 @@ class TestCoordinates:
             to_coord(float("nan"))
         with pytest.raises(ParseError):
             to_coord(True)
+
+    def test_digit_limit(self):
+        assert to_coord("1e-999") == Fraction(1, 10**999)
+        for text in ("1e-1000", "1e200000", "9" * 1001, "1e" + "9" * 5000):
+            with pytest.raises(ParseError):
+                to_coord(text)
 
     def test_exactness(self):
         # Distinct rationals never compare equal.
@@ -143,14 +148,14 @@ class TestMatchingCost:
         inst = Instance(layout_of(0, 2), (1, 1))
         seq = seq_of(0, 2)
         trace = simulate(greedy_rule(inst.layout), inst, seq)
-        assert matching_cost(trace, inst, seq) == 0
+        assert trace.total_cost == 0
 
     def test_single_distance(self):
         inst = Instance(layout_of(0, 2), (1, 1))
         seq = seq_of(1)
         trace = simulate(greedy_rule(inst.layout), inst, seq)
         assert trace.assignment == (0,)  # tie goes left
-        assert matching_cost(trace, inst, seq) == 1
+        assert trace.total_cost == 1
 
     def test_exponential_adversary_replay(self):
         # Greedy on the k=4 exponential construction with delta = 1/100.
@@ -161,16 +166,10 @@ class TestMatchingCost:
         params = AdversaryParams(k=4, delta=delta, capacities=(1, 1, 1, 1), family="greedy_exp")
         inst, seq = greedy_adversary(params)
         trace = simulate(greedy_rule(inst.layout), inst, seq)
-        assert matching_cost(trace, inst, seq) == Fraction(749, 50)  # 14.98
-        assert matching_cost(trace, inst, seq) == 15 - 2 * delta
+        assert trace.total_cost == Fraction(749, 50)  # 14.98
+        assert trace.total_cost == 15 - 2 * delta
         # The construction's guaranteed lower bound 2^k - 1 - k*delta holds.
-        assert matching_cost(trace, inst, seq) >= 15 - 4 * delta
-
-    def test_length_mismatch(self):
-        inst = Instance(layout_of(0, 2), (1, 1))
-        trace = simulate(greedy_rule(inst.layout), inst, seq_of(1))
-        with pytest.raises(ValidationError):
-            matching_cost(trace, inst, seq_of(1, 1))
+        assert trace.total_cost >= 15 - 4 * delta
 
 
 class TestTraceValidation:

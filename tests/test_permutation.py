@@ -6,40 +6,39 @@ from hypothesis import given, settings, strategies as st
 
 from ofal.adversary import permutation_adversary, permutation_params
 from ofal.core import Instance, ValidationError, compute_rate
-from ofal.offline import noncrossing_dp_cost, optimal_cost
-from ofal.permutation import PrefixOptState, permutation_run, permutation_step
+from ofal.offline import AugmentingPathEngine, _scaled_problem, noncrossing_dp_cost, optimal_cost
+from ofal.permutation import permutation_run
 
 from conftest import instances, layout_of, rand_requests, seq_of
 
 
 class TestSingleSteps:
     def test_prefix_optimum_drives_choice(self):
+        # 19/10 alone goes right; the next request at 1 then takes the
+        # left server even though the prefix optimum would swap them.
         inst = Instance(layout_of(0, 2), (1, 1))
-        state = PrefixOptState(inst)
-        server, state = permutation_step(state, Fraction(19, 10))
-        assert server == 1
+        assert permutation_run(inst, seq_of("19/10", 1)).assignment == (1, 0)
 
     def test_request_on_free_server(self):
         inst = Instance(layout_of(0, 2, 5), (1, 1, 1))
-        state = PrefixOptState(inst)
-        server, _ = permutation_step(state, Fraction(2))
-        assert server == 1
+        assert permutation_run(inst, seq_of(2, 2, 2)).assignment == (1, 0, 2)
 
     def test_geometric_construction_first_step(self):
         # k=2 mirrored layout: the first request, just left of center, is
         # matched with the left-center server.
         params = permutation_params(2, Fraction(1, 10))
         inst, seq = permutation_adversary(params)
-        state = PrefixOptState(inst)
-        server, _ = permutation_step(state, seq[len(seq) - 2 * params.k])
-        assert server == params.k - 1
+        assert len(seq) == 2 * params.k
+        assert permutation_run(inst, seq.prefix(1)).assignment == (params.k - 1,)
 
     def test_capacity_exhaustion(self):
-        inst = Instance(layout_of(0), (1,))
-        state = PrefixOptState(inst)
-        permutation_step(state, Fraction(0))
+        # Server 0 takes two units, then the third request must move on.
+        inst = Instance(layout_of(0, 1), (2, 1))
+        assert permutation_run(inst, seq_of(0, 0, 0)).assignment == (0, 0, 1)
+        engine = AugmentingPathEngine([0], [1])
+        engine.push(0)
         with pytest.raises(ValidationError):
-            permutation_step(state, Fraction(0))
+            engine.push(0)
 
 
 class TestFullRuns:
@@ -60,22 +59,23 @@ class TestFullRuns:
         inst = Instance(layout_of(0, 2, 5, 11, 17), (50, 50, 50, 50, 50))
         rng = random.Random(5)
         seq = rand_requests(rng, inst, 200)
-        state = PrefixOptState(inst)
-        for r in seq:
-            state.step(r)
-        assert state.cost == optimal_cost(inst, seq).cost
+        servers, requests, scale = _scaled_problem(inst, seq)
+        engine = AugmentingPathEngine(servers, list(inst.capacities))
+        for r in requests:
+            engine.push(r)
+        assert Fraction(engine.cost, scale) == noncrossing_dp_cost(inst, seq)
 
     def test_one_unit_per_step(self):
         inst = Instance(layout_of(0, 1, 4), (2, 1, 2))
-        state = PrefixOptState(inst)
         rng = random.Random(1)
-        seq = rand_requests(rng, inst, 5)
-        previous = list(state.used)
-        for r in seq:
-            state.step(r)
-            grew = [b - a for a, b in zip(previous, state.used)]
-            assert sum(grew) == 1 and all(g in (0, 1) for g in grew)
-            previous = list(state.used)
+        servers, requests, _ = _scaled_problem(inst, rand_requests(rng, inst, 5))
+        engine = AugmentingPathEngine(servers, list(inst.capacities))
+        previous = list(engine.loads)
+        for r in requests:
+            j = engine.push(r)
+            grew = [b - a for a, b in zip(previous, engine.loads)]
+            assert grew == [int(i == j) for i in range(inst.k)]
+            previous = list(engine.loads)
 
     def test_geometric_construction_full_pattern(self):
         # Walking outward: odd requests burn the left servers inward-out,
@@ -105,3 +105,43 @@ class TestFullRuns:
         inst = Instance(layout_of(0, 1), (3, 2))
         seq = seq_of("1/2", "1/2", "1/2", 0, 1)
         permutation_run(inst, seq, check_prefix_optimal=True)
+
+
+#: Tie-heavy inputs with the online and offline assignments of the
+#: Fraction-SPFA follower and the separate flow solver this engine
+#: replaced: (servers, capacities, requests, permutation_run assignment,
+#: optimal_cost assignment, optimal cost).
+GOLDEN = [
+    ((0, 2), (1, 1), (1, 1), (0, 1), (0, 1), 2),
+    ((0, 2, 4), (1, 1, 1), (1, 3, 2), (0, 1, 2), (0, 2, 1), 2),
+    (
+        (0, 1, 2, 3),
+        (2, 1, 1, 2),
+        ("1/2", "3/2", "5/2", "1/2", "5/2", "3/2"),
+        (0, 1, 2, 0, 3, 3),
+        (0, 1, 3, 0, 3, 2),
+        3,
+    ),
+    ((-2, 0, 2), (1, 2, 1), (-1, 1, 0, 0), (0, 1, 1, 2), (0, 2, 1, 1), 2),
+    ((0, 4), (3, 3), (2, 2, 2, 2, 2, 2), (0, 0, 0, 1, 1, 1), (0, 0, 0, 1, 1, 1), 12),
+    ((0, 1, 3, 6), (1, 1, 1, 1), (2, 2, "9/2", "1/2"), (1, 2, 3, 0), (1, 2, 3, 0), 4),
+    ((0, 2, 4, 6), (2, 1, 1, 2), (3, 1, 5, 3, 3, 1), (1, 0, 2, 3, 0, 3), (1, 0, 3, 2, 3, 0), 8),
+    (
+        (0, 3, 6),
+        (2, 2, 2),
+        ("3/2", "9/2", "3/2", "9/2", 3, 3),
+        (0, 1, 0, 1, 2, 2),
+        (0, 2, 0, 2, 1, 1),
+        6,
+    ),
+]
+
+
+@pytest.mark.parametrize("servers, caps, requests, online, offline, cost", GOLDEN)
+def test_golden_tie_breaks(servers, caps, requests, online, offline, cost):
+    inst = Instance(layout_of(*servers), caps)
+    seq = seq_of(*requests)
+    assert permutation_run(inst, seq).assignment == online
+    opt = optimal_cost(inst, seq)
+    assert opt.assignment == offline
+    assert opt.cost == cost
