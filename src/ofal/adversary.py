@@ -4,12 +4,12 @@ Two named constructions drive the headline comparisons: an exponential
 layout on which greedy cascades to the far end (family ``greedy_exp``),
 and a mirrored geometric layout on which the prefix-optimum follower pays
 the center gap over and over (family ``permutation_geo``).  Generic
-seeded random families and an exhaustive grid enumerator back the sweeps.
+seeded random families and the candidate points of the exhaustive grid
+search back the sweeps.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +20,6 @@ from .core import (
     Instance,
     RequestSequence,
     ServerLayout,
-    SizeGuardError,
     ValidationError,
 )
 from .engine import simulate
@@ -31,7 +30,6 @@ class AdversaryParams:
     k: int
     delta: Fraction
     capacities: tuple[int, ...]
-    family: str
 
 
 def _largest_power_of_tenth(ok) -> Fraction:
@@ -55,7 +53,7 @@ def greedy_params(k: int, epsilon: Fraction, capacity: int = 1) -> AdversaryPara
     epsilon = Fraction(epsilon)
     bound = epsilon * Fraction(1, 2**k)
     delta = _largest_power_of_tenth(lambda d: k * d / (1 + k * d) <= bound)
-    return AdversaryParams(k=k, delta=delta, capacities=(capacity,) * k, family="greedy_exp")
+    return AdversaryParams(k=k, delta=delta, capacities=(capacity,) * k)
 
 
 def greedy_adversary(params: AdversaryParams) -> tuple[Instance, RequestSequence]:
@@ -94,9 +92,7 @@ def permutation_params(k: int, epsilon: Fraction, capacity: int = 1) -> Adversar
         return d**k + d * (4 * k - 1) < epsilon and 1 / (1 - d) < 1 + epsilon / 2
 
     delta = _largest_power_of_tenth(ok)
-    return AdversaryParams(
-        k=k, delta=delta, capacities=(capacity,) * (2 * k), family="permutation_geo"
-    )
+    return AdversaryParams(k=k, delta=delta, capacities=(capacity,) * (2 * k))
 
 
 def permutation_geometric_layout(k: int, delta: Fraction) -> ServerLayout:
@@ -232,13 +228,17 @@ def _opposite_biased(inst: Instance, n: int, rng: random.Random) -> RequestSeque
 # ---------------------------------------------------------------------------
 
 
+#: Candidate points are nudged into their gap by gap / OFFSET_DEN.
+OFFSET_DEN = 16
+
+
 def candidate_points(
-    layout: ServerLayout, offset_den: int = 16, include_offsets: bool = True
+    layout: ServerLayout, include_offsets: bool = True
 ) -> tuple[Fraction, ...]:
     """Deduplicated worst-case candidate positions for a layout.
 
     Server positions, every split-tree critical point, every adjacent-gap
-    midpoint, and (optionally) each of those nudged by gap/offset_den into
+    midpoint, and (optionally) each of those nudged by gap/OFFSET_DEN into
     its gap, clipped to the hull.  Adversarial inputs in this problem pivot
     on exactly these points.
     """
@@ -251,7 +251,7 @@ def candidate_points(
             crit = node.critical
             points.add(crit)
             if include_offsets:
-                points.update((crit - gap / offset_den, crit + gap / offset_den))
+                points.update((crit - gap / OFFSET_DEN, crit + gap / OFFSET_DEN))
     for a, b in zip(positions, positions[1:]):
         if b == a:
             continue
@@ -261,25 +261,11 @@ def candidate_points(
         if include_offsets:
             points.update(
                 (
-                    mid - gap / offset_den,
-                    mid + gap / offset_den,
-                    a + gap / offset_den,
-                    b - gap / offset_den,
+                    mid - gap / OFFSET_DEN,
+                    mid + gap / OFFSET_DEN,
+                    a + gap / OFFSET_DEN,
+                    b - gap / OFFSET_DEN,
                 )
             )
     return tuple(sorted(p for p in points if lo <= p <= hi))
 
-
-def grid_sequences(
-    inst: Instance,
-    n: int,
-    grid: tuple[Fraction, ...],
-    budget: int = 10**7,
-) -> Iterator[RequestSequence]:
-    """All length-n request sequences over the grid points."""
-    if n > inst.total_capacity:
-        raise ValidationError("sequence length exceeds total capacity")
-    if len(grid) ** n > budget:
-        raise SizeGuardError(f"grid enumeration {len(grid)}^{n} exceeds budget {budget}")
-    for combo in itertools.product(grid, repeat=n):
-        yield RequestSequence(combo)

@@ -93,18 +93,6 @@ def alpha_fast(layout: ServerLayout) -> Metrics:
     return Metrics(l_value=gap_ratio(positions), alpha=best, witness=witness)
 
 
-def contiguous_closure(layout: ServerLayout, subset: tuple[int, ...]) -> tuple[int, ...]:
-    """All layout indices between the extremes of a subset."""
-    if not subset:
-        return ()
-    return tuple(range(min(subset), max(subset) + 1))
-
-
-def competitive_bound(layout: ServerLayout) -> Fraction:
-    """The target performance bound 2*alpha + 1 for a layout."""
-    return 2 * alpha_fast(layout).alpha + 1
-
-
 def aspect_ratio(layout: ServerLayout) -> Fraction:
     """span / min adjacent gap; reported for comparison only."""
     if layout.k <= 1:

@@ -56,15 +56,14 @@ EXIT_VIOLATION = 1
 EXIT_ERROR = 2
 
 
-def _emit(data, fmt: str) -> None:
+def _emit(data: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(data, indent=2))
-    else:  # csv-ish flat dump for simple dict payloads
-        if isinstance(data, dict):
-            for key, value in data.items():
-                print(f"{key},{value}")
-        else:
-            print(data)
+    else:  # one key,value line per field; lists become space-separated
+        for key, value in data.items():
+            if isinstance(value, list):
+                value = " ".join(map(str, value))
+            print(f"{key},{value}")
 
 
 def cmd_alpha(args) -> int:
@@ -237,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ofal {__version__}")
     parser.add_argument("--seed", type=int, default=None, help="global RNG seed (default 0)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--format", choices=("json", "csv"), default="json", help="csv: alpha, reproduce, run")
     parser.add_argument("--jobs", type=int, default=None, help="worker processes for batch runs")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -299,6 +298,8 @@ def main(argv: list[str] | None = None) -> int:
     if not args.seed_provided:
         args.seed = 0
     try:
+        if args.format == "csv" and args.command not in ("alpha", "reproduce", "run"):
+            raise OfalError(f"{args.command} has no csv output; use --format json")
         return args.func(args)
     except OfalError as exc:
         print(f"error: {exc}", file=sys.stderr)

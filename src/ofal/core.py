@@ -21,9 +21,10 @@ CoordLike = Union[Fraction, int, str, float]
 #: Extended-rational infinity used by ``compute_rate``.
 INF = math.inf
 
-#: Most digits an input number may have.  Longer ones could not be printed
-#: back (Python refuses int->str beyond 4300 digits), and a large decimal
-#: exponent would make the exact value enormous.
+#: Most digits an input number, or the common denominator of one input
+#: file, may have.  Longer ones could not be printed back (Python refuses
+#: int->str beyond 4300 digits, and a cost's denominator comes from two
+#: files), and a large decimal exponent would make the exact value enormous.
 MAX_NUMBER_DIGITS = 1000
 
 
@@ -173,9 +174,6 @@ class Instance:
     def total_capacity(self) -> int:
         return sum(self.capacities)
 
-    def positions(self) -> tuple[Fraction, ...]:
-        return self.layout.positions
-
 
 def unit_instance(layout: ServerLayout) -> Instance:
     return Instance(layout, (1,) * layout.k)
@@ -226,26 +224,6 @@ class AssignmentTrace:
         if t < 0:
             raise IndexError("use free_before(0) for the initial free set")
         return frozenset(j for j, c in enumerate(self.remaining_after[t]) if c > 0)
-
-    def validate(self, inst: Instance, seq: RequestSequence) -> None:
-        """Check the trace's internal bookkeeping against inst and seq."""
-        n = len(seq)
-        if not (len(self.assignment) == len(self.remaining_after) == len(self.per_step_cost) == n):
-            raise ValidationError("trace length mismatch")
-        remaining = list(inst.capacities)
-        total = Fraction(0)
-        for t, j in enumerate(self.assignment):
-            if remaining[j] <= 0:
-                raise ValidationError(f"server {j} over capacity at step {t}")
-            remaining[j] -= 1
-            if tuple(remaining) != self.remaining_after[t]:
-                raise ValidationError(f"free snapshot inconsistent at step {t}")
-            cost = abs(seq[t] - inst.layout[j])
-            if cost != self.per_step_cost[t]:
-                raise ValidationError(f"per-step cost wrong at step {t}")
-            total += cost
-        if total != self.total_cost:
-            raise ValidationError("total cost does not equal the sum of step costs")
 
 
 def validate_pair(inst: Instance, seq: RequestSequence) -> str | None:
@@ -325,13 +303,25 @@ def _load_json(path: str | Path) -> dict:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _file_coords(values: list) -> list[Fraction]:
+    """Parse a file's coordinates, rejecting a common denominator of
+    10**MAX_NUMBER_DIGITS or more."""
+    coords = [to_coord(v) for v in values]
+    scale, limit = 1, 10**MAX_NUMBER_DIGITS
+    for c in coords:
+        scale = scale * c.denominator // math.gcd(scale, c.denominator)
+        if scale >= limit:
+            raise ParseError(f"common denominator with more than {MAX_NUMBER_DIGITS} digits")
+    return coords
+
+
 def parse_instance(data: dict) -> Instance:
     if not isinstance(data, dict) or "servers" not in data:
         raise ParseError('instance JSON must be an object with a "servers" array')
     servers = data["servers"]
     if not isinstance(servers, list):
         raise ParseError('"servers" must be an array of coordinates')
-    positions = [to_coord(s) for s in servers]
+    positions = _file_coords(servers)
     if sorted(positions) != positions or len(set(positions)) != len(positions):
         raise ParseError("unsorted or duplicate server positions")
     capacities = data.get("capacities", [1] * len(positions))
@@ -366,7 +356,7 @@ def parse_sequence(data: dict) -> RequestSequence:
     requests = data["requests"]
     if not isinstance(requests, list):
         raise ParseError('"requests" must be an array of coordinates')
-    return RequestSequence(tuple(to_coord(r) for r in requests))
+    return RequestSequence(tuple(_file_coords(requests)))
 
 
 def load_sequence(path: str | Path) -> RequestSequence:

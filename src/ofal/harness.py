@@ -285,29 +285,24 @@ REPRODUCE_TABLES = ("thm46", "thm47", "tightness-k2")
 def reproduce(table: str, k: int | None = None, epsilon: Fraction | None = None) -> dict:
     """Run one of the named headline comparisons and report target checks."""
     epsilon = Fraction(1, 10) if epsilon is None else Fraction(epsilon)
-    if table == "thm46":
-        k = 6 if k is None else k
-        inst, seq = greedy_adversary(greedy_params(k, epsilon))
+    if table in ("thm46", "thm47"):
+        if table == "thm46":
+            k = 6 if k is None else k
+            inst, seq = greedy_adversary(greedy_params(k, epsilon))
+            targets = (
+                ("greedy", Fraction(2**k - 1) - epsilon, "ge"),
+                ("ptcp", Fraction(5), "le"),
+            )
+        else:
+            k = 3 if k is None else k
+            inst, seq = permutation_adversary(permutation_params(k, epsilon))
+            targets = (
+                ("permutation", Fraction(4 * k - 1) - epsilon, "ge"),
+                ("ptcp", Fraction(3) + epsilon, "le"),
+            )
         opt = noncrossing_dp_cost(inst, seq)
         rows = []
-        for alg, target, direction in (
-            ("greedy", Fraction(2**k - 1) - epsilon, "ge"),
-            ("ptcp", Fraction(5), "le"),
-        ):
-            trace = run_algorithm(alg, inst, seq)
-            rate = compute_rate(trace.total_cost, opt)
-            ok = rate >= target if direction == "ge" else rate <= target
-            rows.append(_reproduce_row(alg, rate, target, direction, ok))
-        return {"table": table, "k": k, "epsilon": fraction_str(epsilon), "rows": rows}
-    if table == "thm47":
-        k = 3 if k is None else k
-        inst, seq = permutation_adversary(permutation_params(k, epsilon))
-        opt = noncrossing_dp_cost(inst, seq)
-        rows = []
-        for alg, target, direction in (
-            ("permutation", Fraction(4 * k - 1) - epsilon, "ge"),
-            ("ptcp", Fraction(3) + epsilon, "le"),
-        ):
+        for alg, target, direction in targets:
             trace = run_algorithm(alg, inst, seq)
             rate = compute_rate(trace.total_cost, opt)
             ok = rate >= target if direction == "ge" else rate <= target

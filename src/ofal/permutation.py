@@ -20,35 +20,23 @@ from fractions import Fraction
 
 from .core import AssignmentTrace, Instance, RequestSequence, ValidationError, validate_pair
 from .engine import PriorityRule, simulate
-from .offline import AugmentingPathEngine, _scaled_problem, noncrossing_dp_cost
+from .offline import AugmentingPathEngine, _scaled_problem
 
 
-def permutation_run(
-    inst: Instance,
-    seq: RequestSequence,
-    check_prefix_optimal: bool = False,
-) -> AssignmentTrace:
+def permutation_run(inst: Instance, seq: RequestSequence) -> AssignmentTrace:
     """Run the algorithm over a whole sequence.
 
-    With ``check_prefix_optimal`` every prefix's stored optimum cost is
-    compared with the independent non-crossing DP; meant for tests, not
-    production sweeps.
+    Scales the pair once and pushes each request into one engine; the
+    server whose load a push raises is that request's match.
     """
     violation = validate_pair(inst, seq)
     if violation is not None:
         raise ValidationError(violation)
-    servers, requests, scale = _scaled_problem(inst, seq)
+    servers, requests, _ = _scaled_problem(inst, seq)
     engine = AugmentingPathEngine(servers, list(inst.capacities))
     scaled = iter(requests)
 
     def decide(r: Fraction, free: frozenset[int]) -> int:
-        j = engine.push(next(scaled))
-        if check_prefix_optimal:
-            t = len(engine.assigned)
-            stored = Fraction(engine.cost, scale)
-            expect = noncrossing_dp_cost(inst, seq.prefix(t))
-            if stored != expect:
-                raise AssertionError(f"prefix {t}: stored cost {stored} != optimal {expect}")
-        return j
+        return engine.push(next(scaled))
 
     return simulate(PriorityRule("permutation", decide), inst, seq)

@@ -250,31 +250,6 @@ def adx_bound(layout: ServerLayout, d: Fraction, x: Fraction) -> Fraction:
     return max(2 * alpha + 1, (2 * d - x) / x, (2 * span + d + x) / (d - x))
 
 
-def check_adx_bound(
-    base: RuleOrBuilder,
-    layout: ServerLayout,
-    d: Fraction,
-    x: Fraction,
-    seq: RequestSequence,
-    capacities: tuple[int, ...] | None = None,
-) -> RatioReport:
-    """Run the guarded composition over S + {s_k + d} and compare its cost
-    ratio against the composition bound."""
-    base_rule = _resolve_rule(base, layout)
-    rule, extended = guard_rule(base_rule, layout, d, x)
-    caps = capacities if capacities is not None else (1,) * extended.k
-    inst = Instance(extended, caps)
-    trace = simulate(rule, inst, seq)
-    opt_cost = noncrossing_dp_cost(inst, seq)
-    return RatioReport(
-        alg_cost=trace.total_cost,
-        opt_cost=opt_cost,
-        rate=compute_rate(trace.total_cost, opt_cost),
-        bound=adx_bound(layout, d, x),
-        algorithm_id=rule.id,
-    )
-
-
 def sweep_adx(
     base: RuleOrBuilder,
     layout: ServerLayout,
@@ -328,81 +303,6 @@ def sweep_adx(
                         inst, seq, rate=str(rate), reason="m = 1 exceeded 2*alpha+1"
                     )
                 )
-    return report
-
-
-def check_rightmost_shift_bound(
-    base: RuleOrBuilder,
-    layout: ServerLayout,
-    d: Fraction,
-    x: Fraction,
-    trials: int = 200,
-    seed: int = 0,
-) -> PropertyReport:
-    """Moving the rightmost request of an opposite run left onto the
-    rightmost free base server changes the guarded rule's cost by at most
-    (2*alpha(S)+1) times the move distance."""
-    base_rule = _resolve_rule(base, layout)
-    rule, extended = guard_rule(base_rule, layout, d, x)
-    inst = unit_instance(extended)
-    factor = 2 * alpha_fast(layout).alpha + 1
-    rng = random.Random(seed)
-    report = PropertyReport(name="rightmost-shift")
-    lo, hi = extended.positions[0], extended.positions[-1]
-    k = layout.k
-    attempts = 0
-    while report.trials < trials and attempts < 200 * trials:
-        attempts += 1
-        n = rng.randint(1, extended.k)
-        pilot = RequestSequence(tuple(random_rational(rng, lo, hi) for _ in range(n)))
-        # Resample each pilot request between its online and offline servers;
-        # this lands inside the opposite class far more often than uniform.
-        p_trace = simulate(rule, inst, pilot)
-        p_opt = optimal_cost(inst, pilot)
-        seq = RequestSequence(
-            tuple(
-                random_rational(
-                    rng,
-                    *sorted(
-                        (
-                            extended.positions[p_trace.assignment[t]],
-                            extended.positions[p_opt.assignment[t]],
-                        )
-                    ),
-                    den=64,
-                )
-                for t in range(n)
-            )
-        )
-        trace = simulate(rule, inst, seq)
-        opt = optimal_cost(inst, seq)
-        if not check_opposite(trace, opt, seq, extended).opposite:
-            continue
-        top = max(seq.requests)
-        if sum(1 for r in seq if r == top) != 1:
-            continue
-        i = seq.requests.index(top)
-        remaining = list(inst.capacities)
-        for t in range(i):
-            remaining[trace.assignment[t]] -= 1
-        base_free = [j for j in range(k) if remaining[j] > 0]
-        if not base_free:
-            continue
-        s_star = max(base_free, key=lambda j: extended.positions[j])
-        target = extended.positions[s_star]
-        if not top < target:
-            continue
-        moved = RequestSequence(
-            tuple(target if t == i else r for t, r in enumerate(seq))
-        )
-        moved_trace = simulate(rule, inst, moved)
-        lhs = trace.total_cost - moved_trace.total_cost
-        rhs = factor * abs(top - target)
-        report.trials += 1
-        if lhs > rhs:
-            report.violations.append(
-                _reproducer(inst, seq, moved=sequence_to_dict(moved), lhs=str(lhs), rhs=str(rhs))
-            )
     return report
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from ofal.core import Instance, RequestSequence, ServerLayout
+from ofal.core import AssignmentTrace, Instance, RequestSequence, ServerLayout
 
 
 def F(x) -> Fraction:
@@ -21,6 +21,22 @@ def layout_of(*positions) -> ServerLayout:
 
 def seq_of(*requests) -> RequestSequence:
     return RequestSequence(tuple(Fraction(r) for r in requests))
+
+
+def check_trace(trace: AssignmentTrace, inst: Instance, seq: RequestSequence) -> None:
+    """Replay a trace against inst and seq and assert its bookkeeping."""
+    n = len(seq)
+    assert len(trace.assignment) == len(trace.remaining_after) == len(trace.per_step_cost) == n
+    remaining = list(inst.capacities)
+    total = Fraction(0)
+    for t, j in enumerate(trace.assignment):
+        assert remaining[j] > 0, f"server {j} over capacity at step {t}"
+        remaining[j] -= 1
+        assert tuple(remaining) == trace.remaining_after[t], f"free snapshot inconsistent at step {t}"
+        cost = abs(seq[t] - inst.layout[j])
+        assert cost == trace.per_step_cost[t], f"per-step cost wrong at step {t}"
+        total += cost
+    assert total == trace.total_cost, "total cost does not equal the sum of step costs"
 
 
 @st.composite

@@ -7,14 +7,13 @@ from ofal.adversary import (
     candidate_points,
     greedy_adversary,
     greedy_params,
-    grid_sequences,
     permutation_adversary,
     permutation_geometric_layout,
     permutation_params,
     random_sequences,
 )
 from ofal.algorithms import greedy_rule, ptcp_rule
-from ofal.core import Instance, SizeGuardError, ValidationError, compute_rate, unit_instance, validate_pair
+from ofal.core import Instance, ValidationError, compute_rate, unit_instance, validate_pair
 from ofal.engine import simulate
 from ofal.offline import noncrossing_dp_cost, optimal_cost
 from ofal.permutation import permutation_run
@@ -69,7 +68,7 @@ class TestGreedyFamily:
             assert compute_rate(split.total_cost, opt) <= 5
 
     def test_delta_validation(self):
-        bad = AdversaryParams(k=3, delta=Fraction(3, 2), capacities=(1,) * 3, family="greedy_exp")
+        bad = AdversaryParams(k=3, delta=Fraction(3, 2), capacities=(1,) * 3)
         with pytest.raises(ValidationError):
             greedy_adversary(bad)
         with pytest.raises(ValidationError):
@@ -111,7 +110,7 @@ class TestPermutationFamily:
             assert compute_rate(split.total_cost, opt) <= 3 + Fraction(1, 10)
 
     def test_delta_validation(self):
-        bad = AdversaryParams(k=2, delta=Fraction(1, 2), capacities=(1,) * 4, family="permutation_geo")
+        bad = AdversaryParams(k=2, delta=Fraction(1, 2), capacities=(1,) * 4)
         with pytest.raises(ValidationError):
             permutation_adversary(bad)
 
@@ -161,18 +160,6 @@ class TestRandomFamilies:
 
 
 class TestGrids:
-    def test_small_product(self):
-        inst = unit_instance(layout_of(0, 1))
-        grid = (Fraction(0), Fraction(1, 2), Fraction(1))
-        seqs = list(grid_sequences(inst, 2, grid))
-        assert len(seqs) == 9
-
-    def test_budget_guard(self):
-        inst = Instance(layout_of(0, 1), (10, 10))
-        grid = tuple(Fraction(i, 16) for i in range(17))
-        with pytest.raises(SizeGuardError):
-            list(grid_sequences(inst, 12, grid))
-
     def test_candidate_points_k2(self):
         pts = candidate_points(layout_of(0, 1))
         assert pts == (

@@ -17,7 +17,7 @@ from ofal.alpha import alpha_fast, gap_ratio
 from ofal.core import ValidationError, unit_instance
 from ofal.engine import simulate
 
-from conftest import layout_of, layouts, seq_of
+from conftest import check_trace, layout_of, layouts, seq_of
 
 
 class TestSplitTree:
@@ -146,8 +146,8 @@ class TestGuardRule:
 
     def test_guarded_rule_simulates(self):
         inst = unit_instance(self.extended)
-        trace = simulate(self.rule, inst, seq_of("3/2", "7/2", "1/4"))
-        trace.validate(inst, seq_of("3/2", "7/2", "1/4"))
+        seq = seq_of("3/2", "7/2", "1/4")
+        check_trace(simulate(self.rule, inst, seq), inst, seq)
 
     def test_guarded_rule_is_priority_consistent(self):
         from ofal.engine import derive_priority_order

@@ -7,8 +7,6 @@ from ofal.alpha import (
     alpha_bruteforce,
     alpha_fast,
     aspect_ratio,
-    competitive_bound,
-    contiguous_closure,
     gap_ratio,
 )
 from ofal.core import ServerLayout, SizeGuardError
@@ -85,7 +83,7 @@ class TestStructuralProperties:
         subset = tuple(sorted(data.draw(
             st.lists(st.integers(0, layout.k - 1), min_size=size, max_size=size, unique=True)
         )))
-        closure = contiguous_closure(layout, subset)
+        closure = tuple(range(min(subset), max(subset) + 1))
         sub_pos = tuple(layout.positions[j] for j in subset)
         clo_pos = tuple(layout.positions[j] for j in closure)
         assert gap_ratio(clo_pos) >= gap_ratio(sub_pos)
@@ -114,10 +112,6 @@ class TestStructuralProperties:
 
 
 class TestReporting:
-    def test_competitive_bound(self):
-        assert competitive_bound(layout_of(0, 2, 4, 8)) == 5
-        assert competitive_bound(layout_of(5)) == 1
-
     def test_aspect_ratio(self):
         assert aspect_ratio(layout_of(0, 2, 4, 8)) == 4  # span 8 / min gap 2
         assert aspect_ratio(layout_of(3)) == 0

@@ -19,6 +19,23 @@ def seq_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def wide_denominator_files(tmp_path):
+    """20 servers at j + 1/p_j^e with p_j^e of about 480 digits: each number
+    fits the digit cap, but their common denominator has ~9600 digits."""
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+    servers = []
+    for j, p in enumerate(primes):
+        q = p
+        while q < 10**479:
+            q *= p
+        servers.append(f"{j * q + 1}/{q}")
+    inst, seq = tmp_path / "wide.json", tmp_path / "wide_seq.json"
+    inst.write_text(json.dumps({"servers": servers}))
+    seq.write_text(json.dumps({"requests": list(range(20))}))
+    return str(inst), str(seq)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -36,6 +53,7 @@ class TestInspection:
         code, out, _ = run_cli(capsys, "--format", "csv", "alpha", inst_file)
         assert code == EXIT_OK
         assert "alpha,2" in out
+        assert "witness,0 1 2\n" in out
 
     def test_tree(self, capsys, inst_file):
         code, out, _ = run_cli(capsys, "tree", inst_file)
@@ -61,6 +79,13 @@ class TestInspection:
         code, _, err = run_cli(capsys, "tree", str(path))
         assert code == EXIT_ERROR
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_common_denominator_limit(self, capsys, wide_denominator_files):
+        inst, seq = wide_denominator_files
+        for argv in (("opt",), ("simulate", "--alg", "ptcp"), ("simulate", "--alg", "permutation")):
+            code, out, err = run_cli(capsys, *argv, inst, seq)
+            assert code == EXIT_ERROR, argv
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 class TestSimulation:
@@ -103,6 +128,18 @@ class TestGenerators:
 
 
 class TestVerify:
+    def test_csv_refused(self, capsys, inst_file, seq_file):
+        for argv in (
+            ("verify", "ratio"),
+            ("tree", inst_file),
+            ("simulate", "--alg", "ptcp", inst_file, seq_file),
+            ("opt", inst_file, seq_file),
+            ("adversary", "greedy", "--k", "3"),
+        ):
+            code, out, err = run_cli(capsys, "--format", "csv", *argv)
+            assert code == EXIT_ERROR, argv
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
     def test_ratio_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "ratio", "--alg", "ptcp", "--k", "3", "--trials", "30")
         assert code == EXIT_OK

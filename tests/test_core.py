@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from ofal.core import (
-    AssignmentTrace,
     Instance,
     ParseError,
     ServerLayout,
@@ -15,6 +14,7 @@ from ofal.core import (
     load_instance,
     load_sequence,
     parse_instance,
+    parse_sequence,
     save_instance,
     sequence_to_dict,
     to_coord,
@@ -25,7 +25,7 @@ from ofal.adversary import AdversaryParams, greedy_adversary
 from ofal.algorithms import greedy_rule
 from ofal.engine import simulate
 
-from conftest import layout_of, seq_of
+from conftest import check_trace, layout_of, seq_of
 
 
 class TestCoordinates:
@@ -51,6 +51,15 @@ class TestCoordinates:
         for text in ("1e-1000", "1e200000", "9" * 1001, "1e" + "9" * 5000):
             with pytest.raises(ParseError):
                 to_coord(text)
+
+    def test_common_denominator_limit(self):
+        # Each number has ~600 digits; the lcm of two of them has ~1200.
+        a, b = f"1/{2**1994}", f"1/{3**1258}"
+        assert parse_sequence({"requests": [a, a, a]}).n == 3
+        with pytest.raises(ParseError):
+            parse_sequence({"requests": [0, a, b]})
+        with pytest.raises(ParseError):
+            parse_instance({"servers": [a, b]})
 
     def test_exactness(self):
         # Distinct rationals never compare equal.
@@ -163,7 +172,7 @@ class TestMatchingCost:
         # 1 - delta, the next two cost 2 - delta and 4 - delta, and the
         # last one walks back across the whole span for 8 + delta.
         delta = Fraction(1, 100)
-        params = AdversaryParams(k=4, delta=delta, capacities=(1, 1, 1, 1), family="greedy_exp")
+        params = AdversaryParams(k=4, delta=delta, capacities=(1, 1, 1, 1))
         inst, seq = greedy_adversary(params)
         trace = simulate(greedy_rule(inst.layout), inst, seq)
         assert trace.total_cost == Fraction(749, 50)  # 14.98
@@ -177,29 +186,7 @@ class TestTraceValidation:
         inst = Instance(layout_of(0, 2), (1, 2))
         seq = seq_of(1, 2, 2)
         trace = simulate(greedy_rule(inst.layout), inst, seq)
-        trace.validate(inst, seq)
-
-    def test_capacity_violation_detected(self):
-        inst = Instance(layout_of(0, 2), (1, 1))
-        bad = AssignmentTrace(
-            assignment=(0, 0),
-            remaining_after=((0, 1), (0, 1)),
-            per_step_cost=(Fraction(0), Fraction(0)),
-            total_cost=Fraction(0),
-        )
-        with pytest.raises(ValidationError):
-            bad.validate(inst, seq_of(0, 0))
-
-    def test_cost_mismatch_detected(self):
-        inst = Instance(layout_of(0, 2), (1, 1))
-        bad = AssignmentTrace(
-            assignment=(0,),
-            remaining_after=((0, 1),),
-            per_step_cost=(Fraction(5),),
-            total_cost=Fraction(5),
-        )
-        with pytest.raises(ValidationError):
-            bad.validate(inst, seq_of(1))
+        check_trace(trace, inst, seq)
 
 
 class TestRate:

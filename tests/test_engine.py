@@ -8,7 +8,7 @@ from ofal.algorithms import greedy_rule, ptcp_rule
 from ofal.core import Instance, RequestSequence, RuleError, ValidationError
 from ofal.engine import PriorityRule, derive_priority_order, simulate, surrounding_servers
 
-from conftest import instances, layout_of, rand_requests, seq_of
+from conftest import check_trace, instances, layout_of, rand_requests, seq_of
 
 
 class TestSimulate:
@@ -48,7 +48,7 @@ class TestSimulate:
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         seq = rand_requests(rng, inst, n)
         trace = simulate(greedy_rule(inst.layout), inst, seq)
-        trace.validate(inst, seq)
+        check_trace(trace, inst, seq)
 
 
 class TestSurroundingServers:

@@ -46,7 +46,7 @@ class TestBruteforce:
 
 class TestFlowSolver:
     def test_exponential_adversary_optimum(self):
-        params = AdversaryParams(k=4, delta=Fraction(1, 100), capacities=(1,) * 4, family="greedy_exp")
+        params = AdversaryParams(k=4, delta=Fraction(1, 100), capacities=(1,) * 4)
         inst, seq = greedy_adversary(params)
         res = optimal_cost(inst, seq)
         # Identity assignment: 1 + k*delta (verified against enumeration).

@@ -12,6 +12,20 @@ from ofal.permutation import permutation_run
 from conftest import instances, layout_of, rand_requests, seq_of
 
 
+def check_prefix_optimal(inst, seq):
+    """Push the requests one by one: every prefix cost must equal the
+    independent DP, and permutation_run must return the pushed servers."""
+    servers, requests, scale = _scaled_problem(inst, seq)
+    engine = AugmentingPathEngine(servers, list(inst.capacities))
+    pushed = []
+    for t, r in enumerate(requests, 1):
+        pushed.append(engine.push(r))
+        assert Fraction(engine.cost, scale) == noncrossing_dp_cost(inst, seq.prefix(t)), t
+    trace = permutation_run(inst, seq)
+    assert trace.assignment == tuple(pushed)
+    return trace
+
+
 class TestSingleSteps:
     def test_prefix_optimum_drives_choice(self):
         # 19/10 alone goes right; the next request at 1 then takes the
@@ -48,7 +62,7 @@ class TestFullRuns:
         n = data.draw(st.integers(0, min(inst.total_capacity, 6)))
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         seq = rand_requests(rng, inst, n)
-        permutation_run(inst, seq, check_prefix_optimal=True)
+        check_prefix_optimal(inst, seq)
 
     def test_zero_cost_on_distinct_servers(self):
         inst = Instance(layout_of(0, 3, 7), (1, 1, 1))
@@ -82,7 +96,7 @@ class TestFullRuns:
         # even requests the right servers.
         params = permutation_params(3, Fraction(1, 10))
         inst, seq = permutation_adversary(params)
-        trace = permutation_run(inst, seq, check_prefix_optimal=True)
+        trace = check_prefix_optimal(inst, seq)
         k = params.k
         expected = []
         for i in range(1, k + 1):
@@ -104,7 +118,7 @@ class TestFullRuns:
     def test_capacitated_prefix_optimal(self):
         inst = Instance(layout_of(0, 1), (3, 2))
         seq = seq_of("1/2", "1/2", "1/2", 0, 1)
-        permutation_run(inst, seq, check_prefix_optimal=True)
+        check_prefix_optimal(inst, seq)
 
 
 #: Tie-heavy inputs with the online and offline assignments of the

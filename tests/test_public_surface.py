@@ -1,0 +1,56 @@
+"""Every public top-level name in ``src/ofal`` must have a caller.
+
+A top-level ``def`` or ``class`` whose name has no leading underscore is
+public.  It must be named somewhere in ``src/ofal`` outside its own
+definition and ``__init__.py``, or in ``perfbench/``, or be exported in
+``ofal.__all__``.  Names reached only from tests belong in the tests.
+"""
+
+import ast
+from pathlib import Path
+
+import ofal
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ofal"
+
+
+def _references(tree: ast.AST) -> list[tuple[str, int]]:
+    """(identifier, line) for every name, attribute and imported name."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            refs.extend((alias.name, node.lineno) for alias in node.names)
+    return refs
+
+
+def uncalled_public_names(package: Path = PACKAGE, others: Path = ROOT / "perfbench") -> list[str]:
+    modules = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))}
+    refs = {p: _references(tree) for p, tree in modules.items() if p.name != "__init__.py"}
+    for p in sorted(others.glob("*.py")):
+        refs[p] = _references(ast.parse(p.read_text(encoding="utf-8")))
+    exported = set(ofal.__all__)
+    flagged = []
+    for path, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("_") or name in exported:
+                continue
+            span = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                ref == name and not (where == path and line in span)
+                for where, found in refs.items()
+                for ref, line in found
+            ):
+                flagged.append(f"{path.stem}.{name}")
+    return flagged
+
+
+def test_every_public_name_has_a_caller():
+    assert uncalled_public_names() == []

@@ -4,23 +4,29 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ofal.adversary import candidate_points
-from ofal.algorithms import greedy_rule, ptcp_rule
+from ofal.adversary import candidate_points, random_rational
+from ofal.algorithms import greedy_rule, guard_rule, ptcp_rule
+from ofal.alpha import alpha_fast
 from ofal.core import (
     AssignmentTrace,
     Instance,
+    RequestSequence,
+    ServerLayout,
+    sequence_to_dict,
     unit_instance,
 )
 from ofal.engine import simulate
 from ofal.offline import OptResult, optimal_cost
 from ofal.verify import (
+    PropertyReport,
+    RuleOrBuilder,
+    _reproducer,
+    _resolve_rule,
     adx_bound,
     capacity_insensitivity_probe,
-    check_adx_bound,
     check_faithful,
     check_opposite,
     check_ratio_bound,
-    check_rightmost_shift_bound,
     check_surrounding_oriented,
     grid_search_max_rate,
     sweep_adx,
@@ -132,7 +138,7 @@ class TestOpposite:
         # left, under any optimal map).
         from ofal.adversary import AdversaryParams, greedy_adversary
 
-        params = AdversaryParams(k=4, delta=Fraction(1, 100), capacities=(1,) * 4, family="greedy_exp")
+        params = AdversaryParams(k=4, delta=Fraction(1, 100), capacities=(1,) * 4)
         inst, seq = greedy_adversary(params)
         trace = simulate(greedy_rule(inst.layout), inst, seq)
         opt = optimal_cost(inst, seq)
@@ -156,17 +162,85 @@ class TestRatioBound:
         assert report.rate == 1 and report.alg_cost == 0 and report.opt_cost == 0
 
 
+def check_rightmost_shift_bound(
+    base: RuleOrBuilder,
+    layout: ServerLayout,
+    d: Fraction,
+    x: Fraction,
+    trials: int = 200,
+    seed: int = 0,
+) -> PropertyReport:
+    """Moving the rightmost request of an opposite run left onto the
+    rightmost free base server changes the guarded rule's cost by at most
+    (2*alpha(S)+1) times the move distance."""
+    base_rule = _resolve_rule(base, layout)
+    rule, extended = guard_rule(base_rule, layout, d, x)
+    inst = unit_instance(extended)
+    factor = 2 * alpha_fast(layout).alpha + 1
+    rng = random.Random(seed)
+    report = PropertyReport(name="rightmost-shift")
+    lo, hi = extended.positions[0], extended.positions[-1]
+    k = layout.k
+    attempts = 0
+    while report.trials < trials and attempts < 200 * trials:
+        attempts += 1
+        n = rng.randint(1, extended.k)
+        pilot = RequestSequence(tuple(random_rational(rng, lo, hi) for _ in range(n)))
+        # Resample each pilot request between its online and offline servers;
+        # this lands inside the opposite class far more often than uniform.
+        p_trace = simulate(rule, inst, pilot)
+        p_opt = optimal_cost(inst, pilot)
+        seq = RequestSequence(
+            tuple(
+                random_rational(
+                    rng,
+                    *sorted(
+                        (
+                            extended.positions[p_trace.assignment[t]],
+                            extended.positions[p_opt.assignment[t]],
+                        )
+                    ),
+                    den=64,
+                )
+                for t in range(n)
+            )
+        )
+        trace = simulate(rule, inst, seq)
+        opt = optimal_cost(inst, seq)
+        if not check_opposite(trace, opt, seq, extended).opposite:
+            continue
+        top = max(seq.requests)
+        if sum(1 for r in seq if r == top) != 1:
+            continue
+        i = seq.requests.index(top)
+        remaining = list(inst.capacities)
+        for t in range(i):
+            remaining[trace.assignment[t]] -= 1
+        base_free = [j for j in range(k) if remaining[j] > 0]
+        if not base_free:
+            continue
+        s_star = max(base_free, key=lambda j: extended.positions[j])
+        target = extended.positions[s_star]
+        if not top < target:
+            continue
+        moved = RequestSequence(
+            tuple(target if t == i else r for t, r in enumerate(seq))
+        )
+        moved_trace = simulate(rule, inst, moved)
+        lhs = trace.total_cost - moved_trace.total_cost
+        rhs = factor * abs(top - target)
+        report.trials += 1
+        if lhs > rhs:
+            report.violations.append(
+                _reproducer(inst, seq, moved=sequence_to_dict(moved), lhs=str(lhs), rhs=str(rhs))
+            )
+    return report
+
+
 class TestGuardedBound:
     def test_bound_formula(self):
         # alpha = 1 so the three terms are 3, 5 and 3.
         assert adx_bound(layout_of(0, 1), Fraction(3), Fraction(1)) == 5
-
-    def test_single_run_check(self):
-        report = check_adx_bound(
-            ptcp_rule, layout_of(0, 1), Fraction(3), Fraction(1), seq_of("7/2", "1/2", 1)
-        )
-        assert report.bound == 5
-        assert report.within_bound
 
     @pytest.mark.parametrize("d,x", [(Fraction(3), Fraction(1)), (Fraction(2), Fraction(1)), (Fraction(5), Fraction(4))])
     def test_sweeps_stay_within_bound(self, d, x):
