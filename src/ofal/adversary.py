@@ -18,9 +18,11 @@ from typing import Iterator
 from .algorithms import build_split_tree, ptcp_rule
 from .core import (
     Instance,
+    ParseError,
     RequestSequence,
     ServerLayout,
     ValidationError,
+    check_file_coords,
 )
 from .engine import simulate
 
@@ -108,7 +110,8 @@ def permutation_adversary(params: AdversaryParams) -> tuple[Instance, RequestSeq
     Odd requests sit just left of the midpoints walking right from the
     center, even requests just right of the midpoints walking left.  The
     final even midpoint has no gap left of the leftmost server and
-    degenerates to the leftmost server itself.
+    degenerates to the leftmost server itself.  Raises ValidationError when
+    the files could not hold the result (k >= 109 at epsilon = 1/10).
     """
     k, delta = params.k, params.delta
     if not (0 < delta < Fraction(1, 3)):
@@ -130,6 +133,11 @@ def permutation_adversary(params: AdversaryParams) -> tuple[Instance, RequestSeq
         x_even = (s[left_index] + s[k - i]) / 2
         requests.append(x_odd - eps(2 * i - 1))
         requests.append(x_even + eps(2 * i))
+    for coords in (layout.positions, requests):
+        try:
+            check_file_coords(coords)
+        except ParseError as exc:
+            raise ValidationError(f"permutation adversary k={k} exceeds the input limits: {exc}") from None
     return inst, RequestSequence(tuple(requests))
 
 
@@ -149,7 +157,10 @@ def random_layout(
     rng: random.Random, k: int, coord_den: int = 8, hull: int = 16
 ) -> ServerLayout:
     """k distinct sorted rationals with denominator coord_den in [0, hull]."""
-    ticks = rng.sample(range(hull * coord_den + 1), k)
+    size = hull * coord_den + 1
+    if not 1 <= k <= size:
+        raise ValidationError(f"a random layout holds 1 to {size} servers, not {k}")
+    ticks = rng.sample(range(size), k)
     return ServerLayout(tuple(Fraction(t, coord_den) for t in sorted(ticks)))
 
 

@@ -21,7 +21,7 @@ from .adversary import (
     permutation_params,
     random_layout,
 )
-from .algorithms import build_rule, build_split_tree, tree_to_dict
+from .algorithms import RULE_BUILDERS, build_split_tree, tree_to_dict
 from .core import (
     OfalError,
     ParseError,
@@ -134,9 +134,7 @@ def _verify_layout(args):
 def cmd_verify(args) -> int:
     from .adversary import random_sequences
 
-    def rule_builder(layout):
-        return build_rule(args.alg, layout)
-
+    rule_builder = RULE_BUILDERS[args.alg]  # --alg takes only their names
     layout = _verify_layout(args)
     if args.check == "surrounding":
         inst = unit_instance(layout)

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Sequence, Union
 
-Coord = Fraction
 CoordLike = Union[Fraction, int, str, float]
 
 #: Extended-rational infinity used by ``compute_rate``.
@@ -220,7 +219,7 @@ class AssignmentTrace:
     total_cost: Fraction
 
     def free_after(self, t: int) -> frozenset[int]:
-        """Free-server index set F_t; ``t == -1`` gives the initial set."""
+        """Free-server index set F_t, t >= 0; the initial set is ``hybrid.free_before(trace, inst, 0)``."""
         if t < 0:
             raise IndexError("use free_before(0) for the initial free set")
         return frozenset(j for j, c in enumerate(self.remaining_after[t]) if c > 0)
@@ -315,6 +314,15 @@ def _file_coords(values: list) -> list[Fraction]:
     return coords
 
 
+def check_file_coords(coords: Sequence[Fraction]) -> None:
+    """Raise ParseError unless ``parse_instance`` / ``parse_sequence`` accept
+    these coordinates as one file's, written as ``coord_to_json`` writes them."""
+    limit = 10**MAX_NUMBER_DIGITS
+    if any(abs(c.numerator) >= limit or c.denominator >= limit for c in coords):  # too long to print
+        raise ParseError(f"number with more than {MAX_NUMBER_DIGITS} digits")
+    _file_coords([coord_to_json(c) for c in coords])
+
+
 def parse_instance(data: dict) -> Instance:
     if not isinstance(data, dict) or "servers" not in data:
         raise ParseError('instance JSON must be an object with a "servers" array')
@@ -384,17 +392,28 @@ def trace_to_dict(trace: AssignmentTrace) -> dict:
 # Integer rescaling
 #
 # Several solvers run much faster on plain ints.  Multiplying every
-# coordinate by the lcm of the denominators is exact and order-preserving,
-# so a solver may compute in ints and divide back out at the end.
+# coordinate by the lcm of the denominators is exact and order-preserving.
+# Solvers of an (instance, sequence) pair get their ints from
+# ``scaled_pair``; grid points go through ``scale_to_ints``.
 # ---------------------------------------------------------------------------
 
 
-def common_scale(values: Iterable[Fraction]) -> int:
-    scale = 1
-    for v in values:
-        scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    return scale
+def scale_to_ints(
+    servers: Sequence[Fraction], points: Sequence[Fraction]
+) -> tuple[list[int], list[int], int]:
+    """Servers and points times ``scale``, the lcm of all their denominators."""
+    scale = math.lcm(*{v.denominator for v in (*servers, *points)})
+    return (
+        [v.numerator * (scale // v.denominator) for v in servers],
+        [v.numerator * (scale // v.denominator) for v in points],
+        scale,
+    )
 
 
-def scaled_ints(values: Iterable[Fraction], scale: int) -> list[int]:
-    return [int(v * scale) for v in values]
+def scaled_pair(inst: Instance, seq: RequestSequence) -> tuple[list[int], list[int], int]:
+    """``scale_to_ints`` of a pair's servers and requests; raises
+    ValidationError when the sequence does not fit the instance."""
+    violation = validate_pair(inst, seq)
+    if violation is not None:
+        raise ValidationError(violation)
+    return scale_to_ints(inst.layout.positions, seq.requests)

@@ -26,7 +26,6 @@ from .core import (
     ServerLayout,
     ValidationError,
     unit_instance,
-    validate_pair,
 )
 from .engine import PriorityRule, simulate, surrounding_servers
 
@@ -104,9 +103,6 @@ def run_hybrid(
     """
     if any(c != 1 for c in inst.capacities):
         raise ValidationError("hybrid analysis requires unit capacities; expand first")
-    violation = validate_pair(inst, seq)
-    if violation is not None:
-        raise ValidationError(violation)
     n = len(seq)
     if not (0 <= i < n):
         raise ValidationError(f"deviation step {i} outside sequence of length {n}")
@@ -260,7 +256,6 @@ class HybridSweepReport:
 
 
 def c3_candidates(
-    rule: PriorityRule,
     layout: ServerLayout,
     base: AssignmentTrace,
     seq: RequestSequence,
@@ -364,7 +359,7 @@ def check_c3(
         seq = RequestSequence(requests)
         base = simulate(rule, inst, seq)
         i = rng.randrange(layout.k)
-        for s in c3_candidates(rule, layout, base, seq, i):
+        for s in c3_candidates(layout, base, seq, i):
             ht = run_hybrid(rule, inst, seq, i, s)
             lhs = abs(pos[ht.h_at(ht.t_star)] - seq[i])
             rhs = alpha * abs(seq[i] - pos[ht.a_at(ht.i)])

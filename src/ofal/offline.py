@@ -12,7 +12,8 @@ Three independent routes to the same number:
                            exploits the existence of a non-crossing
                            optimum on a line; the fast path for sweeps.
 
-All three compute on integers after an exact common-denominator rescale.
+All three compute on integers: ``core.scaled_pair`` checks that the
+sequence fits the instance and rescales both by their common denominator.
 """
 
 from __future__ import annotations
@@ -26,10 +27,8 @@ from .core import (
     RequestSequence,
     SizeGuardError,
     ValidationError,
-    common_scale,
     fraction_str,
-    scaled_ints,
-    validate_pair,
+    scaled_pair,
 )
 
 BRUTEFORCE_GUARD = 10**7
@@ -44,14 +43,6 @@ class OptResult:
 
     def to_dict(self) -> dict:
         return {"cost": fraction_str(self.cost), "assignment": list(self.assignment)}
-
-
-def _scaled_problem(inst: Instance, seq: RequestSequence) -> tuple[list[int], list[int], int]:
-    values = list(inst.layout.positions) + list(seq.requests)
-    scale = common_scale(values)
-    servers = scaled_ints(inst.layout.positions, scale)
-    requests = scaled_ints(seq.requests, scale)
-    return servers, requests, scale
 
 
 class AugmentingPathEngine:
@@ -159,10 +150,7 @@ def optimal_cost(inst: Instance, seq: RequestSequence) -> OptResult:
     request->server arc costs |r - s|.  Solved by n successive shortest
     augmenting paths, one ``AugmentingPathEngine.push`` per request.
     """
-    violation = validate_pair(inst, seq)
-    if violation is not None:
-        raise ValidationError(violation)
-    servers, requests, scale = _scaled_problem(inst, seq)
+    servers, requests, scale = scaled_pair(inst, seq)
     engine = AugmentingPathEngine(servers, list(inst.capacities))
     for r in requests:
         engine.push(r)
@@ -176,14 +164,11 @@ def optimal_bruteforce(inst: Instance, seq: RequestSequence) -> OptResult:
     BRUTEFORCE_GUARD.  Ties on cost keep the lexicographically smallest
     assignment vector.
     """
-    violation = validate_pair(inst, seq)
-    if violation is not None:
-        raise ValidationError(violation)
+    servers, requests, scale = scaled_pair(inst, seq)
     n = len(seq)
     k = inst.k
-    if n > 0 and k**n > BRUTEFORCE_GUARD:
+    if k**n > BRUTEFORCE_GUARD:
         raise SizeGuardError(f"enumeration guard: {k}^{n} > {BRUTEFORCE_GUARD}")
-    servers, requests, scale = _scaled_problem(inst, seq)
     caps = list(inst.capacities)
     best_cost: list[int | None] = [None]
     best_assignment: list[tuple[int, ...]] = [()]
@@ -212,7 +197,7 @@ def optimal_bruteforce(inst: Instance, seq: RequestSequence) -> OptResult:
     return OptResult(cost=Fraction(best_cost[0], scale), assignment=best_assignment[0])
 
 
-def _dp_cost_scaled(servers: list[int], caps: list[int], requests: list[int]) -> int:
+def dp_cost_ints(servers: list[int], caps: list[int], requests: list[int]) -> int:
     """Core DP on scaled ints: assign sorted requests to servers in order.
 
     A non-crossing optimum matches the sorted requests to a sorted multiset
@@ -248,13 +233,8 @@ def _dp_cost_scaled(servers: list[int], caps: list[int], requests: list[int]) ->
 
 def noncrossing_dp_cost(inst: Instance, seq: RequestSequence) -> Fraction:
     """Optimal cost via the line-structure DP; order of requests is ignored."""
-    violation = validate_pair(inst, seq)
-    if violation is not None:
-        raise ValidationError(violation)
-    if len(seq) == 0:
-        return Fraction(0)
-    servers, requests, scale = _scaled_problem(inst, seq)
-    return Fraction(_dp_cost_scaled(servers, list(inst.capacities), requests), scale)
+    servers, requests, scale = scaled_pair(inst, seq)
+    return Fraction(dp_cost_ints(servers, list(inst.capacities), requests), scale)
 
 
 def lexmin_assignment(inst: Instance, seq: RequestSequence) -> OptResult:
@@ -264,15 +244,10 @@ def lexmin_assignment(inst: Instance, seq: RequestSequence) -> OptResult:
     admits an optimal completion (checked with the DP).  Intended for
     reporting; costs n*k DP solves, so keep instances moderate.
     """
-    violation = validate_pair(inst, seq)
-    if violation is not None:
-        raise ValidationError(violation)
+    servers, requests, scale = scaled_pair(inst, seq)
     n = len(seq)
-    if n == 0:
-        return OptResult(cost=Fraction(0), assignment=())
-    servers, requests, scale = _scaled_problem(inst, seq)
     caps = list(inst.capacities)
-    target = _dp_cost_scaled(servers, caps, requests)
+    target = dp_cost_ints(servers, caps, requests)
     assignment: list[int] = []
     acc = 0
     for t in range(n):
@@ -282,11 +257,8 @@ def lexmin_assignment(inst: Instance, seq: RequestSequence) -> OptResult:
                 continue
             step = abs(requests[t] - servers[j])
             caps[j] -= 1
-            try:
-                remainder = _dp_cost_scaled(servers, caps, rest)
-            except ValidationError:
-                caps[j] += 1
-                continue
+            # The pair fits, so the remaining capacity always holds ``rest``.
+            remainder = dp_cost_ints(servers, caps, rest)
             if acc + step + remainder == target:
                 acc += step
                 assignment.append(j)

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import AssignmentTrace, Instance, RequestSequence, ValidationError, validate_pair
+from .core import AssignmentTrace, Instance, RequestSequence, scaled_pair
 from .engine import PriorityRule, simulate
-from .offline import AugmentingPathEngine, _scaled_problem
+from .offline import AugmentingPathEngine
 
 
 def permutation_run(inst: Instance, seq: RequestSequence) -> AssignmentTrace:
@@ -29,10 +29,7 @@ def permutation_run(inst: Instance, seq: RequestSequence) -> AssignmentTrace:
     Scales the pair once and pushes each request into one engine; the
     server whose load a push raises is that request's match.
     """
-    violation = validate_pair(inst, seq)
-    if violation is not None:
-        raise ValidationError(violation)
-    servers, requests, _ = _scaled_problem(inst, seq)
+    servers, requests, _ = scaled_pair(inst, seq)
     engine = AugmentingPathEngine(servers, list(inst.capacities))
     scaled = iter(requests)
 

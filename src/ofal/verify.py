@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable
 
 from .alpha import alpha_fast
 from .adversary import candidate_points, random_rational
@@ -23,19 +23,17 @@ from .core import (
     RatioReport,
     RequestSequence,
     ServerLayout,
-    ValidationError,
-    common_scale,
     compute_rate,
     instance_to_dict,
-    scaled_ints,
+    scale_to_ints,
     sequence_to_dict,
     unit_instance,
 )
 from .engine import PriorityRule, simulate, surrounding_servers
 from .hybrid import expand_to_unit
-from .offline import OptResult, _dp_cost_scaled, noncrossing_dp_cost, optimal_cost
+from .offline import OptResult, dp_cost_ints, noncrossing_dp_cost, optimal_cost
 
-RuleOrBuilder = Union[PriorityRule, Callable[[ServerLayout], PriorityRule]]
+RuleBuilder = Callable[[ServerLayout], PriorityRule]
 
 
 @dataclass
@@ -63,12 +61,6 @@ class PropertyReport:
             "details": self.details,
             "verdict": self.verdict,
         }
-
-
-def _resolve_rule(rule: RuleOrBuilder, layout: ServerLayout) -> PriorityRule:
-    if isinstance(rule, PriorityRule):
-        return rule
-    return rule(layout)
 
 
 def _reproducer(inst: Instance, seq: RequestSequence, **extra) -> dict:
@@ -139,7 +131,7 @@ def closer_variant(
 
 
 def check_faithful(
-    rule: RuleOrBuilder,
+    builder: RuleBuilder,
     inst: Instance,
     seq: RequestSequence,
     trials: int = 100,
@@ -148,27 +140,21 @@ def check_faithful(
     """Perturb requests toward their matched servers; assignments must not move.
 
     Capacitated instances are expanded to unit-capacity replicas first (the
-    classical definition lives in the unit world), which requires ``rule``
-    to be a builder so it can be rebuilt over the replica layout.
-    Assignments are compared by matched position, which identifies
-    interchangeable replicas of one capacitated server.
+    classical definition lives in the unit world), and ``builder`` builds the
+    rule over them.  Assignments are compared by matched position, which
+    identifies interchangeable replicas of one capacitated server.
     """
     if any(c != 1 for c in inst.capacities):
-        if isinstance(rule, PriorityRule):
-            raise ValidationError(
-                "capacitated faithfulness check needs a rule builder to rebuild "
-                "the rule over the unit-capacity replica layout"
-            )
         inst, _ = expand_to_unit(inst)
     layout = inst.layout
-    resolved = _resolve_rule(rule, layout)
+    rule = builder(layout)
     report = PropertyReport(name="faithful")
-    base = simulate(resolved, inst, seq)
+    base = simulate(rule, inst, seq)
     base_positions = tuple(layout.positions[j] for j in base.assignment)
     rng = random.Random(seed)
     for _ in range(trials):
         variant = closer_variant(seq, base, layout, rng)
-        again = simulate(resolved, inst, variant)
+        again = simulate(rule, inst, variant)
         again_positions = tuple(layout.positions[j] for j in again.assignment)
         report.trials += 1
         if again_positions != base_positions:
@@ -216,15 +202,15 @@ def check_opposite(
 
 
 def check_ratio_bound(
-    rule: RuleOrBuilder,
+    builder: RuleBuilder,
     inst: Instance,
     seq: RequestSequence,
     instance_id: str = "",
     seed: int | None = None,
 ) -> RatioReport:
     """Measured cost ratio of one run against the layout's 2*alpha+1 bound."""
-    resolved = _resolve_rule(rule, inst.layout)
-    trace = simulate(resolved, inst, seq)
+    rule = builder(inst.layout)
+    trace = simulate(rule, inst, seq)
     opt_cost = noncrossing_dp_cost(inst, seq)
     bound = 2 * alpha_fast(inst.layout).alpha + 1
     return RatioReport(
@@ -233,7 +219,7 @@ def check_ratio_bound(
         rate=compute_rate(trace.total_cost, opt_cost),
         bound=bound,
         instance_id=instance_id,
-        algorithm_id=resolved.id,
+        algorithm_id=rule.id,
         seed=seed,
     )
 
@@ -251,7 +237,7 @@ def adx_bound(layout: ServerLayout, d: Fraction, x: Fraction) -> Fraction:
 
 
 def sweep_adx(
-    base: RuleOrBuilder,
+    builder: RuleBuilder,
     layout: ServerLayout,
     d: Fraction,
     x: Fraction,
@@ -265,8 +251,7 @@ def sweep_adx(
     ever land in the guarded zone (s_k + x, s_k + d], and runs with exactly
     one such request stay within 2*alpha(S)+1.
     """
-    base_rule = _resolve_rule(base, layout)
-    rule, extended = guard_rule(base_rule, layout, d, x)
+    rule, extended = guard_rule(builder(layout), layout, d, x)
     inst = unit_instance(extended)
     alpha = alpha_fast(layout).alpha
     bound = adx_bound(layout, d, x)
@@ -322,7 +307,7 @@ class GridSearchResult:
 
 
 def grid_search_max_rate(
-    rule: RuleOrBuilder,
+    rule: PriorityRule,
     inst: Instance,
     points: tuple[Fraction, ...],
     n_max: int,
@@ -333,11 +318,7 @@ def grid_search_max_rate(
     A state where the optimum is zero but the algorithm paid is recorded
     as an anomaly: for the rules in this package it must never happen.
     """
-    resolved = _resolve_rule(rule, inst.layout)
-    positions = inst.layout.positions
-    scale = common_scale(list(positions) + list(points))
-    servers_int = scaled_ints(positions, scale)
-    points_int = scaled_ints(points, scale)
+    servers_int, points_int, scale = scale_to_ints(inst.layout.positions, points)
     caps0 = list(inst.capacities)
     depth_cap = min(n_max, inst.total_capacity)
 
@@ -350,7 +331,7 @@ def grid_search_max_rate(
     chosen_int: list[int] = []
 
     def consider(alg_int: int) -> None:
-        opt_int = _dp_cost_scaled(servers_int, caps0, chosen_int)
+        opt_int = dp_cost_ints(servers_int, caps0, chosen_int)
         if opt_int == 0:
             if alg_int > 0:
                 anomalies.append(
@@ -371,7 +352,7 @@ def grid_search_max_rate(
         if depth == depth_cap:
             return
         for p, p_int in zip(points, points_int):
-            j = resolved.decide(p, frozenset(free))
+            j = rule.decide(p, frozenset(free))
             remaining[j] -= 1
             if remaining[j] == 0:
                 free.remove(j)
@@ -393,7 +374,7 @@ def grid_search_max_rate(
 
 
 def capacity_insensitivity_probe(
-    rule: RuleOrBuilder,
+    builder: RuleBuilder,
     layout: ServerLayout,
     max_capacity: int,
     grid: tuple[Fraction, ...] | None = None,
@@ -404,6 +385,7 @@ def capacity_insensitivity_probe(
     over the same candidate grid and length cap."""
     if grid is None:
         grid = candidate_points(layout)
+    rule = builder(layout)
     unit = grid_search_max_rate(rule, unit_instance(layout), grid, n_max)
     heavy_inst = Instance(layout, (max_capacity,) * layout.k)
     heavy = grid_search_max_rate(rule, heavy_inst, grid, n_max)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ofal.cli import EXIT_ERROR, EXIT_OK, main
+from ofal.core import load_instance, load_sequence
 
 
 @pytest.fixture
@@ -126,6 +127,19 @@ class TestGenerators:
         assert len(inst["servers"]) == 4
         assert len(seq["requests"]) == 4
 
+    def test_permutation_adversary_input_limits(self, capsys, tmp_path):
+        # At epsilon = 1/10, k = 108 is the largest whose files load back.
+        prefix = str(tmp_path / "adv")
+        code, out, _ = run_cli(capsys, "adversary", "permutation", "--k", "108", "--out-prefix", prefix)
+        assert code == EXIT_OK
+        paths = json.loads(out)
+        assert load_instance(paths["instance"]).k == 216
+        assert load_sequence(paths["sequence"]).n == 216
+        for k in ("109", "1000"):
+            code, out, err = run_cli(capsys, "adversary", "permutation", "--k", k, "--out-prefix", prefix)
+            assert code == EXIT_ERROR, k
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_csv_refused(self, capsys, inst_file, seq_file):
@@ -138,6 +152,13 @@ class TestVerify:
         ):
             code, out, err = run_cli(capsys, "--format", "csv", *argv)
             assert code == EXIT_ERROR, argv
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    def test_random_layout_size_limit(self, capsys):
+        # The random layout draws k of 16*8+1 grid points.
+        for k in ("200", "-1"):
+            code, out, err = run_cli(capsys, "verify", "ratio", "--k", k)
+            assert code == EXIT_ERROR, k
             assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
     def test_ratio_sweep(self, capsys):

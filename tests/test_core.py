@@ -1,13 +1,17 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ofal.core import (
     Instance,
+    MAX_NUMBER_DIGITS,
     ParseError,
     ServerLayout,
     ValidationError,
+    check_file_coords,
     compute_rate,
     INF,
     instance_to_dict,
@@ -16,6 +20,8 @@ from ofal.core import (
     parse_instance,
     parse_sequence,
     save_instance,
+    scale_to_ints,
+    scaled_pair,
     sequence_to_dict,
     to_coord,
     unit_instance,
@@ -64,6 +70,51 @@ class TestCoordinates:
     def test_exactness(self):
         # Distinct rationals never compare equal.
         assert to_coord("1/3") != to_coord("0.333333333333")
+
+    def test_file_coords_check_matches_the_parser(self):
+        check_file_coords([Fraction(1, 10**998), Fraction(-3, 7), Fraction(5)])
+        # "1e-999" parses, but its written form "1/1000...0" has 1001 digits.
+        with pytest.raises(ParseError):
+            parse_sequence({"requests": [f"1/{10**999}"]})
+        # The last one is too long for str(); the check must not print it.
+        for c in (Fraction(1, 10**999), Fraction(10**MAX_NUMBER_DIGITS), Fraction(1, 10**5000)):
+            with pytest.raises(ParseError):
+                check_file_coords([c])
+        a, b = Fraction(1, 2**1994), Fraction(1, 3**1258)
+        check_file_coords([a, a])
+        with pytest.raises(ParseError):
+            check_file_coords([a, b])
+
+
+#: Mixed-denominator, negative and integer rationals.
+rationals = st.one_of(
+    st.integers(-50, 50).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**4),
+)
+
+
+class TestScaling:
+    @given(st.lists(rationals, max_size=8), st.lists(rationals, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_scale_to_ints_matches_the_iterative_lcm(self, servers, points):
+        # The formula scale_to_ints replaced: a running lcm, then int(v * scale).
+        scale = 1
+        for v in servers + points:
+            scale = scale * v.denominator // math.gcd(scale, v.denominator)
+        servers_int, points_int, got = scale_to_ints(servers, points)
+        assert got == scale
+        assert servers_int == [int(v * scale) for v in servers]
+        assert points_int == [int(v * scale) for v in points]
+        for x, v in zip(servers_int + points_int, servers + points):
+            assert Fraction(x, scale) == v
+
+    def test_scaled_pair_checks_the_pair(self):
+        inst = Instance(layout_of("-1/2", 3), (1, 1))
+        seq = seq_of("1/3", 2, 0)
+        with pytest.raises(ValidationError) as excinfo:
+            scaled_pair(inst, seq)
+        assert str(excinfo.value) == validate_pair(inst, seq)
+        assert scaled_pair(inst, seq.prefix(2)) == ([-3, 18], [2, 12], 6)
 
 
 class TestTypes:
@@ -187,6 +238,8 @@ class TestTraceValidation:
         seq = seq_of(1, 2, 2)
         trace = simulate(greedy_rule(inst.layout), inst, seq)
         check_trace(trace, inst, seq)
+        with pytest.raises(IndexError):
+            trace.free_after(-1)
 
 
 class TestRate:

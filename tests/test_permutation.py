@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ofal.adversary import permutation_adversary, permutation_params
-from ofal.core import Instance, ValidationError, compute_rate
-from ofal.offline import AugmentingPathEngine, _scaled_problem, noncrossing_dp_cost, optimal_cost
+from ofal.core import Instance, ValidationError, compute_rate, scaled_pair
+from ofal.offline import AugmentingPathEngine, noncrossing_dp_cost, optimal_cost
 from ofal.permutation import permutation_run
 
 from conftest import instances, layout_of, rand_requests, seq_of
@@ -15,7 +15,7 @@ from conftest import instances, layout_of, rand_requests, seq_of
 def check_prefix_optimal(inst, seq):
     """Push the requests one by one: every prefix cost must equal the
     independent DP, and permutation_run must return the pushed servers."""
-    servers, requests, scale = _scaled_problem(inst, seq)
+    servers, requests, scale = scaled_pair(inst, seq)
     engine = AugmentingPathEngine(servers, list(inst.capacities))
     pushed = []
     for t, r in enumerate(requests, 1):
@@ -73,7 +73,7 @@ class TestFullRuns:
         inst = Instance(layout_of(0, 2, 5, 11, 17), (50, 50, 50, 50, 50))
         rng = random.Random(5)
         seq = rand_requests(rng, inst, 200)
-        servers, requests, scale = _scaled_problem(inst, seq)
+        servers, requests, scale = scaled_pair(inst, seq)
         engine = AugmentingPathEngine(servers, list(inst.capacities))
         for r in requests:
             engine.push(r)
@@ -82,7 +82,7 @@ class TestFullRuns:
     def test_one_unit_per_step(self):
         inst = Instance(layout_of(0, 1, 4), (2, 1, 2))
         rng = random.Random(1)
-        servers, requests, _ = _scaled_problem(inst, rand_requests(rng, inst, 5))
+        servers, requests, _ = scaled_pair(inst, rand_requests(rng, inst, 5))
         engine = AugmentingPathEngine(servers, list(inst.capacities))
         previous = list(engine.loads)
         for r in requests:

@@ -1,9 +1,12 @@
-"""Every public top-level name in ``src/ofal`` must have a caller.
+"""Every public top-level name in ``src/ofal`` must have a caller, and no
+module may import another module's private name.
 
 A top-level ``def`` or ``class`` whose name has no leading underscore is
 public.  It must be named somewhere in ``src/ofal`` outside its own
 definition and ``__init__.py``, or in ``perfbench/``, or be exported in
 ``ofal.__all__``.  Names reached only from tests belong in the tests.
+A name with a leading underscore (dunders aside) is private to its
+module: code another module needs gets a public name.
 """
 
 import ast
@@ -54,3 +57,24 @@ def uncalled_public_names(package: Path = PACKAGE, others: Path = ROOT / "perfbe
 
 def test_every_public_name_has_a_caller():
     assert uncalled_public_names() == []
+
+
+def private_imports(package: Path = PACKAGE) -> list[str]:
+    """``module -> name`` for each private name imported from another ofal module."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "ofal":
+                continue
+            found.extend(
+                f"{path.stem} -> {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_") and not alias.name.endswith("__")
+            )
+    return found
+
+
+def test_no_private_cross_module_imports():
+    assert private_imports() == []

@@ -19,9 +19,8 @@ from ofal.engine import simulate
 from ofal.offline import OptResult, optimal_cost
 from ofal.verify import (
     PropertyReport,
-    RuleOrBuilder,
+    RuleBuilder,
     _reproducer,
-    _resolve_rule,
     adx_bound,
     capacity_insensitivity_probe,
     check_faithful,
@@ -91,16 +90,12 @@ class TestFaithful:
         rng = random.Random(5)
         for _ in range(20):
             seq = rand_requests(rng, inst, 3)
-            report = check_faithful(rule, inst, seq, trials=40, seed=rng.randint(0, 99))
+            report = check_faithful(lambda _: rule, inst, seq, trials=40, seed=rng.randint(0, 99))
             assert report.ok, report.violations
 
     def test_capacitated_requires_builder(self):
         inst = Instance(layout_of(0, 1), (2, 1))
         seq = seq_of("1/2")
-        from ofal.core import ValidationError
-
-        with pytest.raises(ValidationError):
-            check_faithful(ptcp_rule(inst.layout), inst, seq, trials=5)
         report = check_faithful(ptcp_rule, inst, seq, trials=5, seed=0)
         assert report.ok
 
@@ -163,7 +158,7 @@ class TestRatioBound:
 
 
 def check_rightmost_shift_bound(
-    base: RuleOrBuilder,
+    builder: RuleBuilder,
     layout: ServerLayout,
     d: Fraction,
     x: Fraction,
@@ -173,8 +168,7 @@ def check_rightmost_shift_bound(
     """Moving the rightmost request of an opposite run left onto the
     rightmost free base server changes the guarded rule's cost by at most
     (2*alpha(S)+1) times the move distance."""
-    base_rule = _resolve_rule(base, layout)
-    rule, extended = guard_rule(base_rule, layout, d, x)
+    rule, extended = guard_rule(builder(layout), layout, d, x)
     inst = unit_instance(extended)
     factor = 2 * alpha_fast(layout).alpha + 1
     rng = random.Random(seed)
