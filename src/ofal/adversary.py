@@ -194,8 +194,7 @@ def random_sequences(
     lo, hi = positions[0], positions[-1]
     if hi == lo:
         lo, hi = lo - 1, hi + 1
-    gaps = inst.layout.gaps()
-    spread = min((g for g in gaps if g > 0), default=Fraction(1))
+    spread = min(inst.layout.gaps(), default=Fraction(1))
 
     def one_request(kind: str) -> Fraction:
         if kind == "uniform":
@@ -257,15 +256,13 @@ def candidate_points(
     lo, hi = positions[0], positions[-1]
     points: set[Fraction] = set(positions)
     for node in build_split_tree(layout).nodes():
-        if not node.is_leaf and node.d > 0:
+        if not node.is_leaf:
             gap = node.d
             crit = node.critical
             points.add(crit)
             if include_offsets:
                 points.update((crit - gap / OFFSET_DEN, crit + gap / OFFSET_DEN))
     for a, b in zip(positions, positions[1:]):
-        if b == a:
-            continue
         gap = b - a
         mid = (a + b) / 2
         points.add(mid)

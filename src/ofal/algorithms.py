@@ -27,8 +27,8 @@ class SplitTree:
 
         x = D * (Delta2 + D) / ((Delta1 + D) + (Delta2 + D)),
 
-    so 0 < x < D whenever D > 0 and the critical point s[a] + x lies
-    strictly inside the gap.  Leaves are single servers.
+    so 0 < x < D (positions are distinct, so D > 0) and the critical point
+    s[a] + x lies strictly inside the gap.  Leaves are single servers.
     """
 
     lo: int
@@ -56,9 +56,8 @@ class SplitTree:
 def build_split_tree(layout: ServerLayout, lo: int = 0, hi: int | None = None) -> SplitTree:
     """Build the split tree over layout indices [lo..hi] (default: all).
 
-    Ties among maximum gaps break to the leftmost split index.  Degenerate
-    replica intervals (all positions equal, D == 0) also split leftmost
-    with x = 0; any split is equivalent there since all costs coincide.
+    Ties among maximum gaps break to the leftmost split index.  Positions
+    are distinct, so every gap D is positive.
     """
     if hi is None:
         hi = layout.k - 1
@@ -73,10 +72,7 @@ def build_split_tree(layout: ServerLayout, lo: int = 0, hi: int | None = None) -
             a, d = u, gap
     delta1 = positions[a] - positions[lo]
     delta2 = positions[hi] - positions[a + 1]
-    if d > 0:
-        x = d * (delta2 + d) / ((delta1 + d) + (delta2 + d))
-    else:
-        x = Fraction(0)
+    x = d * (delta2 + d) / ((delta1 + d) + (delta2 + d))
     return SplitTree(
         lo=lo,
         hi=hi,
@@ -119,13 +115,12 @@ def ptcp_rule(layout: ServerLayout) -> PriorityRule:
 
 
 def greedy_decide(r: Fraction, free: frozenset[int], layout: ServerLayout) -> int:
-    """Nearest free server; exact distance ties break to the left."""
+    """Nearest free server.  Positions are distinct, so an exact distance
+    tie is between one server on each side; it breaks to the left."""
     if not free:
         raise ValidationError("greedy undefined for an empty free set")
     positions = layout.positions
-    # (distance, position, index): ties in distance go to the smaller
-    # position, co-located replicas to the smaller index.
-    return min(free, key=lambda j: (abs(r - positions[j]), positions[j], j))
+    return min(free, key=lambda j: (abs(r - positions[j]), positions[j]))
 
 
 def greedy_rule(layout: ServerLayout) -> PriorityRule:
@@ -153,7 +148,7 @@ def guard_rule(
         raise ValidationError(f"guard offset must satisfy 0 < x < d, got x={x}, d={d}")
     k = layout.k
     s_k = layout.positions[-1]
-    extended = ServerLayout(layout.positions + (s_k + d,), allow_ties=layout.allow_ties)
+    extended = ServerLayout(layout.positions + (s_k + d,))
     threshold = s_k + x
     new_index = k
 

@@ -38,7 +38,7 @@ def gap_ratio(positions: tuple[Fraction, ...] | ServerLayout) -> Fraction:
         return Fraction(0)
     max_gap = max(b - a for a, b in zip(positions, positions[1:]))
     if max_gap == 0:
-        # All points coincide (replica layouts); span is 0 as well.
+        # All points coincide; span is 0 as well.
         return Fraction(0)
     return (positions[-1] - positions[0]) / max_gap
 
@@ -84,8 +84,6 @@ def alpha_fast(layout: ServerLayout) -> Metrics:
             gap = positions[j] - positions[j - 1]
             if gap > max_gap:
                 max_gap = gap
-            if max_gap == 0:
-                continue
             value = (positions[j] - positions[i]) / max_gap
             if value > best:
                 best = value
@@ -97,7 +95,4 @@ def aspect_ratio(layout: ServerLayout) -> Fraction:
     """span / min adjacent gap; reported for comparison only."""
     if layout.k <= 1:
         return Fraction(0)
-    min_gap = min(layout.gaps())
-    if min_gap == 0:
-        return Fraction(0)
-    return layout.span / min_gap
+    return layout.span / min(layout.gaps())

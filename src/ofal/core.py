@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence, Union
@@ -109,16 +109,13 @@ def fraction_decimal(value: Fraction | float, digits: int = 12) -> str:
 
 @dataclass(frozen=True)
 class ServerLayout:
-    """Server positions on the line, sorted left to right.
+    """Server positions on the line, strictly increasing left to right.
 
-    Positions are strictly increasing.  Analysis code that expands a
-    capacitated server into unit-capacity replicas sharing one position
-    passes ``allow_ties=True``; such replica layouts are ordered
-    (non-decreasing) and the engine distinguishes replicas by index.
+    Servers sit at distinct positions, so index order is position order;
+    how many requests a server takes is ``Instance.capacities``.
     """
 
     positions: tuple[Fraction, ...]
-    allow_ties: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         positions = tuple(to_coord(p) for p in self.positions)
@@ -126,7 +123,7 @@ class ServerLayout:
         if not positions:
             raise ValidationError("layout must contain at least one server")
         for a, b in zip(positions, positions[1:]):
-            if a > b or (a == b and not self.allow_ties):
+            if a >= b:
                 raise ValidationError(
                     f"server positions must be strictly increasing, got {a} then {b}"
                 )
@@ -302,12 +299,15 @@ def _load_json(path: str | Path) -> dict:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _file_coords(values: list) -> list[Fraction]:
-    """Parse a file's coordinates, rejecting a common denominator of
-    10**MAX_NUMBER_DIGITS or more."""
+def _file_coords(values: Sequence) -> list[Fraction]:
+    """Parse a file's coordinates.  Rejects a coordinate whose written form
+    (``coord_to_json``) has more than MAX_NUMBER_DIGITS digits, so every
+    file that loads writes back as one that loads, and a common
+    denominator of 10**MAX_NUMBER_DIGITS or more."""
     coords = [to_coord(v) for v in values]
     scale, limit = 1, 10**MAX_NUMBER_DIGITS
     for c in coords:
+        _check_digits(str(coord_to_json(c)))
         scale = scale * c.denominator // math.gcd(scale, c.denominator)
         if scale >= limit:
             raise ParseError(f"common denominator with more than {MAX_NUMBER_DIGITS} digits")
@@ -320,7 +320,7 @@ def check_file_coords(coords: Sequence[Fraction]) -> None:
     limit = 10**MAX_NUMBER_DIGITS
     if any(abs(c.numerator) >= limit or c.denominator >= limit for c in coords):  # too long to print
         raise ParseError(f"number with more than {MAX_NUMBER_DIGITS} digits")
-    _file_coords([coord_to_json(c) for c in coords])
+    _file_coords(coords)
 
 
 def parse_instance(data: dict) -> Instance:

@@ -75,24 +75,18 @@ def surrounding_servers(
     """Closest free server on each side of a request position.
 
     When the request sits exactly on a free server, that server is the
-    only surrounding server and is returned on both sides.  Among free
-    replicas sharing one position the lowest index is reported.
+    only surrounding server and is returned on both sides.  Index order is
+    position order, so the nearest free server on a side is the largest
+    (left) or smallest (right) free index there.
     """
     if not free:
         raise ValidationError("surrounding servers undefined for an empty free set")
     positions = layout.positions
-    exact = [j for j in free if positions[j] == r]
-    if exact:
-        j = min(exact)
-        return (j, j)
-    left: int | None = None
-    right: int | None = None
-    for j in sorted(free):
-        p = positions[j]
-        if p < r and (left is None or p > positions[left]):
-            left = j
-        elif p > r and (right is None or p < positions[right]):
-            right = j
+    for j in free:
+        if positions[j] == r:
+            return (j, j)
+    left = max((j for j in free if positions[j] < r), default=None)
+    right = min((j for j in free if positions[j] > r), default=None)
     return (left, right)
 
 

@@ -70,22 +70,6 @@ def free_before(trace: AssignmentTrace, inst: Instance, t: int) -> frozenset[int
     return trace.free_after(t - 1)
 
 
-def expand_to_unit(inst: Instance) -> tuple[Instance, tuple[int, ...]]:
-    """Unit-capacity replica instance plus a replica -> original index map.
-
-    Replicas of one server share its position; replica layouts are ordered
-    but not strictly increasing, and the engine tells replicas apart by
-    index.
-    """
-    positions: list[Fraction] = []
-    origin: list[int] = []
-    for j, (p, c) in enumerate(zip(inst.layout.positions, inst.capacities)):
-        positions.extend([p] * c)
-        origin.extend([j] * c)
-    layout = ServerLayout(tuple(positions), allow_ties=True)
-    return unit_instance(layout), tuple(origin)
-
-
 def run_hybrid(
     rule: PriorityRule,
     inst: Instance,
@@ -95,14 +79,13 @@ def run_hybrid(
 ) -> HybridTrace:
     """Run base and deviated traces and extract the difference chains.
 
-    Requires unit capacities (expand capacitated instances first), a
-    forced server s that is free just before step i, and s different from
-    the base run's choice.  Raises if the free-set differences ever stop
+    Requires unit capacities, a forced server s that is free just before
+    step i, and s different from the base run's choice.  Raises if the free-set differences ever stop
     being singletons before merging -- for a priority rule that would
     falsify the expected hybrid shape, so it is surfaced loudly.
     """
     if any(c != 1 for c in inst.capacities):
-        raise ValidationError("hybrid analysis requires unit capacities; expand first")
+        raise ValidationError("hybrid analysis requires unit capacities")
     n = len(seq)
     if not (0 <= i < n):
         raise ValidationError(f"deviation step {i} outside sequence of length {n}")
@@ -274,13 +257,12 @@ def c3_candidates(
     left, right = surrounding_servers(seq[i], free, layout)
     candidates = {j for j in (left, right) if j is not None and j != chosen}
     if not candidates:
-        pos = layout.positions
-        lefts = [j for j in free if pos[j] < pos[chosen]]
-        rights = [j for j in free if pos[j] > pos[chosen]]
+        lefts = [j for j in free if j < chosen]
+        rights = [j for j in free if j > chosen]
         if lefts:
-            candidates.add(max(lefts, key=lambda j: pos[j]))
+            candidates.add(max(lefts))
         if rights:
-            candidates.add(min(rights, key=lambda j: pos[j]))
+            candidates.add(min(rights))
     return sorted(candidates)
 
 

@@ -241,8 +241,11 @@ def lexmin_assignment(inst: Instance, seq: RequestSequence) -> OptResult:
     """The lexicographically smallest optimal assignment vector.
 
     Fixes requests in input order to the smallest server index that still
-    admits an optimal completion (checked with the DP).  Intended for
-    reporting; costs n*k DP solves, so keep instances moderate.
+    admits an optimal completion (checked with the DP).  Removing capacity
+    never lowers the optimum, so ``floor``, the optimum of the remaining
+    requests over the untouched capacities, bounds every completion: a
+    server whose step overshoots the target against it is skipped.  Costs
+    one DP solve per request plus one per server that is not skipped.
     """
     servers, requests, scale = scaled_pair(inst, seq)
     n = len(seq)
@@ -252,10 +255,13 @@ def lexmin_assignment(inst: Instance, seq: RequestSequence) -> OptResult:
     acc = 0
     for t in range(n):
         rest = requests[t + 1 :]
+        floor = dp_cost_ints(servers, caps, rest)
         for j in range(inst.k):
             if caps[j] == 0:
                 continue
             step = abs(requests[t] - servers[j])
+            if acc + step + floor > target:
+                continue
             caps[j] -= 1
             # The pair fits, so the remaining capacity always holds ``rest``.
             remainder = dp_cost_ints(servers, caps, rest)

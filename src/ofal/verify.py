@@ -23,6 +23,7 @@ from .core import (
     RatioReport,
     RequestSequence,
     ServerLayout,
+    ValidationError,
     compute_rate,
     instance_to_dict,
     scale_to_ints,
@@ -30,7 +31,6 @@ from .core import (
     unit_instance,
 )
 from .engine import PriorityRule, simulate, surrounding_servers
-from .hybrid import expand_to_unit
 from .offline import OptResult, dp_cost_ints, noncrossing_dp_cost, optimal_cost
 
 RuleBuilder = Callable[[ServerLayout], PriorityRule]
@@ -80,23 +80,17 @@ def check_surrounding_oriented(
     layout: ServerLayout,
     inst: Instance | None = None,
 ) -> PropertyReport:
-    """Each match must hit the nearest free server on one side of the request.
-
-    Comparison is by position so unit-capacity replicas of one server are
-    interchangeable.
-    """
+    """Each match must hit the nearest free server on one side of the request."""
     if inst is None:
         inst = unit_instance(layout)
     report = PropertyReport(name="surrounding-oriented")
     remaining = list(inst.capacities)
-    positions = layout.positions
     for t, r in enumerate(seq):
         free = frozenset(j for j, c in enumerate(remaining) if c > 0)
         left, right = surrounding_servers(r, free, layout)
-        allowed = {positions[j] for j in (left, right) if j is not None}
         j = trace.assignment[t]
         report.trials += 1
-        if positions[j] not in allowed:
+        if j not in (left, right):
             report.violations.append(
                 _reproducer(
                     inst,
@@ -139,28 +133,24 @@ def check_faithful(
 ) -> PropertyReport:
     """Perturb requests toward their matched servers; assignments must not move.
 
-    Capacitated instances are expanded to unit-capacity replicas first (the
-    classical definition lives in the unit world), and ``builder`` builds the
-    rule over them.  Assignments are compared by matched position, which
-    identifies interchangeable replicas of one capacitated server.
+    The definition is stated for unit capacities, so a capacitated instance
+    raises ValidationError.  ``builder`` builds the rule over the layout.
     """
     if any(c != 1 for c in inst.capacities):
-        inst, _ = expand_to_unit(inst)
+        raise ValidationError("faithfulness is defined for unit capacities")
     layout = inst.layout
     rule = builder(layout)
     report = PropertyReport(name="faithful")
     base = simulate(rule, inst, seq)
-    base_positions = tuple(layout.positions[j] for j in base.assignment)
     rng = random.Random(seed)
     for _ in range(trials):
         variant = closer_variant(seq, base, layout, rng)
         again = simulate(rule, inst, variant)
-        again_positions = tuple(layout.positions[j] for j in again.assignment)
         report.trials += 1
-        if again_positions != base_positions:
+        if again.assignment != base.assignment:
             diff = [
                 t
-                for t, (a, b) in enumerate(zip(base_positions, again_positions))
+                for t, (a, b) in enumerate(zip(base.assignment, again.assignment))
                 if a != b
             ]
             report.violations.append(

@@ -81,6 +81,13 @@ class TestInspection:
         assert code == EXIT_ERROR
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_exponent_written_back_oversize(self, capsys, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text('{"servers": [0, 1e-999]}')
+        code, out, err = run_cli(capsys, "alpha", str(path))
+        assert code == EXIT_ERROR
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
     def test_common_denominator_limit(self, capsys, wide_denominator_files):
         inst, seq = wide_denominator_files
         for argv in (("opt",), ("simulate", "--alg", "ptcp"), ("simulate", "--alg", "permutation")):

@@ -10,21 +10,11 @@ from ofal.hybrid import (
     check_c3,
     check_chain_monotone,
     check_transition_rules,
-    expand_to_unit,
     free_before,
     run_hybrid,
 )
 
 from conftest import layout_of, rand_requests, seq_of
-
-
-class TestExpansion:
-    def test_replicas_share_positions(self):
-        inst = Instance(layout_of(0, 2), (2, 1))
-        unit, origin = expand_to_unit(inst)
-        assert unit.layout.positions == (0, 0, 2)
-        assert origin == (0, 0, 1)
-        assert unit.capacities == (1, 1, 1)
 
 
 class TestRunHybrid:

@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ofal.adversary import AdversaryParams, greedy_adversary
+from ofal.adversary import (
+    AdversaryParams,
+    greedy_adversary,
+    permutation_adversary,
+    permutation_params,
+)
 from ofal.core import Instance, RequestSequence, SizeGuardError, ValidationError
 from ofal.offline import (
     lexmin_assignment,
@@ -142,6 +147,11 @@ class TestLexminAssignment:
         got = lexmin_assignment(inst, seq)
         assert got.cost == expect.cost
         assert got.assignment == expect.assignment
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_permutation_adversary_matches_bruteforce(self, k):
+        inst, seq = permutation_adversary(permutation_params(k, Fraction(1, 10)))
+        assert lexmin_assignment(inst, seq) == optimal_bruteforce(inst, seq)
 
     def test_tie_broken_to_smaller_index(self):
         inst = Instance(layout_of(0, 2), (1, 1))

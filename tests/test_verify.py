@@ -12,6 +12,7 @@ from ofal.core import (
     Instance,
     RequestSequence,
     ServerLayout,
+    ValidationError,
     sequence_to_dict,
     unit_instance,
 )
@@ -93,11 +94,11 @@ class TestFaithful:
             report = check_faithful(lambda _: rule, inst, seq, trials=40, seed=rng.randint(0, 99))
             assert report.ok, report.violations
 
-    def test_capacitated_requires_builder(self):
+    def test_capacitated_refused(self):
         inst = Instance(layout_of(0, 1), (2, 1))
         seq = seq_of("1/2")
-        report = check_faithful(ptcp_rule, inst, seq, trials=5, seed=0)
-        assert report.ok
+        with pytest.raises(ValidationError):
+            check_faithful(ptcp_rule, inst, seq, trials=5, seed=0)
 
 
 class TestOpposite:
