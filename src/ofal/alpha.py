@@ -4,7 +4,9 @@ For a sorted subset T, L(T) is span(T) divided by the largest adjacent gap
 inside T (0 when |T| <= 1).  alpha is the maximum of L over all subsets.
 Two evaluators are provided: an exhaustive subset oracle and a fast version
 that only scans contiguous index intervals; their agreement is itself a
-tested property, not an assumption.
+tested property, not an assumption.  The subset oracle works on the
+layout's scaled integers and compares span / gap pairs by cross products;
+the fast one stays in Fractions.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ServerLayout, SizeGuardError
+from .core import ServerLayout, SizeGuardError, scale_to_ints
 
 BRUTEFORCE_MAX_K = 20
 
@@ -46,22 +48,39 @@ def gap_ratio(positions: tuple[Fraction, ...] | ServerLayout) -> Fraction:
 def alpha_bruteforce(layout: ServerLayout) -> Metrics:
     """Exhaustive maximum of gap_ratio over all server subsets.
 
-    Guarded to k <= 20; the first maximizer in bitmask order is reported,
-    so the witness is deterministic.
+    Guarded to k <= 20.  Every bitmask is walked on the layout's scaled
+    integers (``core.scale_to_ints``), tracking the subset's first and
+    last point and its largest gap; the best span / gap pair is compared
+    by cross products, so the first maximizer in bitmask order is
+    reported and the witness is deterministic.
     """
     k = layout.k
     if k > BRUTEFORCE_MAX_K:
         raise SizeGuardError(f"subset enumeration guard: k={k} > {BRUTEFORCE_MAX_K}")
-    positions = layout.positions
-    best = Fraction(0)
-    witness: tuple[int, ...] = (0,) if k >= 1 else ()
+    xs, _, _ = scale_to_ints(layout.positions, ())
+    at_bit = {1 << j: x for j, x in enumerate(xs)}
+    best_span, best_gap, best_mask = 0, 1, 1
     for mask in range(1, 1 << k):
-        subset = tuple(j for j in range(k) if mask >> j & 1)
-        value = gap_ratio(tuple(positions[j] for j in subset))
-        if value > best:
-            best = value
-            witness = subset
-    return Metrics(l_value=gap_ratio(positions), alpha=best, witness=witness)
+        rest = mask
+        low = rest & -rest
+        first = last = at_bit[low]
+        rest ^= low
+        gap = 0
+        while rest:
+            low = rest & -rest
+            x = at_bit[low]
+            if x - last > gap:
+                gap = x - last
+            last = x
+            rest ^= low
+        if (last - first) * best_gap > best_span * gap:
+            best_span, best_gap, best_mask = last - first, gap, mask
+    witness = tuple(j for j in range(k) if best_mask >> j & 1)
+    return Metrics(
+        l_value=gap_ratio(layout.positions),
+        alpha=Fraction(best_span, best_gap),
+        witness=witness,
+    )
 
 
 def alpha_fast(layout: ServerLayout) -> Metrics:

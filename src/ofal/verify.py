@@ -8,6 +8,7 @@ counts as a test failure -- that is the caller's job.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,6 +24,7 @@ from .core import (
     RatioReport,
     RequestSequence,
     ServerLayout,
+    SizeGuardError,
     ValidationError,
     compute_rate,
     instance_to_dict,
@@ -286,6 +288,14 @@ def sweep_adx(
 # ---------------------------------------------------------------------------
 
 
+#: Most DFS nodes one grid search may visit: every tuple of up to
+#: ``min(n_max, total capacity)`` grid points is a node.  Criterion 3(b) at
+#: k=4 visits 597,871 (9 points, depth 6) and ``ofal verify capacity`` at
+#: its defaults at most 637,421 (28 points, depth 4); searches of that
+#: size take 4-8 s on a 2-core x86 VM with CPython 3.11.
+GRID_SEARCH_MAX_NODES = 700_000
+
+
 @dataclass
 class GridSearchResult:
     """Worst measured ratio over all grid sequences up to a length cap."""
@@ -307,12 +317,42 @@ def grid_search_max_rate(
 
     A state where the optimum is zero but the algorithm paid is recorded
     as an anomaly: for the rules in this package it must never happen.
+
+    The walk runs on the scaled integers of ``core.scale_to_ints``.  The
+    optimum depends only on the multiset of chosen points (the DP sorts
+    its requests), so each multiset is solved once per call: the memo
+    holds one list per depth, indexed by the multiset's combinatorial
+    rank.  Rates are compared as integer cross products, keeping the
+    first maximiser, and only the result is a Fraction.  Rule decisions
+    are never cached: this search is the exhaustive check of a rule, and a
+    cache would hide a rule that is not pure.  Raises ValidationError for
+    a negative ``n_max`` and SizeGuardError above GRID_SEARCH_MAX_NODES.
     """
+    if n_max < 0:
+        raise ValidationError(f"grid search depth n_max={n_max} is negative")
+    depth_cap = min(n_max, inst.total_capacity)
+    n_points = len(points)
+    total = level = 1  # nodes to the current depth; an empty grid has one
+    for _ in range(depth_cap if n_points else 0):
+        level *= n_points
+        total += level
+        if total > GRID_SEARCH_MAX_NODES:
+            raise SizeGuardError(
+                f"grid search guard: {n_points} points to depth {depth_cap} "
+                f"exceed {GRID_SEARCH_MAX_NODES} nodes"
+            )
     servers_int, points_int, scale = scale_to_ints(inst.layout.positions, points)
     caps0 = list(inst.capacities)
-    depth_cap = min(n_max, inst.total_capacity)
 
-    best = [Fraction(0), tuple()]  # rate, sequence
+    # Stars and bars: a multiset of d points with prefix counts s_q has
+    # rank sum_q C(s_q + q, q + 1) over the bars q < n_points - 1, a
+    # bijection onto range(C(n_points + d - 1, d)).  memo[d - 1][rank]
+    # is the optimum of that multiset, -1 until solved.
+    binom = [[math.comb(a, b) for b in range(n_points)] for a in range(n_points + depth_cap)]
+    memo = [[-1] * math.comb(n_points + d - 1, d) for d in range(1, depth_cap + 1)]
+    counts = [0] * n_points
+
+    best = [0, 1, ()]  # alg, opt, sequence: the best rate is alg / opt
     nodes = [0]
     anomalies: list[dict] = []
     remaining = list(caps0)
@@ -320,44 +360,54 @@ def grid_search_max_rate(
     chosen: list[Fraction] = []
     chosen_int: list[int] = []
 
-    def consider(alg_int: int) -> None:
-        opt_int = dp_cost_ints(servers_int, caps0, chosen_int)
+    def consider(depth: int, rank: int, alg_int: int) -> None:
+        solved = memo[depth - 1]
+        opt_int = solved[rank]
+        if opt_int < 0:
+            opt_int = solved[rank] = dp_cost_ints(servers_int, caps0, chosen_int)
         if opt_int == 0:
             if alg_int > 0:
                 anomalies.append(
                     {"sequence": [str(q) for q in chosen], "alg_cost": str(Fraction(alg_int, scale))}
                 )
                 return
-            rate = Fraction(1)
-        else:
-            rate = Fraction(alg_int, opt_int)
-        if rate > best[0]:
-            best[0] = rate
-            best[1] = tuple(chosen)
+            alg_int = opt_int = 1
+        if alg_int * best[1] > best[0] * opt_int:
+            best[:] = alg_int, opt_int, tuple(chosen)
 
-    def dfs(depth: int, alg_int: int) -> None:
+    def dfs(depth: int, rank: int, alg_int: int) -> None:
         nodes[0] += 1
         if depth > 0:
-            consider(alg_int)
+            consider(depth, rank, alg_int)
         if depth == depth_cap:
             return
-        for p, p_int in zip(points, points_int):
-            j = rule.decide(p, frozenset(free))
+        # lift[x]: the rank gained by adding point x, which moves every
+        # bar q >= x one place right.
+        lift = [0] * n_points
+        s = depth
+        for q in range(n_points - 2, -1, -1):
+            s -= counts[q + 1]
+            lift[q] = lift[q + 1] + binom[s + q][q]
+        free_now = frozenset(free)
+        for x, (p, p_int) in enumerate(zip(points, points_int)):
+            j = rule.decide(p, free_now)
             remaining[j] -= 1
             if remaining[j] == 0:
                 free.remove(j)
             chosen.append(p)
             chosen_int.append(p_int)
-            dfs(depth + 1, alg_int + abs(p_int - servers_int[j]))
+            counts[x] += 1
+            dfs(depth + 1, rank + lift[x], alg_int + abs(p_int - servers_int[j]))
+            counts[x] -= 1
             chosen.pop()
             chosen_int.pop()
             if remaining[j] == 0:
                 free.add(j)
             remaining[j] += 1
-    dfs(0, 0)
+    dfs(0, 0, 0)
     return GridSearchResult(
-        best_rate=best[0],
-        best_sequence=best[1],
+        best_rate=Fraction(best[0], best[1]),
+        best_sequence=best[2],
         nodes=nodes[0],
         zero_opt_anomalies=anomalies,
     )

@@ -1,0 +1,158 @@
+"""Differential check: the two exhaustive oracles agree with the Fraction
+loops they replaced.
+
+``grid_search_max_rate`` solves each request multiset once and compares
+rates as integer cross products; ``alpha_bruteforce`` scans subsets on
+scaled integers.  The reference loops below are the earlier code, inlined:
+a cold DP and a Fraction rate at every grid node, and ``gap_ratio`` on
+every subset.  Results must be equal field for field, including which of
+several tied maximisers is reported.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from ofal.adversary import candidate_points
+from ofal.algorithms import greedy_rule, ptcp_rule
+from ofal.alpha import Metrics, alpha_bruteforce, gap_ratio
+from ofal.core import Instance, ServerLayout, scale_to_ints
+from ofal.engine import PriorityRule
+from ofal.offline import dp_cost_ints
+from ofal.verify import GridSearchResult, grid_search_max_rate
+
+from conftest import layouts
+
+
+def reference_grid_search(rule, inst, points, n_max):
+    servers_int, points_int, scale = scale_to_ints(inst.layout.positions, points)
+    caps0 = list(inst.capacities)
+    depth_cap = min(n_max, inst.total_capacity)
+    best = [Fraction(0), tuple()]
+    nodes = [0]
+    anomalies = []
+    remaining = list(caps0)
+    free = set(j for j, c in enumerate(caps0) if c > 0)
+    chosen = []
+    chosen_int = []
+
+    def consider(alg_int):
+        opt_int = dp_cost_ints(servers_int, caps0, chosen_int)
+        if opt_int == 0:
+            if alg_int > 0:
+                anomalies.append(
+                    {"sequence": [str(q) for q in chosen], "alg_cost": str(Fraction(alg_int, scale))}
+                )
+                return
+            rate = Fraction(1)
+        else:
+            rate = Fraction(alg_int, opt_int)
+        if rate > best[0]:
+            best[0] = rate
+            best[1] = tuple(chosen)
+
+    def dfs(depth, alg_int):
+        nodes[0] += 1
+        if depth > 0:
+            consider(alg_int)
+        if depth == depth_cap:
+            return
+        for p, p_int in zip(points, points_int):
+            j = rule.decide(p, frozenset(free))
+            remaining[j] -= 1
+            if remaining[j] == 0:
+                free.remove(j)
+            chosen.append(p)
+            chosen_int.append(p_int)
+            dfs(depth + 1, alg_int + abs(p_int - servers_int[j]))
+            chosen.pop()
+            chosen_int.pop()
+            if remaining[j] == 0:
+                free.add(j)
+            remaining[j] += 1
+
+    dfs(0, 0)
+    return GridSearchResult(
+        best_rate=best[0], best_sequence=best[1], nodes=nodes[0], zero_opt_anomalies=anomalies
+    )
+
+
+def reference_alpha_bruteforce(layout):
+    k = layout.k
+    positions = layout.positions
+    best = Fraction(0)
+    witness = (0,) if k >= 1 else ()
+    for mask in range(1, 1 << k):
+        subset = tuple(j for j in range(k) if mask >> j & 1)
+        value = gap_ratio(tuple(positions[j] for j in subset))
+        if value > best:
+            best = value
+            witness = subset
+    return Metrics(l_value=gap_ratio(positions), alpha=best, witness=witness)
+
+
+def rightmost_rule(layout: ServerLayout) -> PriorityRule:
+    """A deliberately bad rule: the rightmost free server.  A request on a
+    server it passes over costs something while OPT is 0, which drives the
+    grid search's zero-OPT anomaly path."""
+    return PriorityRule("rightmost", lambda r, free: max(free))
+
+
+RULES = (ptcp_rule, greedy_rule, rightmost_rule)
+
+
+@st.composite
+def grid_cases(draw):
+    layout = draw(layouts(max_k=3))
+    caps = draw(st.lists(st.integers(1, 2), min_size=layout.k, max_size=layout.k))
+    on_servers = st.sampled_from(layout.positions)
+    quarter_grid = st.integers(-4, 4 * 12 + 4).map(lambda t: Fraction(t, 4))
+    thirds = st.integers(-3, 3 * 12 + 3).map(lambda t: Fraction(t, 3))
+    points = draw(
+        st.lists(st.one_of(on_servers, quarter_grid, thirds), min_size=0, max_size=5, unique=True)
+    )
+    n_max = draw(st.integers(0, 4))
+    return Instance(layout, tuple(caps)), tuple(points), n_max
+
+
+class TestGridSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(grid_cases(), st.sampled_from(RULES))
+    def test_matches_the_per_node_fraction_loop(self, case, builder):
+        inst, points, n_max = case
+        rule = builder(inst.layout)
+        assert grid_search_max_rate(rule, inst, points, n_max) == reference_grid_search(
+            rule, inst, points, n_max
+        )
+
+    def test_candidate_grids(self):
+        # Tie-heavy grids from the split tree, for every rule; the bad rule
+        # must reach the zero-OPT anomaly path here.
+        anomalies = 0
+        for positions, caps in (((0, 1), (2, 1)), ((0, 1, 3), (1, 2, 1)), ((0, 2, 4, 8), (1, 1, 1, 1))):
+            layout = ServerLayout(tuple(Fraction(p) for p in positions))
+            inst = Instance(layout, caps)
+            points = candidate_points(layout, include_offsets=False)
+            for builder in RULES:
+                rule = builder(layout)
+                got = grid_search_max_rate(rule, inst, points, 3)
+                assert got == reference_grid_search(rule, inst, points, 3)
+                anomalies += len(got.zero_opt_anomalies)
+        assert anomalies > 0
+
+
+class TestSubsetScan:
+    def test_mixed_denominators(self):
+        rng = random.Random(20231)
+        for _ in range(300):
+            k = rng.randint(1, 9)
+            points = {Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 5, 7, 12))) for _ in range(k)}
+            layout = ServerLayout(tuple(sorted(points)))
+            assert alpha_bruteforce(layout) == reference_alpha_bruteforce(layout)
+
+    def test_every_layout_on_a_small_integer_grid(self):
+        # Equal gaps make ties frequent, so this pins the first-maximiser witness.
+        for mask in range(1, 1 << 8):
+            layout = ServerLayout(tuple(Fraction(i) for i in range(8) if mask >> i & 1))
+            assert alpha_bruteforce(layout) == reference_alpha_bruteforce(layout)

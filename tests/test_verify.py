@@ -259,6 +259,20 @@ class TestGridSearch:
         assert result.best_sequence == (Fraction(1, 2), Fraction(0))
         assert not result.zero_opt_anomalies
 
+    def test_criterion_3b_grid_pins(self):
+        # Literal pins of criterion 3(b)'s k=2 and k=3 searches; the k=4
+        # grid (597871 states, worst rate 5) is pinned by the acceptance run.
+        cases = (
+            ((0, 1), (3, 3), True, 137257, 3, (0, 0, Fraction(1, 2), 0)),
+            ((0, 1, 3), (2, 2, 2), False, 55987, 4, (0, 1, 1, Fraction(9, 5), 0)),
+        )
+        for positions, caps, offsets, nodes, rate, sequence in cases:
+            layout = layout_of(*positions)
+            grid = candidate_points(layout, include_offsets=offsets)
+            result = grid_search_max_rate(ptcp_rule(layout), Instance(layout, caps), grid, n_max=6)
+            assert (result.nodes, result.best_rate, result.best_sequence) == (nodes, rate, sequence)
+            assert not result.zero_opt_anomalies
+
     def test_zero_opt_never_with_positive_cost(self):
         layout = layout_of(0, 1, 3)
         inst = Instance(layout, (2, 1, 1))
