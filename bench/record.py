@@ -1,6 +1,6 @@
 """Record a BENCH file: the committed benchmark and tier-1, parent against change.
 
-    python3 bench/record.py --parent REV --change REV --out BENCH_6.json
+    python3 bench/record.py --parent REV --change REV --out BENCH_<n>.json
 
 Run it from a git checkout with nothing else running.  Each revision is
 exported with ``git archive`` into its own temporary directory, so both

@@ -169,15 +169,15 @@ class TestVerify:
             assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
     def test_negative_search_depth(self, capsys):
-        # The DFS used to run until the DP ran out of capacity (exit 2 with
-        # a misleading message).
+        # Unchecked, the DFS runs until the DP runs out of capacity and the
+        # error names the DP instead of the depth.
         code, out, err = run_cli(capsys, "verify", "capacity", "--n-max", "-1")
         assert code == EXIT_ERROR
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert "negative" in err
 
     def test_grid_search_size_limit(self, capsys):
-        # 16 candidate points to depth 9 is about 7e10 nodes; it used to hang.
+        # 16 candidate points to depth 9 is about 7e10 nodes: refused, not run.
         code, out, err = run_cli(capsys, "verify", "capacity", "--k", "3", "--n-max", "9")
         assert code == EXIT_ERROR
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
