@@ -38,10 +38,10 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 #: Workloads whose items_per_s the change claims to raise, and pairs for each.
-CLAIMED = ("grid-exhaustive", "oracle-prefix")
-PAIRS = {"grid-exhaustive": 10, "oracle-prefix": 10, "sweep-small": 3, "online-large": 3}
+CLAIMED = ("online-large",)
+PAIRS = {"online-large": 10, "grid-exhaustive": 3, "oracle-prefix": 3, "sweep-small": 3}
 #: Seeds of the pairs: none of them was used while the change was written.
-SEEDS = range(901, 911)
+SEEDS = range(1001, 1011)
 DIGEST_SEED = 1
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors", "--durations=0", "--durations-min=0"]

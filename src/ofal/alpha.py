@@ -4,9 +4,9 @@ For a sorted subset T, L(T) is span(T) divided by the largest adjacent gap
 inside T (0 when |T| <= 1).  alpha is the maximum of L over all subsets.
 Two evaluators are provided: an exhaustive subset oracle and a fast version
 that only scans contiguous index intervals; their agreement is itself a
-tested property, not an assumption.  The subset oracle works on the
-layout's scaled integers and compares span / gap pairs by cross products;
-the fast one stays in Fractions.
+tested property, not an assumption.  Both work on the layout's scaled
+integers and compare span / gap pairs by cross products; alpha becomes
+a Fraction only at return.
 """
 
 from __future__ import annotations
@@ -90,24 +90,31 @@ def alpha_fast(layout: ServerLayout) -> Metrics:
     the span and cannot enlarge the maximum gap, so contiguous intervals
     dominate and the interval scan reaches the same maximum as the subset
     oracle.  That domination is verified against alpha_bruteforce in the
-    test suite rather than trusted.  O(k^2) interval evaluations; the
-    lexicographically smallest maximizing (i, j) wins ties.
+    test suite rather than trusted.  O(k^2) interval evaluations on the
+    layout's scaled integers (``core.scale_to_ints``): the best span / gap
+    pair is compared by strict cross products, so the lexicographically
+    smallest maximizing (i, j) wins ties; alpha becomes a Fraction only at
+    return.
     """
     positions = layout.positions
-    k = len(positions)
-    best = Fraction(0)
-    witness: tuple[int, ...] = (0,)
+    xs, _, _ = scale_to_ints(positions, ())
+    k = len(xs)
+    best_span, best_gap, best_i, best_j = 0, 1, 0, 0
     for i in range(k):
-        max_gap = Fraction(0)
+        x_i = xs[i]
+        max_gap = 0
         for j in range(i + 1, k):
-            gap = positions[j] - positions[j - 1]
+            gap = xs[j] - xs[j - 1]
             if gap > max_gap:
                 max_gap = gap
-            value = (positions[j] - positions[i]) / max_gap
-            if value > best:
-                best = value
-                witness = tuple(range(i, j + 1))
-    return Metrics(l_value=gap_ratio(positions), alpha=best, witness=witness)
+            span = xs[j] - x_i
+            if span * best_gap > best_span * max_gap:
+                best_span, best_gap, best_i, best_j = span, max_gap, i, j
+    return Metrics(
+        l_value=gap_ratio(positions),
+        alpha=Fraction(best_span, best_gap),
+        witness=tuple(range(best_i, best_j + 1)),
+    )
 
 
 def aspect_ratio(layout: ServerLayout) -> Fraction:

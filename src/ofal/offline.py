@@ -203,32 +203,43 @@ def dp_cost_ints(servers: list[int], caps: list[int], requests: list[int]) -> in
     A non-crossing optimum matches the sorted requests to a sorted multiset
     of server slots, so each server serves a contiguous block.  dp[t] is
     the best cost of the first t sorted requests; server j extends it by a
-    block of up to c_j requests.
+    block of up to c_j requests.  Raises ValidationError when the
+    capacities sum to less than the number of requests.
+
+    Only a window of t is kept: after server j, t runs over
+    [n - cap(servers after j), cap(servers 0..j)], clipped to [0, n].  A
+    larger t cannot be reached, and a smaller one cannot be completed by
+    the servers left; every prefix of an optimal assignment lies inside
+    the window, so dp[n] is exact.  With prefix[t] the cost of requests
+    before t on server j and g[m] = dp[m] - prefix[m], a step is
+    prefix[t] + min(g[m] for t - c_j <= m <= t).  Zero-capacity servers are
+    skipped.  A solve costs O(sum of c_j * window width), O(k * n * c) at
+    most.
     """
-    n = len(requests)
     reqs = sorted(requests)
-    INF = float("inf")
-    dp: list[int | float] = [0] + [INF] * n
-    for s, c in zip(servers, caps):
-        ndp: list[int | float] = list(dp)
-        # prefix[t] = sum of |r_u - s| for u < t
-        prefix = [0] * (n + 1)
-        for t in range(n):
-            prefix[t + 1] = prefix[t] + abs(reqs[t] - s)
-        for t in range(1, n + 1):
-            lo = max(0, t - c)
-            best = ndp[t]
-            for m in range(lo, t):
-                if dp[m] == INF:
-                    continue
-                cand = dp[m] + prefix[t] - prefix[m]
-                if cand < best:
-                    best = cand
-            ndp[t] = best
-        dp = ndp
-    if dp[n] == INF:
+    n = len(reqs)
+    rest = sum(caps)
+    if n > rest:
         raise ValidationError("capacity exhausted in dp")
-    return int(dp[n])
+    lo, dp = 0, [0]  # dp[t - lo] for t in [lo, lo + len(dp) - 1]
+    for s, c in zip(servers, caps):
+        if c == 0:
+            continue
+        rest -= c
+        hi = lo + len(dp) - 1
+        new_lo, new_hi = max(lo, n - rest), min(n, hi + c)
+        base = max(lo, new_lo - c)  # the first m a step into the window reads
+        # prefix[t - base] is the cost of requests base..t-1 on s.
+        prefix = [0]
+        for r in reqs[base:new_hi]:
+            prefix.append(prefix[-1] + abs(r - s))
+        g = [dp[m - lo] - prefix[m - base] for m in range(base, hi + 1)]
+        dp = [
+            prefix[t - base] + min(g[max(0, t - c - base) : min(hi, t) - base + 1])
+            for t in range(new_lo, new_hi + 1)
+        ]
+        lo = new_lo
+    return dp[n - lo]
 
 
 def noncrossing_dp_cost(inst: Instance, seq: RequestSequence) -> Fraction:

@@ -106,10 +106,15 @@ def farthest_rule(layout: ServerLayout) -> PriorityRule:
     return PriorityRule("farthest", lambda r, free: max(free, key=lambda j: (abs(r - positions[j]), j)))
 
 
-@given(layouts(max_k=8), st.data())
+@given(layouts(max_k=30), st.data())
 @settings(max_examples=300, deadline=None)
 def test_surrounding_and_greedy(layout, data):
-    free = frozenset(data.draw(st.sets(st.integers(0, layout.k - 1), min_size=1)))
+    # Sparse free sets make greedy's walk out from the bisection point
+    # cross used servers on both sides.
+    index = st.integers(0, layout.k - 1)
+    free = frozenset(
+        data.draw(st.one_of(st.sets(index, min_size=1, max_size=3), st.sets(index, min_size=1)))
+    )
     r = data.draw(requests_near(layout))
     assert surrounding_servers(r, free, layout) == position_surrounding(r, free, layout)
     assert greedy_decide(r, free, layout) == position_greedy(r, free, layout)
