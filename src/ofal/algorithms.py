@@ -10,12 +10,12 @@ the right block, and symmetrically.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import ServerLayout, ValidationError
-from .engine import PriorityRule
+from .engine import PriorityRule, surrounding_servers
 
 
 @dataclass(frozen=True)
@@ -54,38 +54,38 @@ class SplitTree:
             yield from self.right.nodes()
 
 
-def build_split_tree(layout: ServerLayout, lo: int = 0, hi: int | None = None) -> SplitTree:
-    """Build the split tree over layout indices [lo..hi] (default: all).
+def build_split_tree(layout: ServerLayout) -> SplitTree:
+    """Build the split tree over all servers of a layout.
 
-    Ties among maximum gaps break to the leftmost split index.  Positions
-    are distinct, so every gap D is positive.
+    The gaps are read once from ``layout.gaps()``; each block splits after
+    the leftmost of its maximum gaps.  Positions are distinct, so every
+    gap D is positive.
     """
-    if hi is None:
-        hi = layout.k - 1
-    if lo == hi:
-        return SplitTree(lo=lo, hi=hi)
     positions = layout.positions
-    a = lo
-    d = positions[lo + 1] - positions[lo]
-    for u in range(lo + 1, hi):
-        gap = positions[u + 1] - positions[u]
-        if gap > d:
-            a, d = u, gap
-    delta1 = positions[a] - positions[lo]
-    delta2 = positions[hi] - positions[a + 1]
-    x = d * (delta2 + d) / ((delta1 + d) + (delta2 + d))
-    return SplitTree(
-        lo=lo,
-        hi=hi,
-        a=a,
-        d=d,
-        delta1=delta1,
-        delta2=delta2,
-        x=x,
-        critical=positions[a] + x,
-        left=build_split_tree(layout, lo, a),
-        right=build_split_tree(layout, a + 1, hi),
-    )
+    gaps = layout.gaps()
+
+    def build(lo: int, hi: int) -> SplitTree:
+        if lo == hi:
+            return SplitTree(lo=lo, hi=hi)
+        a = max(range(lo, hi), key=gaps.__getitem__)
+        d = gaps[a]
+        delta1 = positions[a] - positions[lo]
+        delta2 = positions[hi] - positions[a + 1]
+        x = d * (delta2 + d) / ((delta1 + d) + (delta2 + d))
+        return SplitTree(
+            lo=lo,
+            hi=hi,
+            a=a,
+            d=d,
+            delta1=delta1,
+            delta2=delta2,
+            x=x,
+            critical=positions[a] + x,
+            left=build(lo, a),
+            right=build(a + 1, hi),
+        )
+
+    return build(0, layout.k - 1)
 
 
 def ptcp_decide(tree: SplitTree, r: Fraction, free: frozenset[int]) -> int:
@@ -128,26 +128,18 @@ def ptcp_rule(layout: ServerLayout) -> PriorityRule:
 
 
 def greedy_decide(r: Fraction, free: frozenset[int], layout: ServerLayout) -> int:
-    """Nearest free server.  Positions are distinct, so an exact distance
-    tie is between one server on each side; it breaks to the left.
+    """Nearest free server: the nearer of the two ``surrounding_servers``.
+    Positions are distinct, so an exact distance tie is between one server
+    on each side; it breaks to the left.
 
-    Bisects the sorted positions and walks out to the nearest free index
-    on each side: O(log k) position comparisons, one set lookup per
-    server walked past, and two Fraction distances per call.
+    A call costs one ``surrounding_servers`` walk and at most two Fraction
+    distances.
     """
-    if not free:
-        raise ValidationError("greedy undefined for an empty free set")
-    positions = layout.positions
-    k = len(positions)
-    right = bisect_left(positions, r)
-    left = right - 1
-    while left >= 0 and left not in free:
-        left -= 1
-    while right < k and right not in free:
-        right += 1
-    if right == k:
+    left, right = surrounding_servers(r, free, layout)
+    if right is None:
         return left
-    if left < 0 or positions[right] - r < r - positions[left]:
+    positions = layout.positions
+    if left is None or positions[right] - r < r - positions[left]:
         return right
     return left
 

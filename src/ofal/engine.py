@@ -12,6 +12,7 @@ request position) is checked empirically by ``derive_priority_order``.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -43,7 +44,7 @@ def simulate(rule: PriorityRule, inst: Instance, seq: RequestSequence) -> Assign
     if violation is not None:
         raise ValidationError(violation)
     remaining = list(inst.capacities)
-    free = set(j for j, c in enumerate(remaining) if c > 0)
+    free = set(range(inst.k))
     assignment: list[int] = []
     snapshots: list[tuple[int, ...]] = []
     costs: list[Fraction] = []
@@ -76,18 +77,25 @@ def surrounding_servers(
 
     When the request sits exactly on a free server, that server is the
     only surrounding server and is returned on both sides.  Index order is
-    position order, so the nearest free server on a side is the largest
-    (left) or smallest (right) free index there.
+    position order, so one bisection of the positions finds where r falls
+    and a walk outward to the nearest free index on each side finds the
+    two servers.  A call costs O(log k) position comparisons, at most one
+    exact-hit equality and one set lookup per server walked past; it
+    scans no free set.
     """
     if not free:
         raise ValidationError("surrounding servers undefined for an empty free set")
     positions = layout.positions
-    for j in free:
-        if positions[j] == r:
-            return (j, j)
-    left = max((j for j in free if positions[j] < r), default=None)
-    right = min((j for j in free if positions[j] > r), default=None)
-    return (left, right)
+    k = len(positions)
+    right = bisect_left(positions, r)
+    if right < k and right in free and positions[right] == r:
+        return (right, right)
+    left = right - 1
+    while left >= 0 and left not in free:
+        left -= 1
+    while right < k and right not in free:
+        right += 1
+    return (left if left >= 0 else None, right if right < k else None)
 
 
 def derive_priority_order(

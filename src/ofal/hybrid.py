@@ -66,7 +66,7 @@ class CheckResult:
 def free_before(trace: AssignmentTrace, inst: Instance, t: int) -> frozenset[int]:
     """Free set just before step t of a trace (initial set for t == 0)."""
     if t == 0:
-        return frozenset(j for j, c in enumerate(inst.capacities) if c > 0)
+        return frozenset(range(inst.k))
     return trace.free_after(t - 1)
 
 
@@ -182,34 +182,32 @@ def check_chain_monotone(ht: HybridTrace, layout: ServerLayout) -> CheckResult:
     the result says so without counting a violation.  Under the
     precondition the chains must move monotonically apart (base-only chain
     one way, hybrid-only chain the other) and no common free server may
-    ever sit strictly between them.
+    ever sit strictly between them.  Index order is position order, so
+    the checks compare server indices.
     """
-    pos = layout.positions
     inst = unit_instance(layout)
-    lo0, hi0 = sorted((pos[ht.s], pos[ht.base.assignment[ht.i]]))
+    lo0, hi0 = sorted((ht.s, ht.base.assignment[ht.i]))
     initial_free = free_before(ht.base, inst, ht.i)
-    between = [j for j in initial_free if lo0 < pos[j] < hi0]
+    between = [j for j in initial_free if lo0 < j < hi0]
     if between:
         return CheckResult(ok=True, precondition_met=False)
 
     violations: list[str] = []
-    a_pos = [pos[j] for j in ht.a_chain]
-    h_pos = [pos[j] for j in ht.h_chain]
-
-    if a_pos[0] <= h_pos[0]:
-        lo_chain, hi_chain, lo_name = a_pos, h_pos, "a"
+    a_chain, h_chain = ht.a_chain, ht.h_chain
+    if a_chain[0] <= h_chain[0]:
+        lo_chain, hi_chain, lo_name = a_chain, h_chain, "a"
     else:
-        lo_chain, hi_chain, lo_name = h_pos, a_pos, "h"
-    for t in range(len(a_pos) - 1):
+        lo_chain, hi_chain, lo_name = h_chain, a_chain, "h"
+    for t in range(len(a_chain) - 1):
         if lo_chain[t + 1] > lo_chain[t]:
             violations.append(f"chain {lo_name} moved inward at offset {t + 1}")
         if hi_chain[t + 1] < hi_chain[t]:
             violations.append(f"upper chain moved inward at offset {t + 1}")
 
     for off, t in enumerate(range(ht.i, ht.t_star + 1)):
-        lo, hi = sorted((a_pos[off], h_pos[off]))
+        lo, hi = sorted((a_chain[off], h_chain[off]))
         common_free = ht.base.free_after(t) & ht.hybrid.free_after(t)
-        stuck = [j for j in common_free if lo < pos[j] < hi]
+        stuck = [j for j in common_free if lo < j < hi]
         if stuck:
             violations.append(f"free servers {stuck} between the chains at step {t}")
     return CheckResult(ok=not violations, violations=tuple(violations))
@@ -247,22 +245,18 @@ def c3_candidates(
     """Deviation servers to test at step i for the threshold condition.
 
     Normally the surrounding server of r_i other than the rule's own
-    choice.  When r_i has a single surrounding server the fallback is a
-    free server immediately left or right of the rule's choice; both are
-    tested when both exist.
+    choice.  When r_i has a single surrounding server the fallback is the
+    nearest other free server on each side of the rule's choice (its
+    surrounding servers once it is taken out); both are tested when both
+    exist.  Each call is one or two ``surrounding_servers`` walks.
     """
     inst = unit_instance(layout)
     free = free_before(base, inst, i)
     chosen = base.assignment[i]
     left, right = surrounding_servers(seq[i], free, layout)
     candidates = {j for j in (left, right) if j is not None and j != chosen}
-    if not candidates:
-        lefts = [j for j in free if j < chosen]
-        rights = [j for j in free if j > chosen]
-        if lefts:
-            candidates.add(max(lefts))
-        if rights:
-            candidates.add(min(rights))
+    if not candidates and len(free) > 1:
+        candidates = set(surrounding_servers(layout[chosen], free - {chosen}, layout)) - {None}
     return sorted(candidates)
 
 

@@ -23,6 +23,7 @@ from .core import (
     Instance,
     RatioReport,
     RequestSequence,
+    RuleError,
     ServerLayout,
     SizeGuardError,
     ValidationError,
@@ -80,11 +81,9 @@ def check_surrounding_oriented(
     trace: AssignmentTrace,
     seq: RequestSequence,
     layout: ServerLayout,
-    inst: Instance | None = None,
+    inst: Instance,
 ) -> PropertyReport:
     """Each match must hit the nearest free server on one side of the request."""
-    if inst is None:
-        inst = unit_instance(layout)
     report = PropertyReport(name="surrounding-oriented")
     remaining = list(inst.capacities)
     for t, r in enumerate(seq):
@@ -326,7 +325,9 @@ def grid_search_max_rate(
     first maximiser, and only the result is a Fraction.  Rule decisions
     are never cached: this search is the exhaustive check of a rule, and a
     cache would hide a rule that is not pure.  Raises ValidationError for
-    a negative ``n_max`` and SizeGuardError above GRID_SEARCH_MAX_NODES.
+    a negative ``n_max``, SizeGuardError above GRID_SEARCH_MAX_NODES, and
+    RuleError, as ``simulate`` does, when the rule names a server that is
+    not free.
     """
     if n_max < 0:
         raise ValidationError(f"grid search depth n_max={n_max} is negative")
@@ -356,7 +357,7 @@ def grid_search_max_rate(
     nodes = [0]
     anomalies: list[dict] = []
     remaining = list(caps0)
-    free = set(j for j, c in enumerate(caps0) if c > 0)
+    free = set(range(inst.k))
     chosen: list[Fraction] = []
     chosen_int: list[int] = []
 
@@ -391,6 +392,8 @@ def grid_search_max_rate(
         free_now = frozenset(free)
         for x, (p, p_int) in enumerate(zip(points, points_int)):
             j = rule.decide(p, free_now)
+            if j not in free_now:
+                raise RuleError(f"rule {rule.id!r} chose non-free server {j} for request {p}")
             remaining[j] -= 1
             if remaining[j] == 0:
                 free.remove(j)

@@ -11,12 +11,13 @@ from ofal.core import (
     AssignmentTrace,
     Instance,
     RequestSequence,
+    RuleError,
     ServerLayout,
     ValidationError,
     sequence_to_dict,
     unit_instance,
 )
-from ofal.engine import simulate
+from ofal.engine import PriorityRule, simulate
 from ofal.offline import OptResult, optimal_cost
 from ofal.verify import (
     PropertyReport,
@@ -279,6 +280,20 @@ class TestGridSearch:
         for builder in (ptcp_rule, greedy_rule):
             result = grid_search_max_rate(builder(layout), inst, candidate_points(layout), n_max=3)
             assert not result.zero_opt_anomalies
+
+    def test_rule_naming_a_used_server_raises(self):
+        # Server 0 is used after the first request; the second request of
+        # the first DFS path (and of the same sequence under simulate) must
+        # be refused with the same message, not given a rate.
+        layout = layout_of(0, 1)
+        inst = unit_instance(layout)
+        rule = PriorityRule("first", lambda r, free: 0)
+        points = candidate_points(layout)
+        with pytest.raises(RuleError) as searched:
+            grid_search_max_rate(rule, inst, points, n_max=2)
+        with pytest.raises(RuleError) as simulated:
+            simulate(rule, inst, RequestSequence((points[0], points[0])))
+        assert str(searched.value) == str(simulated.value)
 
 
 class TestCapacityProbe:
