@@ -132,11 +132,12 @@ def greedy_decide(r: Fraction, free: frozenset[int], layout: ServerLayout) -> in
     Positions are distinct, so an exact distance tie is between one server
     on each side; it breaks to the left.
 
-    A call costs one ``surrounding_servers`` walk and at most two Fraction
+    A call costs one ``surrounding_servers`` walk and, unless r sits on a
+    free server or has free servers on one side only, two Fraction
     distances.
     """
     left, right = surrounding_servers(r, free, layout)
-    if right is None:
+    if right is None or left == right:
         return left
     positions = layout.positions
     if left is None or positions[right] - r < r - positions[left]:
