@@ -132,9 +132,8 @@ def greedy_decide(r: Fraction, free: frozenset[int], layout: ServerLayout) -> in
     Positions are distinct, so an exact distance tie is between one server
     on each side; it breaks to the left.
 
-    A call costs one ``surrounding_servers`` walk and, unless r sits on a
-    free server or has free servers on one side only, two Fraction
-    distances.
+    A call costs one ``surrounding_servers`` walk, then two Fraction
+    distances when r has a free server on each side and sits on none.
     """
     left, right = surrounding_servers(r, free, layout)
     if right is None or left == right:
