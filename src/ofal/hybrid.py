@@ -188,8 +188,7 @@ def check_chain_monotone(ht: HybridTrace, layout: ServerLayout) -> CheckResult:
     inst = unit_instance(layout)
     lo0, hi0 = sorted((ht.s, ht.base.assignment[ht.i]))
     initial_free = free_before(ht.base, inst, ht.i)
-    between = [j for j in initial_free if lo0 < j < hi0]
-    if between:
+    if any(lo0 < j < hi0 for j in initial_free):
         return CheckResult(ok=True, precondition_met=False)
 
     violations: list[str] = []
