@@ -35,6 +35,14 @@ COMMANDS: dict[str, tuple[str, ...]] = {
     "verify-hybrid-ptcp": ("verify", "hybrid", "--alg", "ptcp", "--k", "3", "--trials", "40"),
     "verify-hybrid-greedy": ("verify", "hybrid", "--alg", "greedy", "--k", "3", "--trials", "40"),
     "verify-capacity-k2": ("verify", "capacity", "--k", "2"),
+    "alpha": ("alpha", INST),
+    "alpha-csv": ("--format", "csv", "alpha", INST),
+    "adversary-greedy-k4": ("adversary", "greedy", "--k", "4"),
+    **{
+        f"verify-{check}-{alg}": ("verify", check, "--alg", alg, "--k", "3", "--trials", "40")
+        for check in ("faithful", "ratio", "adx")
+        for alg in ("ptcp", "greedy")
+    },
 }
 
 
