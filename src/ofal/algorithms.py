@@ -11,7 +11,7 @@ the right block, and symmetrically.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import ServerLayout, ValidationError
@@ -30,6 +30,8 @@ class SplitTree:
 
     so 0 < x < D (positions are distinct, so D > 0) and the critical point
     s[a] + x lies strictly inside the gap.  Leaves are single servers.
+    ``critical_pair`` is the critical point's numerator and denominator,
+    which ``ptcp_decide`` compares with by cross products.
     """
 
     lo: int
@@ -42,6 +44,7 @@ class SplitTree:
     critical: Fraction | None = None
     left: "SplitTree | None" = None
     right: "SplitTree | None" = None
+    critical_pair: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_leaf(self) -> bool:
@@ -57,32 +60,38 @@ class SplitTree:
 def build_split_tree(layout: ServerLayout) -> SplitTree:
     """Build the split tree over all servers of a layout.
 
-    The gaps are read once from ``layout.gaps()``; each block splits after
-    the leftmost of its maximum gaps.  Positions are distinct, so every
-    gap D is positive.
+    Everything is computed on ``layout.scaled``: the gaps once, then per
+    node D, Delta1, Delta2 and the critical point as ints over the
+    layout's scale; each block splits after the leftmost of its maximum
+    gaps.  Positions are distinct, so every gap D is positive.  An
+    internal node's Fraction fields are made from its ints, five
+    ``Fraction(int, int)`` and no Fraction arithmetic.
     """
-    positions = layout.positions
-    gaps = layout.gaps()
+    ints, scale = layout.scaled
+    gaps = [b - a for a, b in zip(ints, ints[1:])]
 
     def build(lo: int, hi: int) -> SplitTree:
         if lo == hi:
             return SplitTree(lo=lo, hi=hi)
         a = max(range(lo, hi), key=gaps.__getitem__)
         d = gaps[a]
-        delta1 = positions[a] - positions[lo]
-        delta2 = positions[hi] - positions[a + 1]
-        x = d * (delta2 + d) / ((delta1 + d) + (delta2 + d))
+        delta1 = ints[a] - ints[lo]
+        delta2 = ints[hi] - ints[a + 1]
+        # x = x_num / (den * scale), and the critical point is s[a] + x.
+        x_num, den = d * (delta2 + d), (delta1 + d) + (delta2 + d)
+        critical = Fraction(ints[a] * den + x_num, den * scale)
         return SplitTree(
             lo=lo,
             hi=hi,
             a=a,
-            d=d,
-            delta1=delta1,
-            delta2=delta2,
-            x=x,
-            critical=positions[a] + x,
+            d=Fraction(d, scale),
+            delta1=Fraction(delta1, scale),
+            delta2=Fraction(delta2, scale),
+            x=Fraction(x_num, den * scale),
+            critical=critical,
             left=build(lo, a),
             right=build(a + 1, hi),
+            critical_pair=(critical.numerator, critical.denominator),
         )
 
     return build(0, layout.k - 1)
@@ -98,9 +107,9 @@ def ptcp_decide(tree: SplitTree, r: Fraction, free: frozenset[int]) -> int:
 
     ``free`` is sorted once; each level narrows the slice of it that lies
     in the node's block with one bisection, and compares r with the
-    critical point as an integer cross product.  A call costs
+    node's ``critical_pair`` as an integer cross product.  A call costs
     O(f log f + depth * log f) for f free servers, with no Fraction
-    arithmetic.
+    arithmetic and no Fraction attribute read.
     """
     if not free:
         raise ValidationError("ptcp undefined for an empty free set")
@@ -110,8 +119,8 @@ def ptcp_decide(tree: SplitTree, r: Fraction, free: frozenset[int]) -> int:
     node = tree
     while not node.is_leaf:
         m = bisect_right(fs, node.a, i0, i1)
-        c = node.critical
-        if m == i1 or (m > i0 and rn * c.denominator <= c.numerator * rd):
+        cn, cd = node.critical_pair
+        if m == i1 or (m > i0 and rn * cd <= cn * rd):
             node, i1 = node.left, m
         else:
             node, i0 = node.right, m
@@ -132,14 +141,16 @@ def greedy_decide(r: Fraction, free: frozenset[int], layout: ServerLayout) -> in
     Positions are distinct, so an exact distance tie is between one server
     on each side; it breaks to the left.
 
-    A call costs one ``surrounding_servers`` walk, then two Fraction
-    distances when r has a free server on each side and sits on none.
+    A call costs one ``surrounding_servers`` walk, then, when r has a free
+    server on each side and sits on none, one integer comparison on
+    ``layout.scaled``: s_R - r < r - s_L iff (S_L + S_R) * rd < 2 * rn * scale
+    for r = rn/rd.
     """
     left, right = surrounding_servers(r, free, layout)
     if right is None or left == right:
         return left
-    positions = layout.positions
-    if left is None or positions[right] - r < r - positions[left]:
+    ints, scale = layout.scaled
+    if left is None or (ints[left] + ints[right]) * r.denominator < 2 * r.numerator * scale:
         return right
     return left
 

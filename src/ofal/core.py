@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -144,6 +145,14 @@ class ServerLayout:
 
     def gaps(self) -> tuple[Fraction, ...]:
         return tuple(b - a for a, b in zip(self.positions, self.positions[1:]))
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, ...], int]:
+        """``(ints, scale)``: the positions times ``scale``, the lcm of their
+        denominators.  Computed on first use and kept, so a layout the
+        online rules never walk pays nothing."""
+        ints, _, scale = scale_to_ints(self.positions, ())
+        return tuple(ints), scale
 
 
 @dataclass(frozen=True)
@@ -394,7 +403,9 @@ def trace_to_dict(trace: AssignmentTrace) -> dict:
 # Several solvers run much faster on plain ints.  Multiplying every
 # coordinate by the lcm of the denominators is exact and order-preserving.
 # Solvers of an (instance, sequence) pair get their ints from
-# ``scaled_pair``; grid points go through ``scale_to_ints``.
+# ``scaled_pair``; grid points go through ``scale_to_ints``.  The online
+# rules decide on ``ServerLayout.scaled``, the layout's own scale, and
+# bring each request onto it by cross-multiplying.
 # ---------------------------------------------------------------------------
 
 

@@ -79,16 +79,20 @@ def surrounding_servers(
     only surrounding server and is returned on both sides.  Index order is
     position order, so one bisection of the positions finds where r falls
     and a walk outward to the nearest free index on each side finds the
-    two servers.  A call costs O(log k) position comparisons, at most one
-    exact-hit equality and one set lookup per server walked past; it
-    scans no free set.
+    two servers.  The bisection runs on ``layout.scaled``: with r = rn/rd,
+    the first position >= r is the first scaled int >= ceil(rn*scale/rd),
+    and r is on it iff int*rd == rn*scale.  A call costs one integer
+    ceiling division, O(log k) int comparisons, at most one exact-hit
+    product and one set lookup per server walked past; it scans no free
+    set and does no Fraction arithmetic.
     """
     if not free:
         raise ValidationError("surrounding servers undefined for an empty free set")
-    positions = layout.positions
-    k = len(positions)
-    right = bisect_left(positions, r)
-    if right < k and right in free and positions[right] == r:
+    ints, scale = layout.scaled
+    k = len(ints)
+    rs, rd = r.numerator * scale, r.denominator
+    right = bisect_left(ints, -(-rs // rd))
+    if right < k and right in free and ints[right] * rd == rs:
         return (right, right)
     left = right - 1
     while left >= 0 and left not in free:

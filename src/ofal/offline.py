@@ -50,12 +50,19 @@ class AugmentingPathEngine:
 
     Servers are scaled integer positions with capacities.  ``push`` adds
     one request and augments along one shortest path of the residual
-    graph (Dijkstra over potential-reduced costs), which raises exactly
-    one server's load by one.  That server is the leftmost with spare
-    capacity at minimum path cost: spare servers all carry the same
-    potential, so reduced and true distances order them alike.
-    ``assigned`` is the current optimal request->server map and ``cost``
-    its scaled total.
+    graph, which raises exactly one server's load by one.  That server is
+    the leftmost with spare capacity at minimum path cost: spare servers
+    all carry the same potential, so reduced and true distances order
+    them alike.  ``assigned`` is the current optimal request->server map,
+    ``cost`` its scaled total, and ``_held[j]`` the requests server j
+    serves, so a popped server relaxes only its own requests.
+
+    The potentials are not always feasible.  A new request starts at
+    potential 0, so after a push some of its arcs can keep a negative
+    reduced cost.  The heap loop is therefore label-correcting, not
+    Dijkstra: it settles a node again whenever a shorter path to it turns
+    up, and ends with exact distances because the residual graph of a
+    minimum-cost assignment has no negative cycle.
     """
 
     def __init__(self, servers: list[int], caps: list[int]):
@@ -63,16 +70,17 @@ class AugmentingPathEngine:
         self.caps = caps
         self.loads = [0] * len(servers)
         self.assigned: list[int] = []       # request -> server
+        self._held: list[list[int]] = [[] for _ in servers]  # server -> its requests
         self.cost = 0
         self._rows: list[list[int]] = []    # rows[i][j] = |r_i - s_j|
-        # Potentials for requests and servers keep reduced arc costs nonnegative.
+        # Potentials for requests and servers (not always feasible; see above).
         self._pot_req: list[int] = []
         self._pot_srv = [0] * len(servers)
 
     def push(self, r: int) -> int:
         """Absorb one request; return the server whose load grew."""
         servers, caps, loads, assigned = self.servers, self.caps, self.loads, self.assigned
-        rows, pot_req, pot_srv = self._rows, self._pot_req, self._pot_srv
+        rows, held, pot_req, pot_srv = self._rows, self._held, self._pot_req, self._pot_srv
         if len(assigned) >= sum(caps):
             raise ValidationError("no augmenting path; capacity exhausted")
         k = len(servers)
@@ -82,8 +90,8 @@ class AugmentingPathEngine:
         assigned.append(-1)
         n = source + 1
 
-        # Dijkstra from the new request over the residual graph; kind 0 is
-        # a request node, kind 1 a server node.
+        # Label-correcting heap search from the new request over the
+        # residual graph; kind 0 is a request node, kind 1 a server node.
         INF = float("inf")
         dist_req = [INF] * n
         dist_srv = [INF] * k
@@ -110,12 +118,11 @@ class AugmentingPathEngine:
                 if dval > dist_srv[idx]:
                     continue
                 base = dval + pot_srv[idx]
-                for i in range(n):
-                    if assigned[i] == idx:
-                        nd = base - rows[i][idx] - pot_req[i]
-                        if nd < dist_req[i]:
-                            dist_req[i] = nd
-                            heapq.heappush(heap, (nd, 0, i))
+                for i in held[idx]:
+                    nd = base - rows[i][idx] - pot_req[i]
+                    if nd < dist_req[i]:
+                        dist_req[i] = nd
+                        heapq.heappush(heap, (nd, 0, i))
         # Every server, and so every request it serves, is reachable from
         # the new request; the leftmost spare server at minimum distance wins.
         best = -1
@@ -134,9 +141,11 @@ class AugmentingPathEngine:
             i = par_srv[j]
             prev = assigned[i]
             assigned[i] = j
+            held[j].append(i)
             self.cost += rows[i][j]
             if prev == -1:
                 break
+            held[prev].remove(i)
             self.cost -= rows[i][prev]
             j = prev
         loads[best] += 1

@@ -86,8 +86,8 @@ def check_surrounding_oriented(
     """Each match must hit the nearest free server on one side of the request."""
     report = PropertyReport(name="surrounding-oriented")
     remaining = list(inst.capacities)
+    free = set(range(inst.k))  # servers with remaining > 0
     for t, r in enumerate(seq):
-        free = frozenset(j for j, c in enumerate(remaining) if c > 0)
         left, right = surrounding_servers(r, free, layout)
         j = trace.assignment[t]
         report.trials += 1
@@ -102,6 +102,8 @@ def check_surrounding_oriented(
                 )
             )
         remaining[j] -= 1
+        if remaining[j] == 0:
+            free.remove(j)
     return report
 
 

@@ -1,3 +1,4 @@
+import heapq
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from ofal.adversary import (
 )
 from ofal.core import Instance, RequestSequence, SizeGuardError, ValidationError
 from ofal.offline import (
+    AugmentingPathEngine,
     lexmin_assignment,
     noncrossing_dp_cost,
     optimal_bruteforce,
@@ -157,3 +159,113 @@ class TestLexminAssignment:
         inst = Instance(layout_of(0, 2), (1, 1))
         res = lexmin_assignment(inst, seq_of(1, 1))
         assert res.assignment == (0, 1)
+
+
+class ReferenceEngine:
+    """The engine before per-server held-request lists, inlined: a popped
+    server scans every request for the ones it serves."""
+
+    def __init__(self, servers, caps):
+        self.servers = servers
+        self.caps = caps
+        self.loads = [0] * len(servers)
+        self.assigned = []
+        self.cost = 0
+        self._rows = []
+        self._pot_req = []
+        self._pot_srv = [0] * len(servers)
+
+    def push(self, r):
+        servers, caps, loads, assigned = self.servers, self.caps, self.loads, self.assigned
+        rows, pot_req, pot_srv = self._rows, self._pot_req, self._pot_srv
+        if len(assigned) >= sum(caps):
+            raise ValidationError("no augmenting path; capacity exhausted")
+        k = len(servers)
+        source = len(assigned)
+        rows.append([abs(r - s) for s in servers])
+        pot_req.append(0)
+        assigned.append(-1)
+        n = source + 1
+        INF = float("inf")
+        dist_req = [INF] * n
+        dist_srv = [INF] * k
+        par_srv = [-1] * k
+        dist_req[source] = 0
+        heap = [(0, 0, source)]
+        while heap:
+            dval, kind, idx = heapq.heappop(heap)
+            if kind == 0:
+                if dval > dist_req[idx]:
+                    continue
+                base = dval + pot_req[idx]
+                row = rows[idx]
+                own = assigned[idx]
+                for j in range(k):
+                    if j == own:
+                        continue
+                    nd = base + row[j] - pot_srv[j]
+                    if nd < dist_srv[j]:
+                        dist_srv[j] = nd
+                        par_srv[j] = idx
+                        heapq.heappush(heap, (nd, 1, j))
+            else:
+                if dval > dist_srv[idx]:
+                    continue
+                base = dval + pot_srv[idx]
+                for i in range(n):
+                    if assigned[i] == idx:
+                        nd = base - rows[i][idx] - pot_req[i]
+                        if nd < dist_req[i]:
+                            dist_req[i] = nd
+                            heapq.heappush(heap, (nd, 0, i))
+        best = -1
+        for j in range(k):
+            if loads[j] < caps[j] and (best < 0 or dist_srv[j] < dist_srv[best]):
+                best = j
+        d_target = dist_srv[best]
+        for i in range(n):
+            pot_req[i] += min(dist_req[i], d_target)
+        for j in range(k):
+            pot_srv[j] += min(dist_srv[j], d_target)
+        j = best
+        while True:
+            i = par_srv[j]
+            prev = assigned[i]
+            assigned[i] = j
+            self.cost += rows[i][j]
+            if prev == -1:
+                break
+            self.cost -= rows[i][prev]
+            j = prev
+        loads[best] += 1
+        return best
+
+
+def engine_state(engine):
+    return (list(engine.assigned), engine.cost, list(engine._pot_req), list(engine._pot_srv))
+
+
+class TestHeldRequestLists:
+    def test_every_push_matches_the_request_scan(self):
+        # Small even coordinates and requests on servers and midpoints make
+        # distance ties, and so tie-broken paths, common.
+        rng = random.Random(20)
+        for _ in range(4000):
+            k = rng.randint(1, 7)
+            servers = sorted(rng.sample(range(0, 24, 2), k))
+            caps = [rng.randint(1, 3) for _ in range(k)]
+            n = rng.randint(1, sum(caps))
+            engine, reference = AugmentingPathEngine(servers, caps), ReferenceEngine(servers, list(caps))
+            for _ in range(n):
+                r = rng.choice((rng.choice(servers), rng.randint(-3, 27)))
+                assert engine.push(r) == reference.push(r)
+                assert engine_state(engine) == engine_state(reference)
+            held = [[i for i, j in enumerate(engine.assigned) if j == s] for s in range(k)]
+            assert [sorted(h) for h in engine._held] == held
+
+    def test_capacity_exhausted(self):
+        engine = AugmentingPathEngine([0, 4], [1, 1])
+        engine.push(1)
+        engine.push(2)
+        with pytest.raises(ValidationError, match="capacity exhausted"):
+            engine.push(3)

@@ -4,23 +4,28 @@ replaced.
 ``ptcp_decide`` narrows a sorted slice of the free set by bisection and
 compares with the critical point by integer cross products;
 ``alpha_fast`` scans intervals on scaled integers; ``dp_cost_ints`` keeps
-only the window of states that can be reached and still completed.  The
-reference functions below are the earlier code, inlined: two ``any()``
-scans and a Fraction ``<=`` per tree level, one Fraction division per
-interval, and the full triple loop over every state and block length.
-Results must be equal, including which of several tied maximisers or
-servers is reported.
+only the window of states that can be reached and still completed;
+``surrounding_servers``, ``greedy_decide`` and ``build_split_tree`` work
+on the layout's scaled integers.  The reference functions below are the
+earlier code, inlined: two ``any()`` scans and a Fraction ``<=`` per tree
+level, one Fraction division per interval, the full triple loop over
+every state and block length, a bisection of the Fraction positions,
+two Fraction distances per greedy decision and the Fraction
+critical-point formula.  Results must be equal, including which of
+several tied maximisers or servers is reported.
 """
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ofal.algorithms import build_split_tree, ptcp_decide
+from ofal.algorithms import SplitTree, build_split_tree, greedy_decide, ptcp_decide
 from ofal.alpha import Metrics, alpha_fast, gap_ratio
 from ofal.core import ServerLayout, ValidationError
+from ofal.engine import surrounding_servers
 from ofal.offline import dp_cost_ints
 
 from conftest import layout_of, layouts
@@ -239,3 +244,165 @@ class TestDpWindow:
             requests = [rng.randint(-600, 600) for _ in range(n)]
             got, expected = both(servers, caps, requests)
             assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# The scaled-integer layers: surrounding_servers, greedy_decide and
+# build_split_tree
+# ---------------------------------------------------------------------------
+
+
+def reference_surrounding_servers(r, free, layout):
+    positions = layout.positions
+    k = len(positions)
+    right = bisect_left(positions, r)
+    if right < k and right in free and positions[right] == r:
+        return (right, right)
+    left = right - 1
+    while left >= 0 and left not in free:
+        left -= 1
+    while right < k and right not in free:
+        right += 1
+    return (left if left >= 0 else None, right if right < k else None)
+
+
+def reference_greedy_decide(r, free, layout):
+    left, right = reference_surrounding_servers(r, free, layout)
+    if right is None or left == right:
+        return left
+    positions = layout.positions
+    if left is None or positions[right] - r < r - positions[left]:
+        return right
+    return left
+
+
+def reference_fraction_split_tree(layout):
+    positions = layout.positions
+    gaps = layout.gaps()
+
+    def build(lo, hi):
+        if lo == hi:
+            return SplitTree(lo=lo, hi=hi)
+        a = max(range(lo, hi), key=gaps.__getitem__)
+        d = gaps[a]
+        delta1 = positions[a] - positions[lo]
+        delta2 = positions[hi] - positions[a + 1]
+        x = d * (delta2 + d) / ((delta1 + d) + (delta2 + d))
+        return SplitTree(
+            lo=lo,
+            hi=hi,
+            a=a,
+            d=d,
+            delta1=delta1,
+            delta2=delta2,
+            x=x,
+            critical=positions[a] + x,
+            left=build(lo, a),
+            right=build(a + 1, hi),
+        )
+
+    return build(0, layout.k - 1)
+
+
+@st.composite
+def mixed_layouts(draw, max_k=12):
+    """Layouts whose positions have mixed denominators and may be negative."""
+    k = draw(st.integers(1, max_k))
+    values = draw(
+        st.sets(
+            st.builds(Fraction, st.integers(-60, 60), st.sampled_from((1, 2, 3, 5, 7, 12))),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    return ServerLayout(tuple(sorted(values)))
+
+
+def boundary_requests(layout):
+    """Every server, every midpoint of two servers (a distance tie once the
+    servers between them are used), every critical point, and points just
+    outside the hull and just beside each server."""
+    positions = layout.positions
+    points = set(positions)
+    points.update((a + b) / 2 for i, a in enumerate(positions) for b in positions[i + 1 :])
+    points.update(node.critical for node in build_split_tree(layout).nodes() if not node.is_leaf)
+    eps = Fraction(1, 97)
+    points.update((positions[0] - 1, positions[0] - eps, positions[-1] + eps, positions[-1] + 3))
+    points.update(p + sign * eps for p in positions for sign in (-1, 1))
+    return sorted(points)
+
+
+@st.composite
+def thinned_free_sets(draw, k):
+    """A free set that is all servers, a random subset, or at most three
+    servers, so the walk often crosses used servers."""
+    kind = draw(st.sampled_from(("all", "subset", "few")))
+    if kind == "all":
+        return frozenset(range(k))
+    max_size = k if kind == "subset" else min(k, 3)
+    return frozenset(draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=max_size)))
+
+
+class TestScaledLayers:
+    @given(mixed_layouts(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_walk_and_greedy_match_the_fraction_code(self, layout, data):
+        requests = boundary_requests(layout)
+        for _ in range(3):
+            free = data.draw(thinned_free_sets(layout.k))
+            for r in requests:
+                assert surrounding_servers(r, free, layout) == reference_surrounding_servers(r, free, layout)
+                assert greedy_decide(r, free, layout) == reference_greedy_decide(r, free, layout)
+
+    @given(layouts(max_k=10, den=4, hull=12), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_walk_and_greedy_on_a_grid(self, layout, data):
+        free = data.draw(thinned_free_sets(layout.k))
+        for t in range(-9, 12 * 8 + 9):
+            r = Fraction(t, 8)
+            assert surrounding_servers(r, free, layout) == reference_surrounding_servers(r, free, layout)
+            assert greedy_decide(r, free, layout) == reference_greedy_decide(r, free, layout)
+
+    @given(mixed_layouts(max_k=16))
+    @settings(max_examples=200, deadline=None)
+    def test_split_tree_matches_the_fraction_formula(self, layout):
+        tree = build_split_tree(layout)
+        # Dataclass equality compares every field but critical_pair.
+        assert tree == reference_fraction_split_tree(layout)
+        for node in tree.nodes():
+            if node.is_leaf:
+                assert node.critical_pair is None
+            else:
+                c = node.critical
+                assert node.critical_pair == (c.numerator, c.denominator)
+                assert all(
+                    type(v) is Fraction for v in (node.d, node.delta1, node.delta2, node.x, c)
+                )
+
+    @given(mixed_layouts(max_k=12), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_ptcp_on_mixed_layouts(self, layout, data):
+        tree = build_split_tree(layout)
+        requests = boundary_requests(layout)
+        for _ in range(3):
+            free = data.draw(thinned_free_sets(layout.k))
+            for r in requests:
+                assert ptcp_decide(tree, r, free) == reference_ptcp_decide(tree, r, free)
+
+    def test_literal_boundaries(self):
+        layout = ServerLayout((Fraction(-7, 3), Fraction(-1, 2), Fraction(5, 7)))
+        everyone = frozenset(range(3))
+        # On a server, and just beside it.
+        assert surrounding_servers(Fraction(-1, 2), everyone, layout) == (1, 1)
+        assert surrounding_servers(Fraction(-1, 2) + Fraction(1, 10**9), everyone, layout) == (1, 2)
+        assert surrounding_servers(Fraction(-1, 2) - Fraction(1, 10**9), everyone, layout) == (0, 1)
+        # On a used server: the walk crosses it both ways.
+        assert surrounding_servers(Fraction(-1, 2), frozenset({0, 2}), layout) == (0, 2)
+        # Midpoint of servers 0 and 2 with 1 used: a distance tie goes left.
+        mid = (Fraction(-7, 3) + Fraction(5, 7)) / 2
+        assert greedy_decide(mid, frozenset({0, 2}), layout) == 0
+        assert greedy_decide(mid + Fraction(1, 10**9), frozenset({0, 2}), layout) == 2
+        # Outside the hull.
+        assert surrounding_servers(Fraction(-3), everyone, layout) == (None, 0)
+        assert surrounding_servers(Fraction(1), everyone, layout) == (2, None)
+        assert greedy_decide(Fraction(-3), frozenset({2}), layout) == 2
