@@ -31,13 +31,21 @@ COMMANDS: dict[str, tuple[str, ...]] = {
     "simulate-ptcp": ("simulate", "--alg", "ptcp", INST, SEQ),
     "simulate-greedy": ("simulate", "--alg", "greedy", INST, SEQ),
     "simulate-permutation": ("simulate", "--alg", "permutation", INST, SEQ),
+    "opt": ("opt", INST, SEQ),
     "verify-surrounding-greedy": ("verify", "surrounding", "--alg", "greedy", "--k", "3", "--trials", "20"),
+    "verify-surrounding-ptcp": ("verify", "surrounding", "--alg", "ptcp", "--k", "3", "--trials", "20"),
     "verify-hybrid-ptcp": ("verify", "hybrid", "--alg", "ptcp", "--k", "3", "--trials", "40"),
     "verify-hybrid-greedy": ("verify", "hybrid", "--alg", "greedy", "--k", "3", "--trials", "40"),
     "verify-capacity-k2": ("verify", "capacity", "--k", "2"),
     "alpha": ("alpha", INST),
     "alpha-csv": ("--format", "csv", "alpha", INST),
     "adversary-greedy-k4": ("adversary", "greedy", "--k", "4"),
+    "adversary-permutation-k3": ("adversary", "permutation", "--k", "3"),
+    **{
+        f"reproduce-{table}{suffix}": (*fmt, "reproduce", table)
+        for table in ("thm46", "thm47", "tightness-k2")
+        for suffix, fmt in (("", ()), ("-csv", ("--format", "csv")))
+    },
     **{
         f"verify-{check}-{alg}": ("verify", check, "--alg", alg, "--k", "3", "--trials", "40")
         for check in ("faithful", "ratio", "adx")
