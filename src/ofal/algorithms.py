@@ -10,7 +10,7 @@ the right block, and symmetrically.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -97,7 +97,7 @@ def build_split_tree(layout: ServerLayout) -> SplitTree:
     return build(0, layout.k - 1)
 
 
-def ptcp_decide(tree: SplitTree, r: Fraction, free: frozenset[int]) -> int:
+def ptcp_decide(tree: SplitTree, r: Fraction, free: tuple[int, ...]) -> int:
     """Descend the split tree to a free server for request r.
 
     At each internal node: go left iff (r <= critical point and the left
@@ -105,20 +105,19 @@ def ptcp_decide(tree: SplitTree, r: Fraction, free: frozenset[int]) -> int:
     r == critical point goes left.  Raises ValidationError for an empty
     free set.
 
-    ``free`` is sorted once; each level narrows the slice of it that lies
-    in the node's block with one bisection, and compares r with the
+    ``free`` is increasing, so each level narrows the slice of it that
+    lies in the node's block with one bisection, and compares r with the
     node's ``critical_pair`` as an integer cross product.  A call costs
-    O(f log f + depth * log f) for f free servers, with no Fraction
-    arithmetic and no Fraction attribute read.
+    O(depth * log f) for f free servers, with no copy or sort of ``free``,
+    no Fraction arithmetic and no Fraction attribute read.
     """
     if not free:
         raise ValidationError("ptcp undefined for an empty free set")
-    fs = sorted(free)
-    i0, i1 = 0, len(fs)  # fs[i0:i1] are the free servers in the node's block
+    i0, i1 = 0, len(free)  # free[i0:i1] are the free servers in the node's block
     rn, rd = r.numerator, r.denominator
     node = tree
     while not node.is_leaf:
-        m = bisect_right(fs, node.a, i0, i1)
+        m = bisect_right(free, node.a, i0, i1)
         cn, cd = node.critical_pair
         if m == i1 or (m > i0 and rn * cd <= cn * rd):
             node, i1 = node.left, m
@@ -130,18 +129,18 @@ def ptcp_decide(tree: SplitTree, r: Fraction, free: frozenset[int]) -> int:
 def ptcp_rule(layout: ServerLayout) -> PriorityRule:
     tree = build_split_tree(layout)
 
-    def decide(r: Fraction, free: frozenset[int]) -> int:
+    def decide(r: Fraction, free: tuple[int, ...]) -> int:
         return ptcp_decide(tree, r, free)
 
     return PriorityRule(id="ptcp", decide=decide)
 
 
-def greedy_decide(r: Fraction, free: frozenset[int], layout: ServerLayout) -> int:
+def greedy_decide(r: Fraction, free: tuple[int, ...], layout: ServerLayout) -> int:
     """Nearest free server: the nearer of the two ``surrounding_servers``.
     Positions are distinct, so an exact distance tie is between one server
     on each side; it breaks to the left.
 
-    A call costs one ``surrounding_servers`` walk, then, when r has a free
+    A call costs one ``surrounding_servers`` call, then, when r has a free
     server on each side and sits on none, one integer comparison on
     ``layout.scaled``: s_R - r < r - s_L iff (S_L + S_R) * rd < 2 * rn * scale
     for r = rn/rd.
@@ -156,7 +155,7 @@ def greedy_decide(r: Fraction, free: frozenset[int], layout: ServerLayout) -> in
 
 
 def greedy_rule(layout: ServerLayout) -> PriorityRule:
-    def decide(r: Fraction, free: frozenset[int]) -> int:
+    def decide(r: Fraction, free: tuple[int, ...]) -> int:
         return greedy_decide(r, free, layout)
 
     return PriorityRule(id="greedy", decide=decide)
@@ -184,8 +183,8 @@ def guard_rule(
     threshold = s_k + x
     new_index = k
 
-    def decide(r: Fraction, free: frozenset[int]) -> int:
-        base_free = frozenset(j for j in free if j < k)
+    def decide(r: Fraction, free: tuple[int, ...]) -> int:
+        base_free = free[:bisect_left(free, k)]
         if r <= threshold:
             if base_free:
                 return base.decide(r, base_free)

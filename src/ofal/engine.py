@@ -1,12 +1,13 @@
 """The one simulation loop for online assignment rules.
 
-A rule sees the request position and the current free-server set and
-must name a free server.  The simulator owns all capacity bookkeeping; a
-rule that names a non-free server is a hard error, not a recoverable one.
-Priority rules decide from those two inputs alone; the permutation rule
-and hybrid runs use stateful deciders that also depend on the history.
-Whether a rule really is of the fixed-priority kind (one total order per
-request position) is checked empirically by ``derive_priority_order``.
+A rule sees the request position and the current free servers, as the
+tuple of their indices in increasing order, and must name a free server.
+The simulator owns all capacity bookkeeping; a rule that names a
+non-free server is a hard error, not a recoverable one.  Priority rules
+decide from those two inputs alone; the permutation rule and hybrid
+runs use stateful deciders that also depend on the history.  Whether a
+rule really is of the fixed-priority kind (one total order per request
+position) is checked empirically by ``derive_priority_order``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .core import (
     validate_pair,
 )
 
-DecideFn = Callable[[Fraction, frozenset[int]], int]
+DecideFn = Callable[[Fraction, tuple[int, ...]], int]
 
 
 @dataclass(frozen=True)
@@ -39,24 +40,26 @@ class PriorityRule:
 
 
 def simulate(rule: PriorityRule, inst: Instance, seq: RequestSequence) -> AssignmentTrace:
-    """Run a rule over a sequence, recording matches, costs and free sets."""
+    """Run a rule over a sequence, recording matches, costs and free sets;
+    the free tuple is rebuilt only when a server runs out."""
     violation = validate_pair(inst, seq)
     if violation is not None:
         raise ValidationError(violation)
     remaining = list(inst.capacities)
-    free = set(range(inst.k))
+    free = tuple(range(inst.k))
     assignment: list[int] = []
     snapshots: list[tuple[int, ...]] = []
     costs: list[Fraction] = []
     total = Fraction(0)
     positions = inst.layout.positions
     for r in seq:
-        j = rule.decide(r, frozenset(free))
+        j = rule.decide(r, free)
         if j not in free:
             raise RuleError(f"rule {rule.id!r} chose non-free server {j} for request {r}")
         remaining[j] -= 1
         if remaining[j] == 0:
-            free.remove(j)
+            i = bisect_left(free, j)
+            free = free[:i] + free[i + 1:]
         cost = abs(r - positions[j])
         total += cost
         assignment.append(j)
@@ -71,35 +74,30 @@ def simulate(rule: PriorityRule, inst: Instance, seq: RequestSequence) -> Assign
 
 
 def surrounding_servers(
-    r: Fraction, free: frozenset[int], layout: ServerLayout
+    r: Fraction, free: tuple[int, ...], layout: ServerLayout
 ) -> tuple[int | None, int | None]:
     """Closest free server on each side of a request position.
 
     When the request sits exactly on a free server, that server is the
     only surrounding server and is returned on both sides.  Index order is
-    position order, so one bisection of the positions finds where r falls
-    and a walk outward to the nearest free index on each side finds the
-    two servers.  The bisection runs on ``layout.scaled``: with r = rn/rd,
-    the first position >= r is the first scaled int >= ceil(rn*scale/rd),
-    and r is on it iff int*rd == rn*scale.  A call costs one integer
-    ceiling division, O(log k) int comparisons, at most one exact-hit
-    product and one set lookup per server walked past; it scans no free
-    set and does no Fraction arithmetic.
+    position order: one bisection of ``layout.scaled`` finds the first
+    server p at or right of r = rn/rd (the first int >= ceil(rn*scale/rd);
+    r is on it iff int*rd == rn*scale), and one bisection of the free
+    tuple at p gives both answers, free[i - 1] and free[i].  A call costs
+    one integer ceiling division, O(log k + log f) int comparisons for f
+    free servers and at most one exact-hit product; it walks no used
+    server and does no Fraction arithmetic.
     """
     if not free:
         raise ValidationError("surrounding servers undefined for an empty free set")
     ints, scale = layout.scaled
-    k = len(ints)
     rs, rd = r.numerator * scale, r.denominator
-    right = bisect_left(ints, -(-rs // rd))
-    if right < k and right in free and ints[right] * rd == rs:
-        return (right, right)
-    left = right - 1
-    while left >= 0 and left not in free:
-        left -= 1
-    while right < k and right not in free:
-        right += 1
-    return (left if left >= 0 else None, right if right < k else None)
+    p = bisect_left(ints, -(-rs // rd))
+    i = bisect_left(free, p)
+    right = free[i] if i < len(free) else None
+    if right == p and ints[p] * rd == rs:
+        return (p, p)
+    return (free[i - 1] if i else None, right)
 
 
 def derive_priority_order(
@@ -117,24 +115,25 @@ def derive_priority_order(
     inconsistency means the rule's choice depends on more than (position,
     free set restricted through one order) and it is reported as RuleError.
     """
-    remaining = set(range(k))
+    remaining = tuple(range(k))
     order: list[int] = []
     while remaining:
-        j = rule.decide(r, frozenset(remaining))
+        j = rule.decide(r, remaining)
         if j not in remaining:
             raise RuleError(f"rule {rule.id!r} chose non-free server {j}")
         order.append(j)
-        remaining.remove(j)
+        i = bisect_left(remaining, j)
+        remaining = remaining[:i] + remaining[i + 1:]
     rank = {j: pos for pos, j in enumerate(order)}
     rng = random.Random(seed)
     for _ in range(consistency_trials):
         size = rng.randint(1, k)
-        subset = frozenset(rng.sample(range(k), size))
+        subset = tuple(sorted(rng.sample(range(k), size)))
         picked = rule.decide(r, subset)
         expected = min(subset, key=rank.__getitem__)
         if picked != expected:
             raise RuleError(
                 f"rule {rule.id!r} is not priority-consistent at r={r}: "
-                f"picked {picked} from {sorted(subset)}, order says {expected}"
+                f"picked {picked} from {list(subset)}, order says {expected}"
             )
     return tuple(order)

@@ -247,15 +247,16 @@ def c3_candidates(
     choice.  When r_i has a single surrounding server the fallback is the
     nearest other free server on each side of the rule's choice (its
     surrounding servers once it is taken out); both are tested when both
-    exist.  Each call is one or two ``surrounding_servers`` walks.
+    exist.  Each call is one sort and one or two ``surrounding_servers`` calls.
     """
     inst = unit_instance(layout)
-    free = free_before(base, inst, i)
+    free = tuple(sorted(free_before(base, inst, i)))
     chosen = base.assignment[i]
     left, right = surrounding_servers(seq[i], free, layout)
     candidates = {j for j in (left, right) if j is not None and j != chosen}
     if not candidates and len(free) > 1:
-        candidates = set(surrounding_servers(layout[chosen], free - {chosen}, layout)) - {None}
+        c = free.index(chosen)
+        candidates = set(surrounding_servers(layout[chosen], free[:c] + free[c + 1:], layout)) - {None}
     return sorted(candidates)
 
 

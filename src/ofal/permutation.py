@@ -33,7 +33,7 @@ def permutation_run(inst: Instance, seq: RequestSequence) -> AssignmentTrace:
     engine = AugmentingPathEngine(servers, list(inst.capacities))
     scaled = iter(requests)
 
-    def decide(r: Fraction, free: frozenset[int]) -> int:
+    def decide(r: Fraction, free: tuple[int, ...]) -> int:
         return engine.push(next(scaled))
 
     return simulate(PriorityRule("permutation", decide), inst, seq)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -86,7 +87,7 @@ def check_surrounding_oriented(
     """Each match must hit the nearest free server on one side of the request."""
     report = PropertyReport(name="surrounding-oriented")
     remaining = list(inst.capacities)
-    free = set(range(inst.k))  # servers with remaining > 0
+    free = tuple(range(inst.k))  # servers with remaining > 0
     for t, r in enumerate(seq):
         left, right = surrounding_servers(r, free, layout)
         j = trace.assignment[t]
@@ -103,7 +104,8 @@ def check_surrounding_oriented(
             )
         remaining[j] -= 1
         if remaining[j] == 0:
-            free.remove(j)
+            i = bisect_left(free, j)
+            free = free[:i] + free[i + 1:]
     return report
 
 
@@ -359,7 +361,6 @@ def grid_search_max_rate(
     nodes = [0]
     anomalies: list[dict] = []
     remaining = list(caps0)
-    free = set(range(inst.k))
     chosen: list[Fraction] = []
     chosen_int: list[int] = []
 
@@ -378,7 +379,7 @@ def grid_search_max_rate(
         if alg_int * best[1] > best[0] * opt_int:
             best[:] = alg_int, opt_int, tuple(chosen)
 
-    def dfs(depth: int, rank: int, alg_int: int) -> None:
+    def dfs(depth: int, rank: int, alg_int: int, free: tuple[int, ...]) -> None:
         nodes[0] += 1
         if depth > 0:
             consider(depth, rank, alg_int)
@@ -391,25 +392,24 @@ def grid_search_max_rate(
         for q in range(n_points - 2, -1, -1):
             s -= counts[q + 1]
             lift[q] = lift[q + 1] + binom[s + q][q]
-        free_now = frozenset(free)
         for x, (p, p_int) in enumerate(zip(points, points_int)):
-            j = rule.decide(p, free_now)
-            if j not in free_now:
+            j = rule.decide(p, free)
+            if j not in free:
                 raise RuleError(f"rule {rule.id!r} chose non-free server {j} for request {p}")
             remaining[j] -= 1
+            child = free
             if remaining[j] == 0:
-                free.remove(j)
+                i = bisect_left(free, j)
+                child = free[:i] + free[i + 1:]
             chosen.append(p)
             chosen_int.append(p_int)
             counts[x] += 1
-            dfs(depth + 1, rank + lift[x], alg_int + abs(p_int - servers_int[j]))
+            dfs(depth + 1, rank + lift[x], alg_int + abs(p_int - servers_int[j]), child)
             counts[x] -= 1
             chosen.pop()
             chosen_int.pop()
-            if remaining[j] == 0:
-                free.add(j)
             remaining[j] += 1
-    dfs(0, 0, 0)
+    dfs(0, 0, 0, tuple(range(inst.k)))
     return GridSearchResult(
         best_rate=Fraction(best[0], best[1]),
         best_sequence=best[2],

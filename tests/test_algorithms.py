@@ -76,15 +76,15 @@ class TestSplitTree:
 class TestSplitRuleDecisions:
     def test_boundary_goes_left(self):
         tree = build_split_tree(layout_of(0, 2))
-        assert ptcp_decide(tree, Fraction(1), frozenset({0, 1})) == 0
+        assert ptcp_decide(tree, Fraction(1), (0, 1)) == 0
 
     def test_only_free_server_wins(self):
         tree = build_split_tree(layout_of(0, 2))
-        assert ptcp_decide(tree, Fraction(1, 10), frozenset({1})) == 1
+        assert ptcp_decide(tree, Fraction(1, 10), (1,)) == 1
 
     def test_recursive_descent(self):
         tree = build_split_tree(layout_of(0, 1, 3))
-        full = frozenset({0, 1, 2})
+        full = (0, 1, 2)
         assert ptcp_decide(tree, Fraction(17, 10), full) == 1
         assert ptcp_decide(tree, Fraction(19, 10), full) == 2
         assert ptcp_decide(tree, Fraction(9, 5), full) == 1  # exactly critical
@@ -98,7 +98,7 @@ class TestSplitRuleDecisions:
         k = layout.k
         for size in range(1, k + 1):
             for combo in itertools.islice(itertools.combinations(range(k), size), 12):
-                free = frozenset(combo)
+                free = combo
                 r = layout.positions[0] + Fraction(1, 3)
                 assert ptcp_decide(tree, r, free) in free
 
@@ -107,14 +107,14 @@ class TestGreedy:
     def test_nearest_and_cascade(self):
         layout = layout_of(0, 2, 4, 8)
         delta = Fraction(1, 100)
-        assert greedy_decide(2 + delta, frozenset({0, 1, 2, 3}), layout) == 1
-        assert greedy_decide(2 + delta, frozenset({0, 2, 3}), layout) == 2
+        assert greedy_decide(2 + delta, (0, 1, 2, 3), layout) == 1
+        assert greedy_decide(2 + delta, (0, 2, 3), layout) == 2
 
     def test_tie_breaks_left(self):
-        assert greedy_decide(Fraction(1), frozenset({0, 1}), layout_of(0, 2)) == 0
+        assert greedy_decide(Fraction(1), (0, 1), layout_of(0, 2)) == 0
 
     def test_singleton(self):
-        assert greedy_decide(Fraction(100), frozenset({0}), layout_of(0, 2)) == 0
+        assert greedy_decide(Fraction(100), (0,), layout_of(0, 2)) == 0
 
 
 class TestGuardRule:
@@ -129,16 +129,16 @@ class TestGuardRule:
 
     def test_threshold_boundary_uses_base(self):
         # r == s_k + x with base servers free: base rule decides.
-        assert self.rule.decide(Fraction(2), frozenset({0, 1, 2})) in (0, 1)
+        assert self.rule.decide(Fraction(2), (0, 1, 2)) in (0, 1)
 
     def test_all_base_full_falls_through(self):
-        assert self.rule.decide(Fraction(0), frozenset({2})) == 2
+        assert self.rule.decide(Fraction(0), (2,)) == 2
 
     def test_new_server_full_falls_back(self):
-        assert self.rule.decide(Fraction(4), frozenset({0, 1})) == 1
+        assert self.rule.decide(Fraction(4), (0, 1)) == 1
 
     def test_right_of_threshold_prefers_new_server(self):
-        assert self.rule.decide(Fraction(5, 2), frozenset({0, 1, 2})) == 2
+        assert self.rule.decide(Fraction(5, 2), (0, 1, 2)) == 2
 
     def test_invalid_offset_rejected(self):
         with pytest.raises(ValidationError):

@@ -54,23 +54,23 @@ class TestSimulate:
 class TestSurroundingServers:
     def test_both_sides(self):
         layout = layout_of(0, 2, 4)
-        assert surrounding_servers(Fraction(1), frozenset({0, 2}), layout) == (0, 2)
+        assert surrounding_servers(Fraction(1), (0, 2), layout) == (0, 2)
 
     def test_one_side_missing(self):
         layout = layout_of(0, 2)
-        assert surrounding_servers(Fraction(1), frozenset({1}), layout) == (None, 1)
+        assert surrounding_servers(Fraction(1), (1,), layout) == (None, 1)
 
     def test_request_on_free_server(self):
         layout = layout_of(0, 2)
-        assert surrounding_servers(Fraction(2), frozenset({0, 1}), layout) == (1, 1)
+        assert surrounding_servers(Fraction(2), (0, 1), layout) == (1, 1)
 
     def test_request_on_full_server(self):
         layout = layout_of(0, 2, 4)
-        assert surrounding_servers(Fraction(2), frozenset({0, 2}), layout) == (0, 2)
+        assert surrounding_servers(Fraction(2), (0, 2), layout) == (0, 2)
 
     def test_empty_free_set_rejected(self):
         with pytest.raises(ValidationError):
-            surrounding_servers(Fraction(1), frozenset(), layout_of(0))
+            surrounding_servers(Fraction(1), (), layout_of(0))
 
 
 class TestPriorityOrder:

@@ -59,7 +59,7 @@ def reference_grid_search(rule, inst, points, n_max):
         if depth == depth_cap:
             return
         for p, p_int in zip(points, points_int):
-            j = rule.decide(p, frozenset(free))
+            j = rule.decide(p, tuple(sorted(free)))
             remaining[j] -= 1
             if remaining[j] == 0:
                 free.remove(j)

@@ -130,7 +130,7 @@ def ptcp_cases(draw):
     grid = st.integers(-8, 8 * 12 + 8).map(lambda t: Fraction(t, 8))
     candidates = critical_points(tree) + list(layout.positions)
     r = draw(st.one_of(st.sampled_from(candidates), grid))
-    return tree, r, frozenset(free)
+    return tree, r, tuple(sorted(free))
 
 
 class TestPtcpDecide:
@@ -146,11 +146,11 @@ class TestPtcpDecide:
         # With every server free, a request exactly on a node's critical
         # point that reaches the node lands in its left block.
         tree = build_split_tree(layout)
-        full = frozenset(range(layout.k))
+        full = tuple(range(layout.k))
         for node in tree.nodes():
             if node.is_leaf:
                 continue
-            free = frozenset(range(node.lo, node.hi + 1))
+            free = tuple(range(node.lo, node.hi + 1))
             j = ptcp_decide(tree, node.critical, free)
             assert node.lo <= j <= node.a
             assert j == reference_ptcp_decide(tree, node.critical, free)
@@ -162,14 +162,14 @@ class TestPtcpDecide:
         tree = build_split_tree(layout_of(0, 1, 3, 4))
         # Root splits after server 1 at critical point 2.
         assert tree.a == 1 and tree.critical == 2
-        assert ptcp_decide(tree, Fraction(0), frozenset({2, 3})) == 2
-        assert ptcp_decide(tree, Fraction(4), frozenset({0, 1})) == 1
-        assert ptcp_decide(tree, Fraction(2), frozenset({0, 3})) == 0
+        assert ptcp_decide(tree, Fraction(0), (2, 3)) == 2
+        assert ptcp_decide(tree, Fraction(4), (0, 1)) == 1
+        assert ptcp_decide(tree, Fraction(2), (0, 3)) == 0
 
     def test_empty_free_set_refused(self):
         tree = build_split_tree(layout_of(0, 2))
         with pytest.raises(ValidationError):
-            ptcp_decide(tree, Fraction(1), frozenset())
+            ptcp_decide(tree, Fraction(1), ())
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +339,9 @@ def thinned_free_sets(draw, k):
     servers, so the walk often crosses used servers."""
     kind = draw(st.sampled_from(("all", "subset", "few")))
     if kind == "all":
-        return frozenset(range(k))
+        return tuple(range(k))
     max_size = k if kind == "subset" else min(k, 3)
-    return frozenset(draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=max_size)))
+    return tuple(sorted(draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=max_size))))
 
 
 class TestScaledLayers:
@@ -373,18 +373,18 @@ class TestScaledLayers:
 
     def test_literal_boundaries(self):
         layout = ServerLayout((Fraction(-7, 3), Fraction(-1, 2), Fraction(5, 7)))
-        everyone = frozenset(range(3))
+        everyone = tuple(range(3))
         # On a server, and just beside it.
         assert surrounding_servers(Fraction(-1, 2), everyone, layout) == (1, 1)
         assert surrounding_servers(Fraction(-1, 2) + Fraction(1, 10**9), everyone, layout) == (1, 2)
         assert surrounding_servers(Fraction(-1, 2) - Fraction(1, 10**9), everyone, layout) == (0, 1)
         # On a used server: the walk crosses it both ways.
-        assert surrounding_servers(Fraction(-1, 2), frozenset({0, 2}), layout) == (0, 2)
+        assert surrounding_servers(Fraction(-1, 2), (0, 2), layout) == (0, 2)
         # Midpoint of servers 0 and 2 with 1 used: a distance tie goes left.
         mid = (Fraction(-7, 3) + Fraction(5, 7)) / 2
-        assert greedy_decide(mid, frozenset({0, 2}), layout) == 0
-        assert greedy_decide(mid + Fraction(1, 10**9), frozenset({0, 2}), layout) == 2
+        assert greedy_decide(mid, (0, 2), layout) == 0
+        assert greedy_decide(mid + Fraction(1, 10**9), (0, 2), layout) == 2
         # Outside the hull.
         assert surrounding_servers(Fraction(-3), everyone, layout) == (None, 0)
         assert surrounding_servers(Fraction(1), everyone, layout) == (2, None)
-        assert greedy_decide(Fraction(-3), frozenset({2}), layout) == 2
+        assert greedy_decide(Fraction(-3), (2,), layout) == 2
