@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -70,10 +71,34 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        """Check every field's type and range; a trial rebuilds the config,
+        so this stays a handful of isinstance tests."""
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValidationError(f"unknown algorithm {alg!r}")
+        _check_int("trials", self.trials, 0)
+        _check_int("seed", self.seed, None)
+        _check_int("jobs", self.jobs, 1)
+        for key in ("out_csv", "out_json"):
+            if not isinstance(getattr(self, key), (str, type(None))):
+                raise ValidationError(f"config {key} must be a path string or null")
+        if not isinstance(self.assert_bounds, bool):
+            raise ValidationError("config assert_bounds must be true or false")
+        src, seq_src = self.instance_source, self.sequence_source
+        for key, source in (("instance_source", src), ("sequence_source", seq_src)):
+            if not isinstance(source, dict):
+                raise ValidationError(f"config {key} must be an object")
+            if source.get("kind") == "file" and not isinstance(source.get("path"), str):
+                raise ValidationError(f"config {key} of kind file needs a path string")
+        if src.get("kind") == "adversary":
+            _check_int("instance_source.k", src.get("k"), 1)
+            _check_int("instance_source.capacity", src.get("capacity", 1), 1)
+        if src.get("kind") == "random":
+            _check_int("instance_source.k_max", src.get("k_max", 6), 1)
+            _check_int("instance_source.cap_max", src.get("cap_max", 1), 1)
+        if seq_src.get("kind") == "random":
+            _check_int("sequence_source.n_max", seq_src.get("n_max", 10), 0)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -85,6 +110,13 @@ class ExperimentConfig:
             return ExperimentConfig(**data)
         except TypeError as exc:
             raise ParseError(f"bad config: {exc}") from None
+
+
+def _check_int(key: str, value, least: int | None) -> None:
+    """Refuse a config value that is not an int (bools too) or is below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
+        wanted = "an integer" if least is None else f"an integer >= {least}"
+        raise ValidationError(f"config {key} must be {wanted}, got {value!r}")
 
 
 def run_algorithm(name: str, inst: Instance, seq: RequestSequence):
@@ -105,10 +137,10 @@ def _materialize_trial(config: ExperimentConfig, trial: int) -> tuple[str, Insta
         inst = load_instance(src["path"])
         label = Path(src["path"]).stem
     elif kind == "adversary":
-        family = src["family"]
-        k = int(src["k"])
+        family = src.get("family")
+        k = src["k"]
         epsilon = to_coord(src.get("epsilon", "1/10"))
-        capacity = int(src.get("capacity", 1))
+        capacity = src.get("capacity", 1)
         if family == "greedy":
             inst, adv_seq = greedy_adversary(greedy_params(k, epsilon, capacity))
         elif family == "permutation":
@@ -117,8 +149,8 @@ def _materialize_trial(config: ExperimentConfig, trial: int) -> tuple[str, Insta
             raise ValidationError(f"unknown adversary family {family!r}")
         label = f"{family}-k{k}"
     elif kind == "random":
-        k = rng.randint(1, int(src.get("k_max", 6)))
-        inst = random_instance(rng, k, cap_max=int(src.get("cap_max", 1)))
+        k = rng.randint(1, src.get("k_max", 6))
+        inst = random_instance(rng, k, cap_max=src.get("cap_max", 1))
         label = f"random-k{k}"
     else:
         raise ValidationError(f"unknown instance source {kind!r}")
@@ -131,7 +163,7 @@ def _materialize_trial(config: ExperimentConfig, trial: int) -> tuple[str, Insta
             raise ValidationError("adversary sequences require an adversary instance")
         seq = adv_seq
     elif seq_kind == "random":
-        n = rng.randint(0, min(int(seq_src.get("n_max", 10)), inst.total_capacity))
+        n = rng.randint(0, min(seq_src.get("n_max", 10), inst.total_capacity))
         seq = next(
             random_sequences(
                 inst,
@@ -225,8 +257,11 @@ class ExperimentResult:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     payloads = [(config.to_dict(), t) for t in range(config.trials)]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    # One worker per trial at most, and no more than the machine's cores:
+    # a fork pool may start every worker it is allowed up front.
+    workers = min(config.jobs, config.trials, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_trial, payloads))
     else:
         chunks = [_run_trial(p) for p in payloads]

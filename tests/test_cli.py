@@ -244,6 +244,44 @@ class TestBatch:
             assert code == EXIT_ERROR
             assert err.startswith("error:") and err.count("\n") == 1
 
+    RUN_CONFIG = {
+        "algorithms": ["ptcp"],
+        "instance_source": {"kind": "random", "k_max": 3},
+        "sequence_source": {"kind": "random", "n_max": 3},
+        "trials": 2,
+    }
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"trials": "2"},
+            {"jobs": "2"},
+            {"instance_source": "random"},
+            {"instance_source": {"kind": "random", "k_max": 0}},
+            {"sequence_source": {"kind": "random", "n_max": "many"}},
+            {"instance_source": {"kind": "file"}},
+            {
+                "instance_source": {"kind": "adversary", "family": "greedy", "k": "x"},
+                "sequence_source": {"kind": "adversary"},
+            },
+        ],
+        ids=[
+            "trials-string",
+            "jobs-string",
+            "source-string",
+            "k_max-0",
+            "n_max-string",
+            "file-no-path",
+            "adversary-k-string",
+        ],
+    )
+    def test_bad_config_values_are_input_errors(self, capsys, tmp_path, change):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(self.RUN_CONFIG, **change)))
+        code, out, err = run_cli(capsys, "run", str(cfg))
+        assert code == EXIT_ERROR
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
     def test_reproduce_text(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "csv", "reproduce", "thm46", "--k", "3")
         assert code == EXIT_OK

@@ -52,6 +52,40 @@ class TestRunExperiment:
         parallel = run_experiment(ExperimentConfig(**dict(BASE_CONFIG, jobs=2)))
         assert serial.csv_text == parallel.csv_text
 
+    def test_worker_pool_is_bounded(self, monkeypatch):
+        # A stand-in executor records max_workers and runs the trials
+        # in-process, so no worker process is started.
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        serial = run_experiment(ExperimentConfig(**BASE_CONFIG))
+        wide = run_experiment(ExperimentConfig(**dict(BASE_CONFIG, jobs=1000)))
+        assert made == [4]
+        assert wide.summary["config"]["jobs"] == 1000
+        assert wide.csv_text == serial.csv_text
+        run_experiment(ExperimentConfig(**dict(BASE_CONFIG, jobs=1000, trials=3)))
+        run_experiment(ExperimentConfig(**dict(BASE_CONFIG, jobs=3)))
+        assert made == [4, 3, 3]
+        # One trial, or one core, runs in-process.
+        run_experiment(ExperimentConfig(**dict(BASE_CONFIG, jobs=1000, trials=1)))
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        run_experiment(ExperimentConfig(**dict(BASE_CONFIG, jobs=1000)))
+        assert made == [4, 3, 3]
+
     def test_rates_recomputable_from_reproducers(self):
         result = run_experiment(ExperimentConfig(**BASE_CONFIG))
         for run in result.summary["runs"]:
