@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ServerLayout, SizeGuardError, scale_to_ints
+from .core import ServerLayout, SizeGuardError
 
 BRUTEFORCE_MAX_K = 20
 
@@ -49,7 +49,7 @@ def alpha_bruteforce(layout: ServerLayout) -> Metrics:
     """Exhaustive maximum of gap_ratio over all server subsets.
 
     Guarded to k <= 20.  Every bitmask is walked on the layout's scaled
-    integers (``core.scale_to_ints``), tracking the subset's first and
+    integers (``layout.scaled``), tracking the subset's first and
     last point and its largest gap; the best span / gap pair is compared
     by cross products, so the first maximizer in bitmask order is
     reported and the witness is deterministic.
@@ -57,7 +57,7 @@ def alpha_bruteforce(layout: ServerLayout) -> Metrics:
     k = layout.k
     if k > BRUTEFORCE_MAX_K:
         raise SizeGuardError(f"subset enumeration guard: k={k} > {BRUTEFORCE_MAX_K}")
-    xs, _, _ = scale_to_ints(layout.positions, ())
+    xs, _ = layout.scaled
     at_bit = {1 << j: x for j, x in enumerate(xs)}
     best_span, best_gap, best_mask = 0, 1, 1
     for mask in range(1, 1 << k):
@@ -91,13 +91,12 @@ def alpha_fast(layout: ServerLayout) -> Metrics:
     dominate and the interval scan reaches the same maximum as the subset
     oracle.  That domination is verified against alpha_bruteforce in the
     test suite rather than trusted.  O(k^2) interval evaluations on the
-    layout's scaled integers (``core.scale_to_ints``): the best span / gap
+    layout's scaled integers (``layout.scaled``): the best span / gap
     pair is compared by strict cross products, so the lexicographically
     smallest maximizing (i, j) wins ties; alpha becomes a Fraction only at
     return.
     """
-    positions = layout.positions
-    xs, _, _ = scale_to_ints(positions, ())
+    xs, _ = layout.scaled
     k = len(xs)
     best_span, best_gap, best_i, best_j = 0, 1, 0, 0
     for i in range(k):
@@ -111,7 +110,7 @@ def alpha_fast(layout: ServerLayout) -> Metrics:
             if span * best_gap > best_span * max_gap:
                 best_span, best_gap, best_i, best_j = span, max_gap, i, j
     return Metrics(
-        l_value=gap_ratio(positions),
+        l_value=gap_ratio(layout.positions),
         alpha=Fraction(best_span, best_gap),
         witness=tuple(range(best_i, best_j + 1)),
     )
