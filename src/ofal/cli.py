@@ -35,6 +35,8 @@ from .core import (
     unit_instance,
 )
 from .harness import (
+    ALGORITHMS,
+    REPRODUCE_TABLES,
     ExperimentConfig,
     format_reproduce,
     reproduce,
@@ -247,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tree)
 
     p = sub.add_parser("simulate", help="run an online algorithm over a sequence")
-    p.add_argument("--alg", choices=("ptcp", "greedy", "permutation"), required=True)
+    p.add_argument("--alg", choices=ALGORITHMS, required=True)
     p.add_argument("instance")
     p.add_argument("sequence")
     p.set_defaults(func=cmd_simulate)
@@ -267,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="property sweeps and bound checks")
     p.add_argument("check", choices=("surrounding", "faithful", "ratio", "adx", "capacity", "hybrid"))
-    p.add_argument("--alg", choices=("ptcp", "greedy"), default="ptcp")
+    p.add_argument("--alg", choices=tuple(RULE_BUILDERS), default="ptcp")
     p.add_argument("--instance", default=None, help="instance JSON (default: random layout)")
     p.add_argument("--k", type=int, default=4, help="random layout size when no instance given")
     p.add_argument("--trials", type=int, default=200)
@@ -282,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("reproduce", help="one-command headline comparisons")
-    p.add_argument("table", choices=("thm46", "thm47", "tightness-k2"))
+    p.add_argument("table", choices=REPRODUCE_TABLES)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--epsilon", default=None)
     p.set_defaults(func=cmd_reproduce)
