@@ -216,11 +216,14 @@ class AssignmentTrace:
 
     ``assignment[t]`` is the (0-based) server index matched to request t;
     ``remaining_after[t]`` is the per-server residual capacity just after
-    that match, from which the free set F_t is derived.
+    that match, from which the free set F_t is derived.  ``simulate``
+    stores O(n + k): its ``remaining_after`` derives each row on read from
+    the capacities and the assignment, and its costs are summed on
+    integers.  A trace built from a tuple of rows works the same.
     """
 
     assignment: tuple[int, ...]
-    remaining_after: tuple[tuple[int, ...], ...]
+    remaining_after: Sequence[tuple[int, ...]]
     per_step_cost: tuple[Fraction, ...]
     total_cost: Fraction
 

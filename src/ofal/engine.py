@@ -12,8 +12,10 @@ position) is checked empirically by ``derive_priority_order``.
 
 from __future__ import annotations
 
+import operator
 import random
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -25,7 +27,7 @@ from .core import (
     RuleError,
     ServerLayout,
     ValidationError,
-    validate_pair,
+    scaled_pair,
 )
 
 DecideFn = Callable[[Fraction, tuple[int, ...]], int]
@@ -39,20 +41,58 @@ class PriorityRule:
     decide: DecideFn
 
 
+class _RemainingRows(Sequence):
+    """``AssignmentTrace.remaining_after`` kept as its capacities and
+    assignment.  Row t, the capacities less the matches ``assignment[:t + 1]``,
+    is derived on read in O(k + t); iteration walks the rows in O(k) each.
+    Equality and hash are those of the tuple of rows."""
+
+    __slots__ = ("_capacities", "_assignment")
+
+    def __init__(self, capacities: tuple[int, ...], assignment: tuple[int, ...]) -> None:
+        self._capacities, self._assignment = capacities, assignment
+
+    def __len__(self) -> int:
+        return len(self._assignment)
+
+    def __getitem__(self, t: int) -> tuple[int, ...]:
+        row = list(self._capacities)
+        for j in self._assignment[: range(len(self))[operator.index(t)] + 1]:
+            row[j] -= 1
+        return tuple(row)
+
+    def __iter__(self):
+        row = list(self._capacities)
+        for j in self._assignment:
+            row[j] -= 1
+            yield tuple(row)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _RemainingRows)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 def simulate(rule: PriorityRule, inst: Instance, seq: RequestSequence) -> AssignmentTrace:
-    """Run a rule over a sequence, recording matches, costs and free sets;
-    the free tuple is rebuilt only when a server runs out."""
-    violation = validate_pair(inst, seq)
-    if violation is not None:
-        raise ValidationError(violation)
+    """Run a rule over a sequence, recording matches, costs and free sets.
+
+    The free tuple is rebuilt only when a server runs out.  Costs are
+    summed on ``scaled_pair``'s integers and divided by its scale once per
+    step and once for the total; the rule still sees each Fraction request.
+    The trace stores O(n + k): ``remaining_after`` derives its rows on read.
+    """
+    servers, requests, scale = scaled_pair(inst, seq)
     remaining = list(inst.capacities)
     free = tuple(range(inst.k))
     assignment: list[int] = []
-    snapshots: list[tuple[int, ...]] = []
-    costs: list[Fraction] = []
-    total = Fraction(0)
-    positions = inst.layout.positions
-    for r in seq:
+    costs: list[int] = []
+    for r, rs in zip(seq, requests):
         j = rule.decide(r, free)
         if j not in free:
             raise RuleError(f"rule {rule.id!r} chose non-free server {j} for request {r}")
@@ -60,16 +100,14 @@ def simulate(rule: PriorityRule, inst: Instance, seq: RequestSequence) -> Assign
         if remaining[j] == 0:
             i = bisect_left(free, j)
             free = free[:i] + free[i + 1:]
-        cost = abs(r - positions[j])
-        total += cost
         assignment.append(j)
-        snapshots.append(tuple(remaining))
-        costs.append(cost)
+        costs.append(abs(rs - servers[j]))
+    matched = tuple(assignment)
     return AssignmentTrace(
-        assignment=tuple(assignment),
-        remaining_after=tuple(snapshots),
-        per_step_cost=tuple(costs),
-        total_cost=total,
+        assignment=matched,
+        remaining_after=_RemainingRows(inst.capacities, matched),
+        per_step_cost=tuple(Fraction(c, scale) for c in costs),
+        total_cost=Fraction(sum(costs), scale),
     )
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .alpha import alpha_fast
 from .core import (
@@ -105,25 +106,27 @@ def run_hybrid(
     h_chain: list[int] = []
     t_star = n - 1
     merged = False
-    for t in range(i, n):
-        only_base = base.free_after(t) - hybrid.free_after(t)
-        only_hyb = hybrid.free_after(t) - base.free_after(t)
+    # One walk over both runs' rows; with unit capacities a row is 1
+    # exactly where its server is free.
+    rows = islice(zip(base.remaining_after, hybrid.remaining_after), i, None)
+    for t, (b_row, h_row) in enumerate(rows, i):
+        if merged:  # once merged the runs coincide; verify it stays that way
+            if b_row != h_row:
+                raise ValidationError(f"free sets diverged again at step {t}")
+            continue
+        only_base = [j for j, (b, h) in enumerate(zip(b_row, h_row)) if b > h]
+        only_hyb = [j for j, (b, h) in enumerate(zip(b_row, h_row)) if h > b]
         if not only_base and not only_hyb:
             t_star = t - 1
             merged = True
-            break
+            continue
         if len(only_base) != 1 or len(only_hyb) != 1:
             raise ValidationError(
                 f"free-set difference at step {t} is not a singleton pair: "
-                f"{sorted(only_base)} vs {sorted(only_hyb)}"
+                f"{only_base} vs {only_hyb}"
             )
-        a_chain.append(next(iter(only_base)))
-        h_chain.append(next(iter(only_hyb)))
-    if merged:
-        # Once merged the runs coincide; verify it stays that way.
-        for t in range(t_star + 1, n):
-            if base.free_after(t) != hybrid.free_after(t):
-                raise ValidationError(f"free sets diverged again at step {t}")
+        a_chain.append(only_base[0])
+        h_chain.append(only_hyb[0])
     if not a_chain:
         raise ValidationError("difference vanished at the deviation step itself")
     return HybridTrace(
@@ -203,10 +206,10 @@ def check_chain_monotone(ht: HybridTrace, layout: ServerLayout) -> CheckResult:
         if hi_chain[t + 1] < hi_chain[t]:
             violations.append(f"upper chain moved inward at offset {t + 1}")
 
-    for off, t in enumerate(range(ht.i, ht.t_star + 1)):
-        lo, hi = sorted((a_chain[off], h_chain[off]))
-        common_free = ht.base.free_after(t) & ht.hybrid.free_after(t)
-        stuck = [j for j in common_free if lo < j < hi]
+    rows = islice(zip(ht.base.remaining_after, ht.hybrid.remaining_after), ht.i, ht.t_star + 1)
+    for t, (b_row, h_row) in enumerate(rows, ht.i):
+        lo, hi = sorted((a_chain[t - ht.i], h_chain[t - ht.i]))
+        stuck = [j for j in range(lo + 1, hi) if b_row[j] and h_row[j]]
         if stuck:
             violations.append(f"free servers {stuck} between the chains at step {t}")
     return CheckResult(ok=not violations, violations=tuple(violations))
