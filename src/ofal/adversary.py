@@ -147,10 +147,13 @@ def permutation_adversary(params: AdversaryParams) -> tuple[Instance, RequestSeq
 
 
 def random_rational(rng: random.Random, lo: Fraction, hi: Fraction, den: int = 1024) -> Fraction:
-    """Uniform rational on the den-step grid over [lo, hi]."""
+    """Uniform rational on the den-step grid over [lo, hi]: lo + m/den * (hi - lo)
+    for one draw m, built as a single Fraction over the common denominator."""
     if hi < lo:
         raise ValidationError("empty interval")
-    return lo + Fraction(rng.randint(0, den), den) * (hi - lo)
+    m = rng.randint(0, den)
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    return Fraction(a * d * den + m * (c * b - a * d), b * d * den)
 
 
 def random_layout(

@@ -2,13 +2,15 @@
 
 Subcommands: alpha | tree | simulate | opt | adversary | verify | run |
 reproduce.  Exit status is 0 on success, 1 when a checked bound or
-property was violated, 2 on usage or input errors.
+property was violated, 2 on usage or input errors and when stdout was
+closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -300,9 +302,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.format == "csv" and args.command not in ("alpha", "reproduce", "run"):
             raise OfalError(f"{args.command} has no csv output; use --format json")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, inside the handler
+        return code
     except OfalError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  Point stdout at devnull so
+        # that the interpreter's final flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
 
 

@@ -256,7 +256,8 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    payloads = [(config.to_dict(), t) for t in range(config.trials)]
+    config_dict = config.to_dict()  # one copy, shared by every trial and the summary
+    payloads = [(config_dict, t) for t in range(config.trials)]
     # One worker per trial at most, and no more than the machine's cores:
     # a fork pool may start every worker it is allowed up front.
     workers = min(config.jobs, config.trials, os.cpu_count() or 1)
@@ -287,7 +288,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 }
             )
     summary = {
-        "config": config.to_dict(),
+        "config": config_dict,
         "max_rate": {alg: fraction_str(r) for alg, r in max_rate.items()},
         "violations": violations,
         "runs": [

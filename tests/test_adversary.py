@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ofal.adversary import (
     AdversaryParams,
@@ -10,6 +12,7 @@ from ofal.adversary import (
     permutation_adversary,
     permutation_geometric_layout,
     permutation_params,
+    random_rational,
     random_sequences,
 )
 from ofal.algorithms import greedy_rule, ptcp_rule
@@ -116,6 +119,22 @@ class TestPermutationFamily:
 
 
 class TestRandomFamilies:
+    @given(
+        st.fractions(max_denominator=10**6),
+        st.fractions(min_value=0, max_denominator=10**6),
+        st.integers(min_value=1, max_value=2048),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_rational_matches_three_fraction_form(self, lo, width, den, seed):
+        hi = lo + width
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            value = random_rational(ours, lo, hi, den)
+            assert value == lo + Fraction(ref.randint(0, den), den) * (hi - lo)
+            assert type(value) is Fraction and lo <= value <= hi
+        assert ours.getstate() == ref.getstate()
+
     def test_seed_determinism(self):
         inst = unit_instance(layout_of(0, 1, 3))
         a = list(random_sequences(inst, 3, seed=7, count=5))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +150,36 @@ class TestGenerators:
             code, out, err = run_cli(capsys, "adversary", "permutation", "--k", k, "--out-prefix", prefix)
             assert code == EXIT_ERROR, k
             assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "k, read_line, unbuffered",
+        [("3", True, "1"), ("3", False, ""), ("80", True, ""), ("80", True, "1")],
+        ids=["k3-read-unbuffered", "k3-closed-buffered", "k80-read-buffered", "k80-read-unbuffered"],
+    )
+    def test_closed_stdout_exits_quietly(self, k, read_line, unbuffered):
+        # ``| head`` closes the pipe once it has its lines.  At k=80 the
+        # output (166 KB) outgrows the pipe, so the command is still writing
+        # when the pipe closes.  A pipe closed before anything is read fails
+        # a buffered stdout at its flush, and the interpreter's own flush at
+        # exit must not fail again.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ofal.cli", "adversary", "permutation", "--k", k],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        if read_line:
+            assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+        assert "Traceback" not in err
+        assert err == ""
+        # k=3 may be written in full before the pipe closes.
+        assert code == EXIT_ERROR or (k == "3" and read_line and code == EXIT_OK)
 
 
 class TestVerify:

@@ -86,6 +86,20 @@ class TestRunExperiment:
         run_experiment(ExperimentConfig(**dict(BASE_CONFIG, jobs=1000)))
         assert made == [4, 3, 3]
 
+    def test_one_config_dict_per_run(self, monkeypatch):
+        calls = []
+        real = ExperimentConfig.to_dict
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(ExperimentConfig, "to_dict", counting)
+        config = ExperimentConfig(**BASE_CONFIG)
+        result = run_experiment(config)
+        assert len(calls) == 1 and config.trials > 1
+        assert result.summary["config"] == real(config)
+
     def test_rates_recomputable_from_reproducers(self):
         result = run_experiment(ExperimentConfig(**BASE_CONFIG))
         for run in result.summary["runs"]:

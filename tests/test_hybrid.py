@@ -1,11 +1,12 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
 
 from ofal.algorithms import greedy_rule, ptcp_rule
 from ofal.core import Instance, ValidationError, unit_instance
-from ofal.engine import simulate
+from ofal.engine import PriorityRule, simulate
 from ofal.hybrid import (
     check_c3,
     check_chain_monotone,
@@ -126,6 +127,16 @@ class TestNegativeControls:
         result = check_transition_rules(forged)
         assert not result.ok
         assert any("P1" in v for v in result.violations)
+
+    def test_divergence_after_merging_is_refused(self):
+        # A rule that counts its calls is not a function of (r, free): the
+        # hybrid (server 0 forced at step 0) merges with the base run at
+        # step 1 and splits from it again at step 2.
+        calls = itertools.count()
+        rule = PriorityRule("alternating", lambda r, free: free[0] if next(calls) % 2 else free[-1])
+        inst = unit_instance(layout_of(0, 1, 2, 3))
+        with pytest.raises(ValidationError, match="diverged again at step 2"):
+            run_hybrid(rule, inst, seq_of(0, 0, 0, 0), 0, 0)
 
     def test_monotone_precondition_reported(self):
         # Base picks server 0; forcing server 2 leaves free server 1 strictly
