@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 
 from .alpha import alpha_fast
 from .core import (
@@ -196,6 +196,7 @@ def check_chain_monotone(ht: HybridTrace, layout: ServerLayout) -> CheckResult:
 
     violations: list[str] = []
     a_chain, h_chain = ht.a_chain, ht.h_chain
+    servers = range(layout.k)
     if a_chain[0] <= h_chain[0]:
         lo_chain, hi_chain, lo_name = a_chain, h_chain, "a"
     else:
@@ -209,7 +210,9 @@ def check_chain_monotone(ht: HybridTrace, layout: ServerLayout) -> CheckResult:
     rows = islice(zip(ht.base.remaining_after, ht.hybrid.remaining_after), ht.i, ht.t_star + 1)
     for t, (b_row, h_row) in enumerate(rows, ht.i):
         lo, hi = sorted((a_chain[t - ht.i], h_chain[t - ht.i]))
-        stuck = [j for j in range(lo + 1, hi) if b_row[j] and h_row[j]]
+        # Built as free_after builds them, so ``stuck`` keeps their order.
+        common_free = frozenset(compress(servers, b_row)) & frozenset(compress(servers, h_row))
+        stuck = [j for j in common_free if lo < j < hi]
         if stuck:
             violations.append(f"free servers {stuck} between the chains at step {t}")
     return CheckResult(ok=not violations, violations=tuple(violations))

@@ -219,7 +219,7 @@ def eager_stuck(ht: HybridTrace) -> list[str]:
     for off, t in enumerate(range(ht.i, ht.t_star + 1)):
         lo, hi = sorted((ht.a_chain[off], ht.h_chain[off]))
         common_free = ht.base.free_after(t) & ht.hybrid.free_after(t)
-        stuck = sorted(j for j in common_free if lo < j < hi)
+        stuck = [j for j in common_free if lo < j < hi]
         if stuck:
             out.append(f"free servers {stuck} between the chains at step {t}")
     return out
@@ -236,7 +236,9 @@ def test_hybrid_chains_match_the_eager_extraction(builder):
     rng = random.Random(15)
     checked = 0
     for _ in range(200):
-        k = rng.randint(2, 7)
+        # Past 8 servers a frozenset no longer iterates in index order,
+        # which the gap check's messages must keep.
+        k = rng.randint(2, 12)
         points = sorted({Fraction(rng.randint(-30, 30), rng.choice(DENOMINATORS)) for _ in range(k)})
         inst = unit_instance(ServerLayout(tuple(points)))
         lo, hi = points[0] - 1, points[-1] + 1
