@@ -12,6 +12,7 @@ and hash equal to it.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import random
 import tracemalloc
@@ -73,7 +74,7 @@ def permutation_rule(inst: Instance, seq: RequestSequence) -> PriorityRule:
 
 
 def forced_rule(rule: PriorityRule, i: int, s: int) -> PriorityRule:
-    steps = iter(range(10**9))
+    steps = itertools.count()
     return PriorityRule(f"{rule.id}-hybrid", lambda r, free: s if next(steps) == i else rule.decide(r, free))
 
 
