@@ -38,8 +38,8 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 #: Workloads whose items_per_s the change claims to raise, and pairs for each.
-CLAIMED = ("online-large",)
-PAIRS = {"grid-exhaustive": 3, "online-large": 10, "oracle-prefix": 3, "sweep-small": 3}
+CLAIMED = ("oracle-prefix",)
+PAIRS = {"grid-exhaustive": 3, "online-large": 3, "oracle-prefix": 10, "sweep-small": 3}
 #: Seeds of the pairs: none of them was used while the change was written.
 SEEDS = range(1001, 1011)
 DIGEST_SEED = 1

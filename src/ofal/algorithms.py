@@ -51,10 +51,13 @@ class SplitTree:
         return self.lo == self.hi
 
     def nodes(self):
-        yield self
-        if not self.is_leaf:
-            yield from self.left.nodes()
-            yield from self.right.nodes()
+        """Every node in preorder (node, left subtree, right subtree)."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if not node.is_leaf:
+                stack += (node.right, node.left)
 
 
 def build_split_tree(layout: ServerLayout) -> SplitTree:
@@ -65,22 +68,34 @@ def build_split_tree(layout: ServerLayout) -> SplitTree:
     layout's scale; each block splits after the leftmost of its maximum
     gaps.  Positions are distinct, so every gap D is positive.  An
     internal node's Fraction fields are made from its ints, five
-    ``Fraction(int, int)`` and no Fraction arithmetic.
+    ``Fraction(int, int)`` and no Fraction arithmetic.  The build is
+    iterative, so the depth of the tree (up to k - 1) is not bounded by
+    the recursion limit.
     """
     ints, scale = layout.scaled
     gaps = [b - a for a, b in zip(ints, ints[1:])]
-
-    def build(lo: int, hi: int) -> SplitTree:
-        if lo == hi:
-            return SplitTree(lo=lo, hi=hi)
-        a = max(range(lo, hi), key=gaps.__getitem__)
+    # Blocks in preorder with their split points, then the nodes built in
+    # reverse: a node's subtrees are then the top two of ``built``.
+    order: list[tuple[int, int, int | None]] = []
+    stack = [(0, layout.k - 1)]
+    while stack:
+        lo, hi = stack.pop()
+        a = None if lo == hi else max(range(lo, hi), key=gaps.__getitem__)
+        order.append((lo, hi, a))
+        if a is not None:
+            stack += ((a + 1, hi), (lo, a))
+    built: list[SplitTree] = []
+    for lo, hi, a in reversed(order):
+        if a is None:
+            built.append(SplitTree(lo=lo, hi=hi))
+            continue
         d = gaps[a]
         delta1 = ints[a] - ints[lo]
         delta2 = ints[hi] - ints[a + 1]
         # x = x_num / (den * scale), and the critical point is s[a] + x.
         x_num, den = d * (delta2 + d), (delta1 + d) + (delta2 + d)
         critical = Fraction(ints[a] * den + x_num, den * scale)
-        return SplitTree(
+        built.append(SplitTree(
             lo=lo,
             hi=hi,
             a=a,
@@ -89,12 +104,11 @@ def build_split_tree(layout: ServerLayout) -> SplitTree:
             delta2=Fraction(delta2, scale),
             x=Fraction(x_num, den * scale),
             critical=critical,
-            left=build(lo, a),
-            right=build(a + 1, hi),
+            left=built.pop(),
+            right=built.pop(),
             critical_pair=(critical.numerator, critical.denominator),
-        )
-
-    return build(0, layout.k - 1)
+        ))
+    return built.pop()
 
 
 def ptcp_decide(tree: SplitTree, r: Fraction, free: tuple[int, ...]) -> int:

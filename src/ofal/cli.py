@@ -89,7 +89,11 @@ def cmd_alpha(args) -> int:
 def cmd_tree(args) -> int:
     inst = load_instance(args.instance)
     tree = build_split_tree(inst.layout)
-    print(json.dumps(tree_to_dict(tree, inst.layout), indent=2))
+    try:
+        text = json.dumps(tree_to_dict(tree, inst.layout), indent=2)
+    except RecursionError:
+        raise OfalError(f"the split tree of {inst.k} servers nests too deep to print as JSON")
+    print(text)
     return EXIT_OK
 
 

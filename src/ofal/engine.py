@@ -82,7 +82,8 @@ class _RemainingRows(Sequence):
 def simulate(rule: PriorityRule, inst: Instance, seq: RequestSequence) -> AssignmentTrace:
     """Run a rule over a sequence, recording matches, costs and free sets.
 
-    The free tuple is rebuilt only when a server runs out.  Costs are
+    One bisection of the free tuple both checks the pick and locates it;
+    the tuple is rebuilt only when a server runs out.  Costs are
     summed on ``scaled_pair``'s integers and divided by its scale once per
     step and once for the total; the rule still sees each Fraction request.
     The trace stores O(n + k): ``remaining_after`` derives its rows on read.
@@ -94,11 +95,14 @@ def simulate(rule: PriorityRule, inst: Instance, seq: RequestSequence) -> Assign
     costs: list[int] = []
     for r, rs in zip(seq, requests):
         j = rule.decide(r, free)
-        if j not in free:
+        try:
+            i = bisect_left(free, j)
+        except TypeError:  # a pick that does not compare with ints
+            i = len(free)
+        if free[i:i + 1] != (j,):
             raise RuleError(f"rule {rule.id!r} chose non-free server {j} for request {r}")
         remaining[j] -= 1
         if remaining[j] == 0:
-            i = bisect_left(free, j)
             free = free[:i] + free[i + 1:]
         assignment.append(j)
         costs.append(abs(rs - servers[j]))

@@ -2,10 +2,10 @@
 
 Three independent routes to the same number:
 
-* ``optimal_cost``      -- successive-shortest-path min-cost flow, the
-                           metric-agnostic ground truth, built on
-                           ``AugmentingPathEngine``, which the permutation
-                           rule shares;
+* ``optimal_cost``      -- successive-shortest-path min-cost flow, one
+                           Dijkstra over the k servers per request, built
+                           on ``AugmentingPathEngine``, which the
+                           permutation rule shares;
 * ``optimal_bruteforce``-- exhaustive enumeration, the independence oracle
                            for small inputs;
 * ``noncrossing_dp_cost`` -- a dynamic program over sorted requests that
@@ -18,7 +18,7 @@ sequence fits the instance and rescales both by their common denominator.
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,19 +50,33 @@ class AugmentingPathEngine:
 
     Servers are scaled integer positions with capacities.  ``push`` adds
     one request and augments along one shortest path of the residual
-    graph, which raises exactly one server's load by one.  That server is
-    the leftmost with spare capacity at minimum path cost: spare servers
-    all carry the same potential, so reduced and true distances order
-    them alike.  ``assigned`` is the current optimal request->server map,
-    ``cost`` its scaled total, and ``_held[j]`` the requests server j
-    serves, so a popped server relaxes only its own requests.
+    graph, which raises exactly one server's load by one.  ``assigned``
+    is the current optimal request->server map, ``cost`` its scaled
+    total, and ``_held[j]`` the sorted ``(r, i)`` pairs of the requests
+    server j serves.
 
-    The potentials are not always feasible.  A new request starts at
-    potential 0, so after a push some of its arcs can keep a negative
-    reduced cost.  The heap loop is therefore label-correcting, not
-    Dijkstra: it settles a node again whenever a shorter path to it turns
-    up, and ends with exact distances because the residual graph of a
-    minimum-cost assignment has no negative cycle.
+    The search runs on the k servers alone.  A hop from server j to
+    server x moves one request j holds to x, at cost |r - s_x| - |r - s_j|.
+    On a line that never rises in r when s_x > s_j and never falls when
+    s_x < s_j, so the cheapest hop moves the last pair of ``_held[j]``
+    rightward and the first leftward: the request at the extreme
+    position, of largest index rightward and smallest index leftward.
+
+    Each server keeps a potential under which every hop's reduced cost is
+    non-negative, so the search is a dense Dijkstra, O(k^2) per push with
+    no heap.  Server j starts at label |r - s_j| - pot[j], the new
+    request's own arc, which may be negative.  Servers settle in
+    (distance, index) order while the smallest unsettled label is at most
+    the distance of the first spare server settled; a label changes only
+    when it strictly falls, so a server's parent is the first settled
+    server that reached its final distance.  The path ends at the leftmost
+    spare server at that distance, not the first one settled: a zero-cost
+    hop can expose one further left.  A push raises every potential by
+    min(distance, target distance), so spare servers all carry the same
+    potential, and reduced and true distances order them alike.  The true
+    distance to spare server j is the optimum of all requests under
+    capacities loads + e_j less ``cost``, so the server a push returns
+    depends on the loads alone.
     """
 
     def __init__(self, servers: list[int], caps: list[int]):
@@ -70,86 +84,55 @@ class AugmentingPathEngine:
         self.caps = caps
         self.loads = [0] * len(servers)
         self.assigned: list[int] = []       # request -> server
-        self._held: list[list[int]] = [[] for _ in servers]  # server -> its requests
+        self._held: list[list[tuple[int, int]]] = [[] for _ in servers]  # sorted (r, i)
+        self._pot = [0] * len(servers)
         self.cost = 0
-        self._rows: list[list[int]] = []    # rows[i][j] = |r_i - s_j|
-        # Potentials for requests and servers (not always feasible; see above).
-        self._pot_req: list[int] = []
-        self._pot_srv = [0] * len(servers)
 
     def push(self, r: int) -> int:
         """Absorb one request; return the server whose load grew."""
-        servers, caps, loads, assigned = self.servers, self.caps, self.loads, self.assigned
-        rows, held, pot_req, pot_srv = self._rows, self._held, self._pot_req, self._pot_srv
-        if len(assigned) >= sum(caps):
+        servers, caps, loads, held, pot = self.servers, self.caps, self.loads, self._held, self._pot
+        if len(self.assigned) >= sum(caps):
             raise ValidationError("no augmenting path; capacity exhausted")
-        k = len(servers)
-        source = len(assigned)
-        rows.append([abs(r - s) for s in servers])
-        pot_req.append(0)
-        assigned.append(-1)
-        n = source + 1
-
-        # Label-correcting heap search from the new request over the
-        # residual graph; kind 0 is a request node, kind 1 a server node.
-        INF = float("inf")
-        dist_req = [INF] * n
-        dist_srv = [INF] * k
-        par_srv = [-1] * k                  # server j reached from request i
-        dist_req[source] = 0
-        heap: list[tuple[int, int, int]] = [(0, 0, source)]  # (dist, kind, idx)
-        while heap:
-            dval, kind, idx = heapq.heappop(heap)
-            if kind == 0:  # request node
-                if dval > dist_req[idx]:
-                    continue
-                base = dval + pot_req[idx]
-                row = rows[idx]
-                own = assigned[idx]
-                for j in range(k):
-                    if j == own:
-                        continue
-                    nd = base + row[j] - pot_srv[j]
-                    if nd < dist_srv[j]:
-                        dist_srv[j] = nd
-                        par_srv[j] = idx
-                        heapq.heappush(heap, (nd, 1, j))
-            else:  # server node: residual arcs back to requests it serves
-                if dval > dist_srv[idx]:
-                    continue
-                base = dval + pot_srv[idx]
-                for i in held[idx]:
-                    nd = base - rows[i][idx] - pot_req[i]
-                    if nd < dist_req[i]:
-                        dist_req[i] = nd
-                        heapq.heappush(heap, (nd, 0, i))
-        # Every server, and so every request it serves, is reachable from
-        # the new request; the leftmost spare server at minimum distance wins.
-        best = -1
-        for j in range(k):
-            if loads[j] < caps[j] and (best < 0 or dist_srv[j] < dist_srv[best]):
-                best = j
-        # Standard potential update, capped at the target distance.
-        d_target = dist_srv[best]
-        for i in range(n):
-            pot_req[i] += min(dist_req[i], d_target)
-        for j in range(k):
-            pot_srv[j] += min(dist_srv[j], d_target)
-        # Augment: alternate server/request along parent pointers.
-        j = best
-        while True:
-            i = par_srv[j]
-            prev = assigned[i]
-            assigned[i] = j
-            held[j].append(i)
-            self.cost += rows[i][j]
-            if prev == -1:
+        dist = [abs(r - s) - p for s, p in zip(servers, pot)]
+        par = [-1] * len(servers)           # previous server; -1 is the new request
+        todo = list(range(len(servers)))    # unsettled servers, increasing
+        reach = None                        # distance of the first spare server settled
+        while todo:
+            j = min(todo, key=dist.__getitem__)
+            dj = dist[j]
+            if reach is not None and dj > reach:
                 break
-            held[prev].remove(i)
-            self.cost -= rows[i][prev]
-            j = prev
-        loads[best] += 1
-        return best
+            i = bisect_left(todo, j)
+            del todo[i]
+            if reach is None and loads[j] < caps[j]:
+                reach = dj
+            hold = held[j]
+            if not hold:
+                continue
+            # todo[:i] lies left of j and todo[i:] right of it.
+            for xs, (q, _) in ((todo[:i], hold[0]), (todo[i:], hold[-1])):
+                base = dj + pot[j] - abs(q - servers[j])
+                for x in xs:
+                    nd = base + abs(q - servers[x]) - pot[x]
+                    if nd < dist[x]:
+                        dist[x], par[x] = nd, j
+        target = next(j for j, d in enumerate(dist) if d == reach and loads[j] < caps[j])
+        self.cost += reach + pot[target]   # the path's true cost
+        self._pot = [p + min(d, reach) for p, d in zip(pot, dist)]
+        # Augment from the target back: each server gives up its extreme
+        # request before it receives one, so the hop moves the pair the
+        # search priced.
+        x = target
+        while par[x] >= 0:
+            j = par[x]
+            pair = held[j].pop() if x > j else held[j].pop(0)
+            insort(held[x], pair)
+            self.assigned[pair[1]] = x
+            x = j
+        insort(held[x], (r, len(self.assigned)))
+        self.assigned.append(x)
+        loads[target] += 1
+        return target
 
 
 def optimal_cost(inst: Instance, seq: RequestSequence) -> OptResult:
@@ -157,7 +140,15 @@ def optimal_cost(inst: Instance, seq: RequestSequence) -> OptResult:
 
     Requests have unit supply, server j has capacity c_j, and the
     request->server arc costs |r - s|.  Solved by n successive shortest
-    augmenting paths, one ``AugmentingPathEngine.push`` per request.
+    augmenting paths, one ``AugmentingPathEngine.push`` per request, in
+    O(n * k^2).
+
+    The cost is unique; ``assignment`` is one optimal map, fixed by the
+    engine's tie rule.  Servers settle in (distance, index) order, and a
+    server's path comes from the first settled server that reaches its
+    final distance.  A hop to the right moves the held request of largest
+    (position, index), a hop to the left the one of smallest.  Each path
+    ends at the leftmost spare server at minimum distance.
     """
     servers, requests, scale = scaled_pair(inst, seq)
     engine = AugmentingPathEngine(servers, list(inst.capacities))

@@ -7,7 +7,10 @@ path engine of ``offline.AugmentingPathEngine``.  Each arrival augments
 along one shortest path, which increases exactly one server's used
 capacity by one unit; that server is the irrevocable online match for the
 request, even though the hindsight optimum may place the request itself
-elsewhere.
+elsewhere.  It is the leftmost spare server j that minimises the
+optimum of the prefix, new request included, under capacities
+loads + e_j; so it depends on the loads alone, not on which optimal map
+the engine holds.  A push is one Dijkstra over the k servers, O(k^2).
 
 The rule runs through ``engine.simulate`` with a history-dependent
 decider: its choice depends on the whole history, not just (position,

@@ -41,6 +41,17 @@ def wide_denominator_files(tmp_path):
     return str(inst), str(seq)
 
 
+@pytest.fixture
+def deep_tree_files(tmp_path):
+    """1500 evenly spaced servers: every block splits after its leftmost
+    server, so the split tree is 1499 levels deep.  Twenty requests sit on
+    every 75th server."""
+    inst, seq = tmp_path / "deep.json", tmp_path / "deep_seq.json"
+    inst.write_text(json.dumps({"servers": list(range(1500))}))
+    seq.write_text(json.dumps({"requests": list(range(0, 1500, 75))}))
+    return str(inst), str(seq)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -65,6 +76,14 @@ class TestInspection:
         assert code == EXIT_OK
         data = json.loads(out)
         assert data["critical"] == "16/3"
+
+    def test_tree_too_deep_for_json_is_one_error_line(self, capsys, deep_tree_files):
+        code, out, err = run_cli(capsys, "tree", deep_tree_files[0])
+        if code == EXIT_OK:
+            assert json.loads(out)["split_after"] == 0 and err == ""
+        else:
+            assert code == EXIT_ERROR
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "alpha", str(tmp_path / "none.json"))
@@ -107,6 +126,13 @@ class TestSimulation:
         data = json.loads(out)
         assert data["assignment"] == [1, 2, 3, 0]
         assert data["total_cost"] == "749/50"
+
+    def test_simulate_ptcp_on_a_deep_split_tree(self, capsys, deep_tree_files):
+        code, out, err = run_cli(capsys, "simulate", "--alg", "ptcp", *deep_tree_files)
+        assert code == EXIT_OK and err == ""
+        data = json.loads(out)
+        assert data["assignment"] == list(range(0, 1500, 75))
+        assert data["total_cost"] == "0"
 
     def test_simulate_permutation(self, capsys, inst_file, seq_file):
         code, out, _ = run_cli(capsys, "simulate", "--alg", "permutation", inst_file, seq_file)

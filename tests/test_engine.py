@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,16 @@ class TestSimulate:
         stuck = PriorityRule(id="stuck", decide=lambda r, free: 0)
         with pytest.raises(RuleError):
             simulate(stuck, inst, seq_of(0, 0))
+
+    @pytest.mark.parametrize("pick", [0, 2, -1, None, "0", "1", 0.5, Fraction(1, 2), [1]])
+    def test_every_non_free_pick_is_a_rule_error(self, pick):
+        # The first request fills server 0; only 1 is free for the second.
+        inst = Instance(layout_of(0, 2), (1, 1))
+        picks = iter((0, pick))
+        rule = PriorityRule(id="bad", decide=lambda r, free: next(picks))
+        message = f"rule 'bad' chose non-free server {pick} for request 1"
+        with pytest.raises(RuleError, match=f"^{re.escape(message)}$"):
+            simulate(rule, inst, seq_of(0, 1))
 
     def test_deterministic(self):
         inst = Instance(layout_of(0, 1, 5), (2, 1, 1))

@@ -14,6 +14,7 @@ from ofal.adversary import (
 from ofal.core import Instance, RequestSequence, SizeGuardError, ValidationError
 from ofal.offline import (
     AugmentingPathEngine,
+    dp_cost_ints,
     lexmin_assignment,
     noncrossing_dp_cost,
     optimal_bruteforce,
@@ -241,14 +242,31 @@ class ReferenceEngine:
         return best
 
 
-def engine_state(engine):
-    return (list(engine.assigned), engine.cost, list(engine._pot_req), list(engine._pot_srv))
+def check_engine_invariants(engine, requests):
+    """The map is complete and optimal, the held lists mirror it, every
+    server-to-server hop has a non-negative reduced cost, and all spare
+    servers share one potential."""
+    servers, held, pot = engine.servers, engine._held, engine._pot
+    assert len(engine.assigned) == len(requests)
+    assert [engine.assigned.count(j) for j in range(len(servers))] == engine.loads
+    assert sum(abs(r - servers[j]) for r, j in zip(requests, engine.assigned)) == engine.cost
+    assert engine.cost == dp_cost_ints(servers, engine.caps, requests)
+    assert held == [sorted((r, i) for i, r in enumerate(requests) if engine.assigned[i] == j)
+                    for j in range(len(servers))]
+    for j, hold in enumerate(held):
+        for x in range(len(servers)):
+            if hold and x != j:
+                q = hold[-1][0] if x > j else hold[0][0]
+                assert abs(q - servers[x]) - abs(q - servers[j]) + pot[j] - pot[x] >= 0, (j, x)
+    assert len({p for p, load, cap in zip(pot, engine.loads, engine.caps) if load < cap}) <= 1
 
 
 class TestHeldRequestLists:
     def test_every_push_matches_the_request_scan(self):
         # Small even coordinates and requests on servers and midpoints make
-        # distance ties, and so tie-broken paths, common.
+        # distance ties, and so tie-broken paths, common.  The map may differ
+        # from the reference's among maps of equal cost; the server a push
+        # returns, the cost and the loads may not.
         rng = random.Random(20)
         for _ in range(4000):
             k = rng.randint(1, 7)
@@ -256,12 +274,27 @@ class TestHeldRequestLists:
             caps = [rng.randint(1, 3) for _ in range(k)]
             n = rng.randint(1, sum(caps))
             engine, reference = AugmentingPathEngine(servers, caps), ReferenceEngine(servers, list(caps))
+            requests = []
             for _ in range(n):
                 r = rng.choice((rng.choice(servers), rng.randint(-3, 27)))
+                requests.append(r)
                 assert engine.push(r) == reference.push(r)
-                assert engine_state(engine) == engine_state(reference)
-            held = [[i for i, j in enumerate(engine.assigned) if j == s] for s in range(k)]
-            assert [sorted(h) for h in engine._held] == held
+                assert (engine.cost, engine.loads) == (reference.cost, reference.loads)
+                check_engine_invariants(engine, requests)
+
+    def test_zero_cost_hop_reveals_a_spare_server_further_left(self):
+        # Set by hand: server 1 holds request 0, at the midpoint of servers
+        # 0 and 2, while both servers are spare; an optimal map, and zero
+        # potentials are feasible for it.  Request 3 settles server 1 first,
+        # at distance 1 against 3 for server 0.  The zero-cost hop that moves
+        # request 0 to server 0 then reaches server 0 at distance 1 too, and
+        # the leftmost spare server at the minimum distance wins.
+        engine = AugmentingPathEngine([0, 2], [2, 2])
+        engine.assigned, engine.loads, engine.cost = [1], [0, 1], 1
+        engine._held[1].append((1, 0))
+        assert engine.push(3) == 0
+        assert (engine.assigned, engine.loads, engine.cost) == ([0, 1], [1, 1], 2)
+        check_engine_invariants(engine, [1, 3])
 
     def test_capacity_exhausted(self):
         engine = AugmentingPathEngine([0, 4], [1, 1])

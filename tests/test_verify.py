@@ -128,6 +128,19 @@ class TestOpposite:
         report = check_opposite(trace, opt, seq_of(0), layout)
         assert not report.opposite and report.failing_indices == (0,)
 
+    def test_verdict_depends_on_which_optimum(self):
+        # Two optimal maps of equal cost, one trace, two verdicts: the
+        # classification is of a trace against one chosen optimum.
+        inst = Instance(layout_of(0, 2), (1, 1))
+        seq = seq_of(1, 1)
+        trace = simulate(greedy_rule(inst.layout), inst, seq)
+        assert trace.assignment == (0, 1)
+        maps = [OptResult(cost=Fraction(2), assignment=a) for a in ((0, 1), (1, 0))]
+        for opt in maps:
+            assert sum(abs(r - inst.layout[j]) for r, j in zip(seq, opt.assignment)) == opt.cost
+            assert opt.cost == optimal_cost(inst, seq).cost
+        assert [check_opposite(trace, opt, seq, inst.layout).opposite for opt in maps] == [False, True]
+
     def test_exponential_adversary_classification_for_greedy(self):
         # Replaying and classifying: every cascading request sits between
         # greedy's server and the optimum's, except the last one, which
