@@ -167,10 +167,8 @@ def random_layout(
     return ServerLayout(tuple(Fraction(t, coord_den) for t in sorted(ticks)))
 
 
-def random_instance(
-    rng: random.Random, k: int, cap_max: int = 1, coord_den: int = 8, hull: int = 16
-) -> Instance:
-    layout = random_layout(rng, k, coord_den, hull)
+def random_instance(rng: random.Random, k: int, cap_max: int = 1) -> Instance:
+    layout = random_layout(rng, k)
     caps = tuple(rng.randint(1, cap_max) for _ in range(k))
     return Instance(layout, caps)
 

@@ -195,16 +195,15 @@ def guard_rule(
     s_k = layout.positions[-1]
     extended = ServerLayout(layout.positions + (s_k + d,))
     threshold = s_k + x
-    new_index = k
 
     def decide(r: Fraction, free: tuple[int, ...]) -> int:
         base_free = free[:bisect_left(free, k)]
         if r <= threshold:
             if base_free:
                 return base.decide(r, base_free)
-            return new_index
-        if new_index in free:
-            return new_index
+            return k
+        if free and free[-1] == k:
+            return k
         return base.decide(r, base_free)
 
     return PriorityRule(id=f"{base.id}+guard", decide=decide), extended

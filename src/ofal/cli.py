@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .alpha import alpha_fast, aspect_ratio
@@ -22,6 +21,7 @@ from .adversary import (
     permutation_adversary,
     permutation_params,
     random_layout,
+    random_sequences,
 )
 from .algorithms import RULE_BUILDERS, build_split_tree, tree_to_dict
 from .core import (
@@ -140,14 +140,13 @@ def _verify_layout(args):
 
 
 def cmd_verify(args) -> int:
-    from .adversary import random_sequences
-
     rule_builder = RULE_BUILDERS[args.alg]  # --alg takes only their names
+    if args.trials < 0:
+        raise OfalError(f"--trials must be at least 0, got {args.trials}")
     layout = _verify_layout(args)
+    inst = unit_instance(layout)
     if args.check == "surrounding":
-        inst = unit_instance(layout)
-        bad = 0
-        total = 0
+        bad = total = 0
         for seq in random_sequences(inst, inst.total_capacity, seed=args.seed, count=args.trials):
             trace = run_algorithm(args.alg, inst, seq)
             report = check_surrounding_oriented(trace, seq, layout, inst)
@@ -156,13 +155,11 @@ def cmd_verify(args) -> int:
         payload = {"property": "surrounding-oriented", "trials": total, "violations": bad}
         failed = bad > 0
     elif args.check == "faithful":
-        inst = unit_instance(layout)
         seq = next(random_sequences(inst, inst.total_capacity, seed=args.seed, count=1))
         report = check_faithful(rule_builder, inst, seq, trials=args.trials, seed=args.seed)
         payload = report.to_dict()
         failed = not report.ok
     elif args.check == "ratio":
-        inst = unit_instance(layout)
         worst = None
         failed = False
         for i, seq in enumerate(
@@ -197,8 +194,6 @@ def cmd_verify(args) -> int:
         threshold = check_c3(rule, layout, trials=args.trials, seed=args.seed)
         payload = {"invariants": structural.to_dict(), "threshold": threshold.to_dict()}
         failed = not (structural.ok and threshold.ok)
-    else:
-        raise OfalError(f"unknown check {args.check!r}")
     print(json.dumps(payload, indent=2))
     return EXIT_VIOLATION if failed else EXIT_OK
 
@@ -227,7 +222,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    result = reproduce(args.table, k=args.k, epsilon=Fraction(args.epsilon) if args.epsilon else None)
+    result = reproduce(args.table, k=args.k, epsilon=None if args.epsilon is None else to_coord(args.epsilon))
     if args.format == "json":
         print(json.dumps(result, indent=2))
     else:

@@ -101,11 +101,11 @@ def fraction_str(value: Fraction | float) -> str:
     return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
 
 
-def fraction_decimal(value: Fraction | float, digits: int = 12) -> str:
-    """Decimal approximation with ``digits`` significant digits."""
+def fraction_decimal(value: Fraction | float) -> str:
+    """Decimal approximation with 12 significant digits."""
     if value is INF or value == INF:
         return "inf"
-    return f"{float(value):.{digits}g}"
+    return f"{float(value):.12g}"
 
 
 @dataclass(frozen=True)
@@ -227,11 +227,11 @@ class AssignmentTrace:
     per_step_cost: tuple[Fraction, ...]
     total_cost: Fraction
 
-    def free_after(self, t: int) -> frozenset[int]:
-        """Free-server index set F_t, t >= 0; the initial set is ``hybrid.free_before(trace, inst, 0)``."""
+    def free_after(self, t: int) -> tuple[int, ...]:
+        """Free servers F_t (t >= 0), as the increasing tuple a rule sees; see also ``free_before``."""
         if t < 0:
             raise IndexError("use free_before(0) for the initial free set")
-        return frozenset(j for j, c in enumerate(self.remaining_after[t]) if c > 0)
+        return tuple(j for j, c in enumerate(self.remaining_after[t]) if c > 0)
 
 
 def validate_pair(inst: Instance, seq: RequestSequence) -> str | None:

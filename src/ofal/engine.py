@@ -82,27 +82,26 @@ class _RemainingRows(Sequence):
 def simulate(rule: PriorityRule, inst: Instance, seq: RequestSequence) -> AssignmentTrace:
     """Run a rule over a sequence, recording matches, costs and free sets.
 
-    One bisection of the free tuple both checks the pick and locates it;
-    the tuple is rebuilt only when a server runs out.  Costs are
-    summed on ``scaled_pair``'s integers and divided by its scale once per
-    step and once for the total; the rule still sees each Fraction request.
-    The trace stores O(n + k): ``remaining_after`` derives its rows on read.
+    The rule sees the free servers as one increasing tuple, rebuilt only
+    when a server runs out.  A pick must be an int j, 0 <= j < k, with
+    capacity left, else RuleError: one O(1) check, repeated inline by the
+    grid search and ``derive_priority_order``.  Costs are summed on
+    ``scaled_pair``'s integers and divided by its scale once per step and
+    once for the total.  The trace stores O(n + k): ``remaining_after``
+    derives its rows on read.
     """
     servers, requests, scale = scaled_pair(inst, seq)
-    remaining = list(inst.capacities)
-    free = tuple(range(inst.k))
+    k, remaining = inst.k, list(inst.capacities)
+    free = tuple(range(k))
     assignment: list[int] = []
     costs: list[int] = []
     for r, rs in zip(seq, requests):
         j = rule.decide(r, free)
-        try:
-            i = bisect_left(free, j)
-        except TypeError:  # a pick that does not compare with ints
-            i = len(free)
-        if free[i:i + 1] != (j,):
+        if not (type(j) is int and 0 <= j < k and remaining[j] > 0):
             raise RuleError(f"rule {rule.id!r} chose non-free server {j} for request {r}")
         remaining[j] -= 1
         if remaining[j] == 0:
+            i = bisect_left(free, j)
             free = free[:i] + free[i + 1:]
         assignment.append(j)
         costs.append(abs(rs - servers[j]))
@@ -151,21 +150,23 @@ def derive_priority_order(
 ) -> tuple[int, ...]:
     """Extract the total server order a rule induces at one position.
 
-    Repeatedly asks the rule to pick from the not-yet-ranked servers; the
-    pick order is the candidate priority order.  The order is then checked
-    on random free sets: the rule must always pick the order-maximum.  An
-    inconsistency means the rule's choice depends on more than (position,
-    free set restricted through one order) and it is reported as RuleError.
+    Repeatedly asks the rule to pick from the not-yet-ranked servers (a
+    pick is checked as in ``simulate``); the pick order is the candidate
+    priority order.  The order is then checked on random free sets: the
+    rule must always pick the order-maximum.  An inconsistency means the
+    rule's choice depends on more than (position, free set restricted
+    through one order) and it is reported as RuleError.
     """
-    remaining = tuple(range(k))
+    free, remaining = tuple(range(k)), [1] * k
     order: list[int] = []
-    while remaining:
-        j = rule.decide(r, remaining)
-        if j not in remaining:
-            raise RuleError(f"rule {rule.id!r} chose non-free server {j}")
+    while free:
+        j = rule.decide(r, free)
+        if not (type(j) is int and 0 <= j < k and remaining[j] > 0):
+            raise RuleError(f"rule {rule.id!r} chose non-free server {j} for request {r}")
+        remaining[j] = 0
         order.append(j)
-        i = bisect_left(remaining, j)
-        remaining = remaining[:i] + remaining[i + 1:]
+        i = bisect_left(free, j)
+        free = free[:i] + free[i + 1:]
     rank = {j: pos for pos, j in enumerate(order)}
     rng = random.Random(seed)
     for _ in range(consistency_trials):

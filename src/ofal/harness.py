@@ -89,27 +89,57 @@ class ExperimentConfig:
         for key, source in (("instance_source", src), ("sequence_source", seq_src)):
             if not isinstance(source, dict):
                 raise ValidationError(f"config {key} must be an object")
-            if source.get("kind") == "file" and not isinstance(source.get("path"), str):
+            kinds = _SOURCE_KEYS[key]
+            _check_choice(f"{key}.kind", source.get("kind"), kinds)
+            unknown = sorted(map(str, source.keys() - kinds[source["kind"]] - {"kind"}))
+            if unknown:
+                raise ValidationError(f"config {key} of kind {source['kind']} has unknown keys {unknown}")
+            if source["kind"] == "file" and not isinstance(source.get("path"), str):
                 raise ValidationError(f"config {key} of kind file needs a path string")
-        if src.get("kind") == "adversary":
+        if src["kind"] == "adversary":
+            _check_choice("instance_source.family", src.get("family"), ("greedy", "permutation"))
             _check_int("instance_source.k", src.get("k"), 1)
             _check_int("instance_source.capacity", src.get("capacity", 1), 1)
-        if src.get("kind") == "random":
+            to_coord(src.get("epsilon", "1/10"))
+        if src["kind"] == "random":
             _check_int("instance_source.k_max", src.get("k_max", 6), 1)
             _check_int("instance_source.cap_max", src.get("cap_max", 1), 1)
-        if seq_src.get("kind") == "random":
+        if seq_src["kind"] == "random":
             _check_int("sequence_source.n_max", seq_src.get("n_max", 10), 0)
+            distribution = seq_src.get("distribution", "uniform")
+            _check_choice("sequence_source.distribution", distribution, ("uniform", "mixture", "opposite"))
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        """Build a config; unknown or missing keys are input errors."""
+        """Build a config, as each trial does; unknown or missing keys are input
+        errors, and so is an adversary sequence without an adversary instance."""
         try:
-            return ExperimentConfig(**data)
+            config = ExperimentConfig(**data)
         except TypeError as exc:
             raise ParseError(f"bad config: {exc}") from None
+        if config.sequence_source["kind"] == "adversary" and config.instance_source["kind"] != "adversary":
+            raise ValidationError("adversary sequences require an adversary instance")
+        return config
+
+
+#: Per source and kind, the keys a source may give besides ``kind``.
+_SOURCE_KEYS = {
+    "instance_source": {
+        "file": {"path"},
+        "random": {"k_max", "cap_max"},
+        "adversary": {"family", "k", "epsilon", "capacity"},
+    },
+    "sequence_source": {"file": {"path"}, "random": {"n_max", "distribution"}, "adversary": set()},
+}
+
+
+def _check_choice(key: str, value, choices) -> None:
+    """Refuse a config value that is not one of the strings ``choices``."""
+    if not isinstance(value, str) or value not in choices:
+        raise ValidationError(f"config {key} must be one of {sorted(choices)}, got {value!r}")
 
 
 def _check_int(key: str, value, least: int | None) -> None:
@@ -126,43 +156,37 @@ def run_algorithm(name: str, inst: Instance, seq: RequestSequence):
 
 
 def _materialize_trial(config: ExperimentConfig, trial: int) -> tuple[str, Instance, RequestSequence]:
-    """Build the (instance, sequence) pair for one trial, deterministically."""
+    """Build the (instance, sequence) pair for one trial, deterministically;
+    the config's sources were checked when it was built."""
     import random as _random
 
-    src = config.instance_source
-    seq_src = config.sequence_source
+    src, seq_src = config.instance_source, config.sequence_source
     rng = _random.Random(config.seed * 1_000_003 + trial)
-    kind = src.get("kind")
+    kind = src["kind"]
     if kind == "file":
         inst = load_instance(src["path"])
         label = Path(src["path"]).stem
     elif kind == "adversary":
-        family = src.get("family")
+        family = src["family"]
         k = src["k"]
         epsilon = to_coord(src.get("epsilon", "1/10"))
         capacity = src.get("capacity", 1)
         if family == "greedy":
             inst, adv_seq = greedy_adversary(greedy_params(k, epsilon, capacity))
-        elif family == "permutation":
-            inst, adv_seq = permutation_adversary(permutation_params(k, epsilon, capacity))
         else:
-            raise ValidationError(f"unknown adversary family {family!r}")
+            inst, adv_seq = permutation_adversary(permutation_params(k, epsilon, capacity))
         label = f"{family}-k{k}"
-    elif kind == "random":
+    else:
         k = rng.randint(1, src.get("k_max", 6))
         inst = random_instance(rng, k, cap_max=src.get("cap_max", 1))
         label = f"random-k{k}"
-    else:
-        raise ValidationError(f"unknown instance source {kind!r}")
 
-    seq_kind = seq_src.get("kind")
+    seq_kind = seq_src["kind"]
     if seq_kind == "file":
         seq = load_sequence(seq_src["path"])
     elif seq_kind == "adversary":
-        if kind != "adversary":
-            raise ValidationError("adversary sequences require an adversary instance")
         seq = adv_seq
-    elif seq_kind == "random":
+    else:
         n = rng.randint(0, min(seq_src.get("n_max", 10), inst.total_capacity))
         seq = next(
             random_sequences(
@@ -173,8 +197,6 @@ def _materialize_trial(config: ExperimentConfig, trial: int) -> tuple[str, Insta
                 count=1,
             )
         )
-    else:
-        raise ValidationError(f"unknown sequence source {seq_kind!r}")
     return f"{label}-t{trial:04d}", inst, seq
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import islice
 
 from .alpha import alpha_fast
 from .core import (
@@ -64,10 +64,10 @@ class CheckResult:
     precondition_met: bool = True
 
 
-def free_before(trace: AssignmentTrace, inst: Instance, t: int) -> frozenset[int]:
-    """Free set just before step t of a trace (initial set for t == 0)."""
+def free_before(trace: AssignmentTrace, inst: Instance, t: int) -> tuple[int, ...]:
+    """Free servers just before step t of a trace, as an increasing tuple."""
     if t == 0:
-        return frozenset(range(inst.k))
+        return tuple(range(inst.k))
     return trace.free_after(t - 1)
 
 
@@ -186,17 +186,15 @@ def check_chain_monotone(ht: HybridTrace, layout: ServerLayout) -> CheckResult:
     precondition the chains must move monotonically apart (base-only chain
     one way, hybrid-only chain the other) and no common free server may
     ever sit strictly between them.  Index order is position order, so
-    the checks compare server indices.
+    the checks compare server indices; the gap check lists stuck servers
+    in index order.
     """
-    inst = unit_instance(layout)
     lo0, hi0 = sorted((ht.s, ht.base.assignment[ht.i]))
-    initial_free = free_before(ht.base, inst, ht.i)
-    if any(lo0 < j < hi0 for j in initial_free):
+    if any(lo0 < j < hi0 for j in free_before(ht.base, unit_instance(layout), ht.i)):
         return CheckResult(ok=True, precondition_met=False)
 
     violations: list[str] = []
     a_chain, h_chain = ht.a_chain, ht.h_chain
-    servers = range(layout.k)
     if a_chain[0] <= h_chain[0]:
         lo_chain, hi_chain, lo_name = a_chain, h_chain, "a"
     else:
@@ -210,9 +208,7 @@ def check_chain_monotone(ht: HybridTrace, layout: ServerLayout) -> CheckResult:
     rows = islice(zip(ht.base.remaining_after, ht.hybrid.remaining_after), ht.i, ht.t_star + 1)
     for t, (b_row, h_row) in enumerate(rows, ht.i):
         lo, hi = sorted((a_chain[t - ht.i], h_chain[t - ht.i]))
-        # Built as free_after builds them, so ``stuck`` keeps their order.
-        common_free = frozenset(compress(servers, b_row)) & frozenset(compress(servers, h_row))
-        stuck = [j for j in common_free if lo < j < hi]
+        stuck = [j for j in range(lo + 1, hi) if b_row[j] and h_row[j]]
         if stuck:
             violations.append(f"free servers {stuck} between the chains at step {t}")
     return CheckResult(ok=not violations, violations=tuple(violations))
@@ -253,10 +249,9 @@ def c3_candidates(
     choice.  When r_i has a single surrounding server the fallback is the
     nearest other free server on each side of the rule's choice (its
     surrounding servers once it is taken out); both are tested when both
-    exist.  Each call is one sort and one or two ``surrounding_servers`` calls.
+    exist.  Each call is one or two ``surrounding_servers`` calls.
     """
-    inst = unit_instance(layout)
-    free = tuple(sorted(free_before(base, inst, i)))
+    free = free_before(base, unit_instance(layout), i)
     chosen = base.assignment[i]
     left, right = surrounding_servers(seq[i], free, layout)
     candidates = {j for j in (left, right) if j is not None and j != chosen}

@@ -153,18 +153,9 @@ def check_faithful(
         again = simulate(rule, inst, variant)
         report.trials += 1
         if again.assignment != base.assignment:
-            diff = [
-                t
-                for t, (a, b) in enumerate(zip(base.assignment, again.assignment))
-                if a != b
-            ]
+            first = next(t for t, (a, b) in enumerate(zip(base.assignment, again.assignment)) if a != b)
             report.violations.append(
-                _reproducer(
-                    inst,
-                    seq,
-                    closer=sequence_to_dict(variant),
-                    first_divergence=diff[0],
-                )
+                _reproducer(inst, seq, closer=sequence_to_dict(variant), first_divergence=first)
             )
     return report
 
@@ -201,7 +192,6 @@ def check_ratio_bound(
     inst: Instance,
     seq: RequestSequence,
     instance_id: str = "",
-    seed: int | None = None,
 ) -> RatioReport:
     """Measured cost ratio of one run against the layout's 2*alpha+1 bound."""
     rule = builder(inst.layout)
@@ -215,7 +205,6 @@ def check_ratio_bound(
         bound=bound,
         instance_id=instance_id,
         algorithm_id=rule.id,
-        seed=seed,
     )
 
 
@@ -329,10 +318,10 @@ def grid_search_max_rate(
     rank.  Rates are compared as integer cross products, keeping the
     first maximiser, and only the result is a Fraction.  Rule decisions
     are never cached: this search is the exhaustive check of a rule, and a
-    cache would hide a rule that is not pure.  Raises ValidationError for
+    cache would hide a rule that is not pure.  The rule gets ``simulate``'s
+    increasing free tuple and O(1) pick check.  Raises ValidationError for
     a negative ``n_max``, SizeGuardError above GRID_SEARCH_MAX_NODES, and
-    RuleError, as ``simulate`` does, when the rule names a server that is
-    not free.
+    RuleError, as ``simulate`` does, for a pick that is not a free server.
     """
     if n_max < 0:
         raise ValidationError(f"grid search depth n_max={n_max} is negative")
@@ -348,7 +337,7 @@ def grid_search_max_rate(
                 f"exceed {GRID_SEARCH_MAX_NODES} nodes"
             )
     servers_int, points_int, scale = scale_to_ints(inst.layout.positions, points)
-    caps0 = list(inst.capacities)
+    k, caps0 = inst.k, list(inst.capacities)
 
     # Stars and bars: a multiset of d points with prefix counts s_q has
     # rank sum_q C(s_q + q, q + 1) over the bars q < n_points - 1, a
@@ -395,7 +384,7 @@ def grid_search_max_rate(
             lift[q] = lift[q + 1] + binom[s + q][q]
         for x, (p, p_int) in enumerate(zip(points, points_int)):
             j = rule.decide(p, free)
-            if j not in free:
+            if not (type(j) is int and 0 <= j < k and remaining[j] > 0):
                 raise RuleError(f"rule {rule.id!r} chose non-free server {j} for request {p}")
             remaining[j] -= 1
             child = free

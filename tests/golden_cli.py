@@ -36,6 +36,8 @@ COMMANDS: dict[str, tuple[str, ...]] = {
     "verify-surrounding-ptcp": ("verify", "surrounding", "--alg", "ptcp", "--k", "3", "--trials", "20"),
     "verify-hybrid-ptcp": ("verify", "hybrid", "--alg", "ptcp", "--k", "3", "--trials", "40"),
     "verify-hybrid-greedy": ("verify", "hybrid", "--alg", "greedy", "--k", "3", "--trials", "40"),
+    "verify-hybrid-ptcp-k12": ("verify", "hybrid", "--alg", "ptcp", "--k", "12", "--trials", "40"),
+    "verify-hybrid-greedy-k12": ("verify", "hybrid", "--alg", "greedy", "--k", "12", "--trials", "40"),
     "verify-capacity-k2": ("verify", "capacity", "--k", "2"),
     "alpha": ("alpha", INST),
     "alpha-csv": ("--format", "csv", "alpha", INST),

@@ -243,6 +243,14 @@ class TestVerify:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert "grid search guard" in err
 
+    @pytest.mark.parametrize("check,trials", [("ratio", "-1"), ("faithful", "-5")])
+    def test_negative_trials(self, capsys, check, trials):
+        # Unchecked, the sweep runs no trial and exits 0.
+        code, out, err = run_cli(capsys, "verify", check, "--trials", trials)
+        assert code == EXIT_ERROR
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "--trials" in err
+
     def test_ratio_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "ratio", "--alg", "ptcp", "--k", "3", "--trials", "30")
         assert code == EXIT_OK
@@ -339,6 +347,40 @@ class TestBatch:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(dict(self.RUN_CONFIG, **change)))
         code, out, err = run_cli(capsys, "run", str(cfg))
+        assert code == EXIT_ERROR
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    # Each source is checked when the config is built, so ``trials: 0``
+    # still refuses it.
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"instance_source": {"kind": "random", "k_mx": 3}},
+            {"sequence_source": {"kind": "random", "n_max": 3, "bias": "left"}},
+            {"instance_source": {"kind": "bogus"}},
+            {"instance_source": {"kind": "adversary", "family": "zigzag", "k": 3}},
+            {"sequence_source": {"kind": "random", "distribution": "gaussian"}},
+            {"sequence_source": {"kind": "adversary"}},
+        ],
+        ids=[
+            "unknown-instance-key",
+            "unknown-sequence-key",
+            "unknown-kind",
+            "unknown-family",
+            "unknown-distribution",
+            "adversary-sequence-random-instance",
+        ],
+    )
+    def test_config_sources_are_checked_when_built(self, capsys, tmp_path, change):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(self.RUN_CONFIG, trials=0, **change)))
+        code, out, err = run_cli(capsys, "run", str(cfg))
+        assert code == EXIT_ERROR
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("epsilon", ["abc", "1" * 1001], ids=["letters", "past-digit-limit"])
+    def test_reproduce_bad_epsilon(self, capsys, epsilon):
+        code, out, err = run_cli(capsys, "reproduce", "thm46", "--epsilon", epsilon)
         assert code == EXIT_ERROR
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
 

@@ -8,20 +8,26 @@ sequence order, ``grid_search_max_rate`` in its depth-first order (a
 child sees its parent's servers minus any that ran out), and
 ``derive_priority_order``'s ranking phase and its seeded subsets.
 ``guard_rule``'s slice of the free tuple is pinned against the frozenset
-filter it replaced.
+filter it replaced.  The three producers refuse a pick that is not a free
+server with one message, and a trace's free sets are the same increasing
+tuples.
 """
 
 import random
+import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ofal.adversary import candidate_points
 from ofal.algorithms import greedy_rule, guard_rule, ptcp_rule
+from ofal.core import Instance, RuleError
 from ofal.engine import PriorityRule, derive_priority_order, simulate
+from ofal.hybrid import free_before
 from ofal.verify import grid_search_max_rate
 
-from conftest import instances, layouts, rand_requests
+from conftest import instances, layout_of, layouts, rand_requests, seq_of
 
 BUILDERS = (ptcp_rule, greedy_rule)
 
@@ -135,3 +141,37 @@ def test_guard_slice_matches_the_frozenset_filter(layout, data):
             assert got == reference_guard_decide(base, k, threshold, r, free)
             for _, base_free, _ in base_calls:
                 assert base_free == tuple(sorted(frozenset(j for j in free if j < k)))
+
+
+# Each producer asks for server 0 at request 1 first, which fills it, and
+# then for the pick at request 1 again, when only server 1 is free.
+PRODUCERS = {
+    "simulate": lambda rule, inst: simulate(rule, inst, seq_of(1, 1)),
+    "grid_search_max_rate": lambda rule, inst: grid_search_max_rate(rule, inst, (Fraction(1),), 2),
+    "derive_priority_order": lambda rule, inst: derive_priority_order(rule, Fraction(1), inst.k),
+}
+
+
+@pytest.mark.parametrize("producer", PRODUCERS)
+@pytest.mark.parametrize("pick", [0, 2, -1, None, "0", "1", 0.5, Fraction(1, 2), [1], 1.0, Fraction(1)])
+def test_every_producer_refuses_a_non_free_pick_alike(producer, pick):
+    inst = Instance(layout_of(0, 2), (1, 1))
+    picks = iter((0, pick))
+    rule = PriorityRule(id="bad", decide=lambda r, free: next(picks))
+    message = f"rule 'bad' chose non-free server {pick} for request 1"
+    with pytest.raises(RuleError, match=f"^{re.escape(message)}$"):
+        PRODUCERS[producer](rule, inst)
+
+
+@given(instances(max_k=7, cap_max=3), st.integers(0, 2**31))
+@settings(max_examples=60, deadline=None)
+def test_trace_free_sets_are_the_increasing_tuples(inst, seed):
+    seq = rand_requests(random.Random(seed), inst, inst.total_capacity)
+    for builder in BUILDERS:
+        trace = simulate(builder(inst.layout), inst, seq)
+        rows = [inst.capacities, *trace.remaining_after]
+        for t, row in enumerate(rows):
+            free = free_before(trace, inst, t)
+            assert type(free) is tuple and free == with_capacity(row)
+            if t:
+                assert trace.free_after(t - 1) == free

@@ -8,6 +8,7 @@ from ofal.algorithms import greedy_rule, ptcp_rule
 from ofal.core import Instance, ValidationError, unit_instance
 from ofal.engine import PriorityRule, simulate
 from ofal.hybrid import (
+    HybridTrace,
     check_c3,
     check_chain_monotone,
     check_transition_rules,
@@ -100,8 +101,8 @@ class TestSweeps:
         assert out is not None
         layout, ht = out
         for t in range(ht.i, ht.t_star + 1):
-            only_base = ht.base.free_after(t) - ht.hybrid.free_after(t)
-            only_hyb = ht.hybrid.free_after(t) - ht.base.free_after(t)
+            only_base = set(ht.base.free_after(t)) - set(ht.hybrid.free_after(t))
+            only_hyb = set(ht.hybrid.free_after(t)) - set(ht.base.free_after(t))
             assert len(only_base) == 1 and len(only_hyb) == 1
 
 
@@ -137,6 +138,30 @@ class TestNegativeControls:
         inst = unit_instance(layout_of(0, 1, 2, 3))
         with pytest.raises(ValidationError, match="diverged again at step 2"):
             run_hybrid(rule, inst, seq_of(0, 0, 0, 0), 0, 0)
+
+    def test_gap_message_lists_stuck_servers_in_index_order(self):
+        # Twelve servers; step 0 puts the base run on 0 and the hybrid on 1,
+        # step 1 the base on 1 and the hybrid on 11, and both then take
+        # 2, 4, 5, 6, 7 and 8.  The chains (a = 1, 11, 11, ...; h = 0, 0, ...)
+        # leave 3, 9 and 10 free between them at step 7.
+        layout = layout_of(*range(12))
+        inst = unit_instance(layout)
+        seq = seq_of(*[1] * 8)
+        shared = (2, 4, 5, 6, 7, 8)
+
+        def scripted(picks):
+            it = iter(picks)
+            return PriorityRule("scripted", lambda r, free: next(it))
+
+        base = simulate(scripted((0, 1, *shared)), inst, seq)
+        hybrid = simulate(scripted((1, 11, *shared)), inst, seq)
+        ht = HybridTrace(
+            base, hybrid, i=0, s=1, a_chain=(1,) + (11,) * 7, h_chain=(0,) * 8, t_star=7, merged=False
+        )
+        mono = check_chain_monotone(ht, layout)
+        assert mono.precondition_met
+        assert mono.violations[-1] == "free servers [3, 9, 10] between the chains at step 7"
+        assert len(mono.violations) == 7
 
     def test_monotone_precondition_reported(self):
         # Base picks server 0; forcing server 2 leaves free server 1 strictly

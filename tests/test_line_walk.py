@@ -116,8 +116,8 @@ def reference_check_chain_monotone(ht, layout):
 
     for off, t in enumerate(range(ht.i, ht.t_star + 1)):
         lo, hi = sorted((a_pos[off], h_pos[off]))
-        common_free = ht.base.free_after(t) & ht.hybrid.free_after(t)
-        stuck = [j for j in common_free if lo < pos[j] < hi]
+        common_free = set(ht.base.free_after(t)) & set(ht.hybrid.free_after(t))
+        stuck = sorted(j for j in common_free if lo < pos[j] < hi)
         if stuck:
             violations.append(f"free servers {stuck} between the chains at step {t}")
     return CheckResult(ok=not violations, violations=tuple(violations))
@@ -208,7 +208,7 @@ def test_chain_monotone_matches_the_position_check(run):
     base = simulate(rule, inst, seq)
     # Every deviation step and every other free server to deviate to.
     for i in range(layout.k):
-        for s in sorted(free_before(base, inst, i) - {base.assignment[i]}):
+        for s in sorted(set(free_before(base, inst, i)) - {base.assignment[i]}):
             try:
                 ht = run_hybrid(rule, inst, seq, i, s)
             except ValidationError:
