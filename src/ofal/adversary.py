@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .algorithms import build_split_tree, ptcp_rule
+from .algorithms import build_split_tree, ptcp_rule, split_geometry
 from .core import (
     Instance,
     ParseError,
@@ -256,10 +256,10 @@ def candidate_points(
     positions = layout.positions
     lo, hi = positions[0], positions[-1]
     points: set[Fraction] = set(positions)
-    for node in build_split_tree(layout).nodes():
-        if not node.is_leaf:
-            gap = node.d
-            crit = node.critical
+    tree = build_split_tree(layout)
+    for i, a in enumerate(tree.split):
+        if a is not None:
+            gap, _, _, _, crit = split_geometry(tree, i, layout)
             points.add(crit)
             if include_offsets:
                 points.update((crit - gap / OFFSET_DEN, crit + gap / OFFSET_DEN))

@@ -2,7 +2,7 @@
 composition that bolts one extra server onto an existing rule.
 
 The split-tree rule ("ptcp") recursively partitions the servers at a
-maximum adjacent gap.  Each internal node stores a critical offset x into
+maximum adjacent gap.  Each internal block has a critical point inside
 its gap; a request left of (or exactly at) the critical point descends
 into the left block whenever a free server remains there, otherwise into
 the right block, and symmetrically.
@@ -11,133 +11,120 @@ the right block, and symmetrically.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .core import ServerLayout, ValidationError
+from .core import ServerLayout, ValidationError, fraction_str
 from .engine import PriorityRule, surrounding_servers
 
 
 @dataclass(frozen=True)
 class SplitTree:
-    """Recursive split structure over a contiguous server interval [lo..hi].
+    """The split tree of a layout as one table of blocks in preorder.
 
-    Internal nodes split after index ``a`` (0-based, lo <= a < hi) at a
-    maximum adjacent gap D = s[a+1] - s[a] of the interval, with
-    Delta1 = s[a] - s[lo], Delta2 = s[hi] - s[a+1] and critical offset
-
-        x = D * (Delta2 + D) / ((Delta1 + D) + (Delta2 + D)),
-
-    so 0 < x < D (positions are distinct, so D > 0) and the critical point
-    s[a] + x lies strictly inside the gap.  Leaves are single servers.
-    ``critical_pair`` is the critical point's numerator and denominator,
-    which ``ptcp_decide`` compares with by cross products.
+    Block i covers the servers lo[i]..hi[i]; block 0 covers all of them.
+    A leaf is a single server (lo == hi), and its ``split``, ``right`` and
+    ``critical`` entries are None.  An internal block splits after server
+    a = split[i] (lo <= a < hi) at the leftmost maximum adjacent gap of
+    the block; its left child is block i + 1 and its right child is block
+    right[i].  critical[i] is the block's critical point as a reduced
+    (numerator, denominator) pair, the one stored form of it, which
+    ``ptcp_decide`` compares with by cross products; ``split_geometry``
+    gives the rest of the block's geometry.  A tree of k servers has
+    2k - 1 blocks.
     """
 
-    lo: int
-    hi: int
-    a: int | None = None
-    d: Fraction | None = None
-    delta1: Fraction | None = None
-    delta2: Fraction | None = None
-    x: Fraction | None = None
-    critical: Fraction | None = None
-    left: "SplitTree | None" = None
-    right: "SplitTree | None" = None
-    critical_pair: tuple[int, int] | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.lo == self.hi
-
-    def nodes(self):
-        """Every node in preorder (node, left subtree, right subtree)."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            if not node.is_leaf:
-                stack += (node.right, node.left)
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    split: tuple[int | None, ...]
+    right: tuple[int | None, ...]
+    critical: tuple[tuple[int, int] | None, ...]
 
 
 def build_split_tree(layout: ServerLayout) -> SplitTree:
     """Build the split tree over all servers of a layout.
 
-    Everything is computed on ``layout.scaled``: the gaps once, then per
-    node D, Delta1, Delta2 and the critical point as ints over the
-    layout's scale; each block splits after the leftmost of its maximum
-    gaps.  Positions are distinct, so every gap D is positive.  An
-    internal node's Fraction fields are made from its ints, five
-    ``Fraction(int, int)`` and no Fraction arithmetic.  The build is
-    iterative, so the depth of the tree (up to k - 1) is not bounded by
+    One preorder pass with an explicit stack, on ``layout.scaled``: the
+    gaps once, then per block its leftmost maximum gap D = s[a+1] - s[a],
+    Delta1 = s[a] - s[lo], Delta2 = s[hi] - s[a+1] and the critical point
+
+        s[a] + x,  x = D * (Delta2 + D) / ((Delta1 + D) + (Delta2 + D)),
+
+    as ints over the layout's scale, reduced to lowest terms.  Positions
+    are distinct, so D > 0 and 0 < x < D: the critical point lies
+    strictly inside the gap.  The left subtree of a block over m servers
+    has 2m - 1 blocks, so the right child follows it at i + 2m.  No
+    recursion, so the depth of the tree (up to k - 1) is not bounded by
     the recursion limit.
     """
     ints, scale = layout.scaled
     gaps = [b - a for a, b in zip(ints, ints[1:])]
-    # Blocks in preorder with their split points, then the nodes built in
-    # reverse: a node's subtrees are then the top two of ``built``.
-    order: list[tuple[int, int, int | None]] = []
+    rows: list[tuple] = []  # (lo, hi, split, right, critical) per block
     stack = [(0, layout.k - 1)]
     while stack:
         lo, hi = stack.pop()
-        a = None if lo == hi else max(range(lo, hi), key=gaps.__getitem__)
-        order.append((lo, hi, a))
-        if a is not None:
-            stack += ((a + 1, hi), (lo, a))
-    built: list[SplitTree] = []
-    for lo, hi, a in reversed(order):
-        if a is None:
-            built.append(SplitTree(lo=lo, hi=hi))
+        if lo == hi:
+            rows.append((lo, hi, None, None, None))
             continue
+        a = max(range(lo, hi), key=gaps.__getitem__)
         d = gaps[a]
         delta1 = ints[a] - ints[lo]
         delta2 = ints[hi] - ints[a + 1]
-        # x = x_num / (den * scale), and the critical point is s[a] + x.
-        x_num, den = d * (delta2 + d), (delta1 + d) + (delta2 + d)
-        critical = Fraction(ints[a] * den + x_num, den * scale)
-        built.append(SplitTree(
-            lo=lo,
-            hi=hi,
-            a=a,
-            d=Fraction(d, scale),
-            delta1=Fraction(delta1, scale),
-            delta2=Fraction(delta2, scale),
-            x=Fraction(x_num, den * scale),
-            critical=critical,
-            left=built.pop(),
-            right=built.pop(),
-            critical_pair=(critical.numerator, critical.denominator),
-        ))
-    return built.pop()
+        den = (delta1 + d) + (delta2 + d)
+        num, den = ints[a] * den + d * (delta2 + d), den * scale
+        g = gcd(num, den)
+        rows.append((lo, hi, a, len(rows) + 2 * (a - lo + 1), (num // g, den // g)))
+        stack += ((a + 1, hi), (lo, a))
+    return SplitTree(*map(tuple, zip(*rows)))
+
+
+def split_geometry(
+    tree: SplitTree, i: int, layout: ServerLayout
+) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
+    """(D, Delta1, Delta2, x, critical point) of internal block i, as
+    Fractions: D = s[a+1] - s[a] is the split gap, Delta1 = s[a] - s[lo]
+    and Delta2 = s[hi] - s[a+1] the spans of the two children, and
+    x = critical - s[a] the critical offset into the gap (see
+    ``build_split_tree`` for its formula).  Raises ValidationError for a
+    leaf, which has no split.
+    """
+    a = tree.split[i]
+    if a is None:
+        raise ValidationError(f"block {i} is a leaf and has no split")
+    s = layout.positions
+    critical = Fraction(*tree.critical[i])
+    return s[a + 1] - s[a], s[a] - s[tree.lo[i]], s[tree.hi[i]] - s[a + 1], critical - s[a], critical
 
 
 def ptcp_decide(tree: SplitTree, r: Fraction, free: tuple[int, ...]) -> int:
     """Descend the split tree to a free server for request r.
 
-    At each internal node: go left iff (r <= critical point and the left
+    At each internal block: go left iff (r <= critical point and the left
     block has a free server) or the right block has none.  The boundary
     r == critical point goes left.  Raises ValidationError for an empty
     free set.
 
     ``free`` is increasing, so each level narrows the slice of it that
-    lies in the node's block with one bisection, and compares r with the
-    node's ``critical_pair`` as an integer cross product.  A call costs
-    O(depth * log f) for f free servers, with no copy or sort of ``free``,
-    no Fraction arithmetic and no Fraction attribute read.
+    lies in the block with one bisection, and compares r with the block's
+    critical point as an integer cross product.  A call costs
+    O(depth * log f) for f free servers, with no copy or sort of ``free``
+    and no Fraction arithmetic.
     """
     if not free:
         raise ValidationError("ptcp undefined for an empty free set")
-    i0, i1 = 0, len(free)  # free[i0:i1] are the free servers in the node's block
+    split, right, critical = tree.split, tree.right, tree.critical
+    i0, i1 = 0, len(free)  # free[i0:i1] are the free servers in block i
     rn, rd = r.numerator, r.denominator
-    node = tree
-    while not node.is_leaf:
-        m = bisect_right(free, node.a, i0, i1)
-        cn, cd = node.critical_pair
+    i = 0
+    while (a := split[i]) is not None:
+        m = bisect_right(free, a, i0, i1)
+        cn, cd = critical[i]
         if m == i1 or (m > i0 and rn * cd <= cn * rd):
-            node, i1 = node.left, m
+            i, i1 = i + 1, m
         else:
-            node, i0 = node.right, m
-    return node.lo
+            i, i0 = right[i], m
+    return tree.lo[i]
 
 
 def ptcp_rule(layout: ServerLayout) -> PriorityRule:
@@ -224,20 +211,25 @@ def build_rule(name: str, layout: ServerLayout) -> PriorityRule:
 
 
 def tree_to_dict(tree: SplitTree, layout: ServerLayout) -> dict:
-    """JSON-friendly dump of a split tree for inspection."""
-    from .core import fraction_str
-
-    if tree.is_leaf:
-        return {"server": tree.lo, "position": fraction_str(layout.positions[tree.lo])}
-    return {
-        "lo": tree.lo,
-        "hi": tree.hi,
-        "split_after": tree.a,
-        "gap": fraction_str(tree.d),
-        "delta1": fraction_str(tree.delta1),
-        "delta2": fraction_str(tree.delta2),
-        "x": fraction_str(tree.x),
-        "critical": fraction_str(tree.critical),
-        "left": tree_to_dict(tree.left, layout),
-        "right": tree_to_dict(tree.right, layout),
-    }
+    """JSON-friendly dump of a split tree for inspection: nested dicts,
+    built bottom-up (a block's children follow it in preorder)."""
+    out: list = [None] * len(tree.lo)
+    for i in reversed(range(len(tree.lo))):
+        a = tree.split[i]
+        if a is None:
+            out[i] = {"server": tree.lo[i], "position": fraction_str(layout.positions[tree.lo[i]])}
+            continue
+        d, delta1, delta2, x, critical = split_geometry(tree, i, layout)
+        out[i] = {
+            "lo": tree.lo[i],
+            "hi": tree.hi[i],
+            "split_after": a,
+            "gap": fraction_str(d),
+            "delta1": fraction_str(delta1),
+            "delta2": fraction_str(delta2),
+            "x": fraction_str(x),
+            "critical": fraction_str(critical),
+            "left": out[i + 1],
+            "right": out[tree.right[i]],
+        }
+    return out[0]

@@ -21,13 +21,12 @@ BRUTEFORCE_MAX_K = 20
 
 @dataclass(frozen=True)
 class Metrics:
-    """alpha of a layout together with L of the full set and a witness.
+    """alpha of a layout together with a witness.
 
     ``witness`` holds the 0-based server indices of a subset achieving
     alpha (a contiguous interval when produced by the fast evaluator).
     """
 
-    l_value: Fraction
     alpha: Fraction
     witness: tuple[int, ...]
 
@@ -76,11 +75,7 @@ def alpha_bruteforce(layout: ServerLayout) -> Metrics:
         if (last - first) * best_gap > best_span * gap:
             best_span, best_gap, best_mask = last - first, gap, mask
     witness = tuple(j for j in range(k) if best_mask >> j & 1)
-    return Metrics(
-        l_value=gap_ratio(layout.positions),
-        alpha=Fraction(best_span, best_gap),
-        witness=witness,
-    )
+    return Metrics(alpha=Fraction(best_span, best_gap), witness=witness)
 
 
 def alpha_fast(layout: ServerLayout) -> Metrics:
@@ -109,11 +104,7 @@ def alpha_fast(layout: ServerLayout) -> Metrics:
             span = xs[j] - x_i
             if span * best_gap > best_span * max_gap:
                 best_span, best_gap, best_i, best_j = span, max_gap, i, j
-    return Metrics(
-        l_value=gap_ratio(layout.positions),
-        alpha=Fraction(best_span, best_gap),
-        witness=tuple(range(best_i, best_j + 1)),
-    )
+    return Metrics(alpha=Fraction(best_span, best_gap), witness=tuple(range(best_i, best_j + 1)))
 
 
 def aspect_ratio(layout: ServerLayout) -> Fraction:

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import __version__
-from .alpha import alpha_fast, aspect_ratio
+from .alpha import alpha_fast, aspect_ratio, gap_ratio
 from .adversary import (
     greedy_adversary,
     greedy_params,
@@ -76,7 +76,7 @@ def cmd_alpha(args) -> int:
     _emit(
         {
             "alpha": fraction_str(metrics.alpha),
-            "l_value": fraction_str(metrics.l_value),
+            "l_value": fraction_str(gap_ratio(inst.layout)),
             "witness": list(metrics.witness),
             "bound": fraction_str(2 * metrics.alpha + 1),
             "aspect_ratio": fraction_str(aspect_ratio(inst.layout)),

@@ -341,7 +341,13 @@ REPRODUCE_TABLES = ("thm46", "thm47", "tightness-k2")
 
 
 def reproduce(table: str, k: int | None = None, epsilon: Fraction | None = None) -> dict:
-    """Run one of the named headline comparisons and report target checks."""
+    """Run one of the named headline comparisons and report target checks.
+
+    tightness-k2 runs on the fixed layout (0, 1) and refuses a k or an
+    epsilon rather than ignore it.
+    """
+    if table == "tightness-k2" and (k is not None or epsilon is not None):
+        raise ValidationError("reproduce tightness-k2 takes no k or epsilon; its layout is fixed at (0, 1)")
     epsilon = Fraction(1, 10) if epsilon is None else Fraction(epsilon)
     if table in ("thm46", "thm47"):
         if table == "thm46":

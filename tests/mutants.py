@@ -1,0 +1,192 @@
+"""Mutation catalogue: small source edits that the test suite must catch.
+
+Each entry names a file, an exact snippet that occurs once in it, the
+snippet's replacement and the test ids expected to fail.  pytest does not
+collect this file; run it as
+
+    python tests/mutants.py [NAME ...]
+
+It exports the repository with ``git archive`` into a temporary
+directory (the tree of ``git stash create``, so edits to tracked files
+count; otherwise HEAD; untracked files are left out), applies each
+mutant there in turn, runs that mutant's tests and restores the file.
+A mutant is killed when pytest reports a failure (exit status 1); it
+survives when every test passes.  Any other pytest status (a collection
+error, no such test) is reported as an error.  The script prints one
+line per mutant and exits 0 only when every mutant is killed.
+
+``tests/test_mutants.py`` checks, at tier 1, that every snippet occurs
+exactly once in the current source, so code that moves must take its
+catalogue entries along.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "ptcp-critical-point-goes-right",
+        "src/ofal/algorithms.py",
+        "if m == i1 or (m > i0 and rn * cd <= cn * rd):",
+        "if m == i1 or (m > i0 and rn * cd < cn * rd):",
+        (
+            "tests/test_algorithms.py::TestSplitRuleDecisions::test_boundary_goes_left",
+            "tests/test_algorithms.py::TestSplitRuleDecisions::test_recursive_descent",
+        ),
+    ),
+    Mutant(
+        "split-at-rightmost-maximum-gap",
+        "src/ofal/algorithms.py",
+        "a = max(range(lo, hi), key=gaps.__getitem__)",
+        "a = max(reversed(range(lo, hi)), key=gaps.__getitem__)",
+        ("tests/test_algorithms.py::TestSplitTree::test_max_gap_tie_breaks_left",),
+    ),
+    Mutant(
+        "split-right-child-index",
+        "src/ofal/algorithms.py",
+        "len(rows) + 2 * (a - lo + 1)",
+        "len(rows) + 2 * (a - lo) + 1",
+        ("tests/test_algorithms.py::TestSplitTree::test_three_servers_asymmetric",),
+    ),
+    Mutant(
+        "greedy-tie-goes-right",
+        "src/ofal/algorithms.py",
+        "(ints[left] + ints[right]) * r.denominator < 2 * r.numerator * scale",
+        "(ints[left] + ints[right]) * r.denominator <= 2 * r.numerator * scale",
+        (
+            "tests/test_algorithms.py::TestGreedy::test_tie_breaks_left",
+            "tests/test_online_kernels.py::TestScaledLayers::test_literal_boundaries",
+        ),
+    ),
+    # On a list of ints, bisect_left(xs, v + 1) is bisect_right(xs, v);
+    # engine.py imports bisect_left alone.
+    Mutant(
+        "surrounding-bisect-right-of-positions",
+        "src/ofal/engine.py",
+        "p = bisect_left(ints, -(-rs // rd))",
+        "p = bisect_left(ints, -(-rs // rd) + 1)",
+        ("tests/test_online_kernels.py::TestScaledLayers::test_literal_boundaries",),
+    ),
+    Mutant(
+        "surrounding-bisect-right-of-free",
+        "src/ofal/engine.py",
+        "i = bisect_left(free, p)",
+        "i = bisect_left(free, p + 1)",
+        ("tests/test_online_kernels.py::TestScaledLayers::test_literal_boundaries",),
+    ),
+    Mutant(
+        "engine-rightmost-spare-target",
+        "src/ofal/offline.py",
+        "target = next(j for j, d in enumerate(dist) if d == reach and loads[j] < caps[j])",
+        "target = max(j for j, d in enumerate(dist) if d == reach and loads[j] < caps[j])",
+        ("tests/test_offline.py::TestHeldRequestLists::test_zero_cost_hop_reveals_a_spare_server_further_left",),
+    ),
+    Mutant(
+        "dp-window-lower-bound-too-high",
+        "src/ofal/offline.py",
+        "new_lo, new_hi = max(lo, n - rest), min(n, hi + c)",
+        "new_lo, new_hi = max(lo, n - rest + 1), min(n, hi + c)",
+        ("tests/test_online_kernels.py::TestDpWindow::test_edge_cases",),
+    ),
+    Mutant(
+        "dp-window-first-read-too-high",
+        "src/ofal/offline.py",
+        "base = max(lo, new_lo - c)",
+        "base = max(lo, new_lo - c + 1)",
+        ("tests/test_online_kernels.py::TestDpWindow::test_random_larger_instances",),
+    ),
+    Mutant(
+        "alpha-fast-last-maximizer",
+        "src/ofal/alpha.py",
+        "if span * best_gap > best_span * max_gap:",
+        "if span * best_gap >= best_span * max_gap:",
+        ("tests/test_alpha.py::TestAlphaFast::test_witness_is_lexicographically_first",),
+    ),
+    Mutant(
+        "scale-over-servers-only",
+        "src/ofal/core.py",
+        "scale = math.lcm(*{v.denominator for v in (*servers, *points)})",
+        "scale = math.lcm(*{v.denominator for v in servers})",
+        ("tests/test_core.py::TestScaling::test_scaled_pair_checks_the_pair",),
+    ),
+    Mutant(
+        "chain-precondition-counts-the-ends",
+        "src/ofal/hybrid.py",
+        "if any(lo0 < j < hi0 for j in free_before(",
+        "if any(lo0 <= j < hi0 for j in free_before(",
+        ("tests/test_hybrid.py::TestNegativeControls::test_gap_message_lists_stuck_servers_in_index_order",),
+    ),
+)
+
+
+def run_mutant(mutant: Mutant, tree: Path) -> str:
+    """Apply one mutant inside ``tree``, run its tests, restore the file."""
+    target = tree / mutant.path
+    source = target.read_text(encoding="utf-8")
+    if source.count(mutant.snippet) != 1:
+        return "error (snippet does not occur exactly once)"
+    target.write_text(source.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
+    # No bytecode is written: two mutants of one file in the same second
+    # and of the same size would otherwise share a stale cache entry.
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=tree,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+    finally:
+        target.write_text(source, encoding="utf-8")
+    if proc.returncode == 1:
+        return "killed"
+    if proc.returncode == 0:
+        return "SURVIVED"
+    return f"error (pytest exit {proc.returncode})"
+
+
+def main(argv: list[str]) -> int:
+    known = {m.name for m in MUTANTS}
+    unknown = sorted(set(argv) - known)
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    rev = subprocess.run(
+        ["git", "stash", "create"], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip() or "HEAD"
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True, check=True).stdout
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="ofal-mutants-") as tmp:
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        for mutant in chosen:
+            start = time.perf_counter()
+            verdict = run_mutant(mutant, Path(tmp))
+            bad += verdict != "killed"
+            print(f"{verdict:10} {time.perf_counter() - start:5.1f}s  {mutant.name}", flush=True)
+    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    return 0 if bad == 0 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from ofal.algorithms import (
+    SplitTree,
     build_rule,
     build_split_tree,
     greedy_decide,
@@ -11,10 +12,11 @@ from ofal.algorithms import (
     guard_rule,
     ptcp_decide,
     ptcp_rule,
+    split_geometry,
     tree_to_dict,
 )
 from ofal.alpha import alpha_fast, gap_ratio
-from ofal.core import ValidationError, unit_instance
+from ofal.core import ServerLayout, ValidationError, unit_instance
 from ofal.engine import simulate
 
 from conftest import check_trace, layout_of, layouts, seq_of
@@ -22,48 +24,68 @@ from conftest import check_trace, layout_of, layouts, seq_of
 
 class TestSplitTree:
     def test_two_servers_symmetric(self):
-        tree = build_split_tree(layout_of(0, 2))
-        assert (tree.a, tree.d, tree.delta1, tree.delta2) == (0, 2, 0, 0)
-        assert tree.x == 1 and tree.critical == 1
+        layout = layout_of(0, 2)
+        tree = build_split_tree(layout)
+        assert tree.split[0] == 0
+        assert split_geometry(tree, 0, layout) == (2, 0, 0, 1, 1)
+        assert tree.critical[0] == (1, 1)
 
     def test_three_servers_asymmetric(self):
         # Gap (1,3) dominates; x = 2*(0+2)/((1+2)+(0+2)) = 4/5.
-        tree = build_split_tree(layout_of(0, 1, 3))
-        assert (tree.a, tree.d, tree.delta1, tree.delta2) == (1, 2, 1, 0)
-        assert tree.x == Fraction(4, 5)
-        assert tree.critical == Fraction(9, 5)
-        assert tree.left.hi == 1 and tree.right.is_leaf
+        layout = layout_of(0, 1, 3)
+        tree = build_split_tree(layout)
+        d, delta1, delta2, x, critical = split_geometry(tree, 0, layout)
+        assert (tree.split[0], d, delta1, delta2) == (1, 2, 1, 0)
+        assert x == Fraction(4, 5)
+        assert critical == Fraction(9, 5) and tree.critical[0] == (9, 5)
+        # Preorder: root, its left block (0..1) and that block's two
+        # leaves, then the right leaf (2) at index right[0].
+        assert tree.hi[1] == 1 and tree.right[0] == 4
+        assert tree.lo[4] == tree.hi[4] == 2 and tree.split[4] is None
 
     def test_single_server_leaf(self):
         tree = build_split_tree(layout_of(5))
-        assert tree.is_leaf
+        assert tree == SplitTree(lo=(0,), hi=(0,), split=(None,), right=(None,), critical=(None,))
+        with pytest.raises(ValidationError):
+            split_geometry(tree, 0, layout_of(5))
 
     def test_max_gap_tie_breaks_left(self):
         tree = build_split_tree(layout_of(0, 1, 2))
-        assert tree.a == 0  # both gaps are 1; leftmost split wins
+        assert tree.split[0] == 0  # both gaps are 1; leftmost split wins
+
+    def test_deep_tree_compares_hashes_and_prints(self):
+        # 1500 evenly spaced servers: every block splits after its leftmost
+        # server, so the tree is a path 1499 blocks deep.
+        layout = ServerLayout(tuple(Fraction(i) for i in range(1500)))
+        a, b = build_split_tree(layout), build_split_tree(layout)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a).startswith("SplitTree(")
+        assert a.split[:3] == (0, None, 1) and a.right[:3] == (2, None, 4)
 
     @given(layouts(min_k=2, max_k=8))
     @settings(max_examples=120, deadline=None)
     def test_node_invariants(self, layout):
         positions = layout.positions
         alpha = alpha_fast(layout).alpha
-        for node in build_split_tree(layout).nodes():
-            if node.is_leaf:
+        tree = build_split_tree(layout)
+        for i, a in enumerate(tree.split):
+            if a is None:
                 continue
-            window = positions[node.lo : node.hi + 1]
-            gaps = [b - a for a, b in zip(window, window[1:])]
-            assert node.d == max(gaps)
-            assert 0 < node.x < node.d
-            assert positions[node.a] < node.critical < positions[node.a + 1]
-            # The node's stretch value in terms of its split data.
+            d, delta1, delta2, x, critical = split_geometry(tree, i, layout)
+            window = positions[tree.lo[i] : tree.hi[i] + 1]
+            gaps = [q - p for p, q in zip(window, window[1:])]
+            assert d == max(gaps)
+            assert 0 < x < d
+            assert positions[a] < critical < positions[a + 1]
+            # The block's stretch value in terms of its split data.
             l_node = gap_ratio(window)
-            assert node.d * l_node == node.delta1 + node.delta2 + node.d
+            assert d * l_node == delta1 + delta2 + d
             # The exact algebra the competitive argument rests on: both
             # boundary expressions collapse to 2*L + 1 at the chosen x.
-            assert (2 * node.delta1 + node.d + node.x) / (node.d - node.x) == 2 * l_node + 1
-            assert (2 * node.delta2 + 2 * node.d - node.x) / node.x == 2 * l_node + 1
-            assert (2 * node.d - node.x) / node.x <= 2 * l_node + 1
-            assert (node.d + node.x) / (node.d - node.x) <= 2 * l_node + 1
+            assert (2 * delta1 + d + x) / (d - x) == 2 * l_node + 1
+            assert (2 * delta2 + 2 * d - x) / x == 2 * l_node + 1
+            assert (2 * d - x) / x <= 2 * l_node + 1
+            assert (d + x) / (d - x) <= 2 * l_node + 1
             assert 2 * l_node + 1 <= 2 * alpha + 1
 
     def test_tree_dump_shape(self):

@@ -69,7 +69,7 @@ class TestAlphaFast:
     @settings(max_examples=100, deadline=None)
     def test_metrics_invariants(self, layout):
         metrics = alpha_fast(layout)
-        assert metrics.alpha >= metrics.l_value
+        assert metrics.alpha >= gap_ratio(layout)
         assert metrics.alpha >= 0
         assert (metrics.alpha == 0) == (layout.k <= 1)
 

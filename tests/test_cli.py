@@ -384,6 +384,14 @@ class TestBatch:
         assert code == EXIT_ERROR
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", [("--k", "5"), ("--epsilon", "1/10")], ids=["k", "epsilon"])
+    def test_reproduce_tightness_refuses_k_and_epsilon(self, capsys, flag):
+        # tightness-k2 runs on the fixed layout (0, 1); a flag it cannot
+        # honour is refused rather than ignored.
+        code, out, err = run_cli(capsys, "reproduce", "tightness-k2", *flag)
+        assert code == EXIT_ERROR
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
     def test_reproduce_text(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "csv", "reproduce", "thm46", "--k", "3")
         assert code == EXIT_OK

@@ -89,7 +89,7 @@ def reference_alpha_bruteforce(layout):
         if value > best:
             best = value
             witness = subset
-    return Metrics(l_value=gap_ratio(positions), alpha=best, witness=witness)
+    return Metrics(alpha=best, witness=witness)
 
 
 def rightmost_rule(layout: ServerLayout) -> PriorityRule:

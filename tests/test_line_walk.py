@@ -1,7 +1,7 @@
 """Differential check: the split tree, the threshold-check candidates and
 the monotone-chain check agree with the code they replaced.
 
-``build_split_tree`` reads ``layout.gaps()`` once and takes the leftmost
+``build_split_tree`` computes the gaps once and takes the leftmost
 maximum gap of each block; ``c3_candidates`` falls back to the
 surrounding servers of the rule's choice with that server taken out;
 ``check_chain_monotone`` compares server indices.  The reference
@@ -23,24 +23,27 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from ofal.algorithms import (
-    SplitTree,
     build_split_tree,
     greedy_rule,
     ptcp_rule,
+    split_geometry,
     tree_to_dict,
 )
-from ofal.core import RequestSequence, ServerLayout, ValidationError, unit_instance
+from ofal.core import RequestSequence, ServerLayout, ValidationError, fraction_str, unit_instance
 from ofal.engine import PriorityRule, simulate
 from ofal.hybrid import CheckResult, c3_candidates, check_chain_monotone, free_before, run_hybrid
 
 from conftest import layouts
 
 
-def reference_build_split_tree(layout, lo=0, hi=None):
+def reference_build_split_tree(layout, lo=0, hi=None, i=0):
+    """The rescanning build, as preorder rows
+    (lo, hi, a, right, D, Delta1, Delta2, x, critical point); this
+    block's row is row i of the whole tree."""
     if hi is None:
         hi = layout.k - 1
     if lo == hi:
-        return SplitTree(lo=lo, hi=hi)
+        return [(lo, hi, None, None, None, None, None, None, None)]
     positions = layout.positions
     a = lo
     d = positions[lo + 1] - positions[lo]
@@ -51,18 +54,37 @@ def reference_build_split_tree(layout, lo=0, hi=None):
     delta1 = positions[a] - positions[lo]
     delta2 = positions[hi] - positions[a + 1]
     x = d * (delta2 + d) / ((delta1 + d) + (delta2 + d))
-    return SplitTree(
-        lo=lo,
-        hi=hi,
-        a=a,
-        d=d,
-        delta1=delta1,
-        delta2=delta2,
-        x=x,
-        critical=positions[a] + x,
-        left=reference_build_split_tree(layout, lo, a),
-        right=reference_build_split_tree(layout, a + 1, hi),
-    )
+    left = reference_build_split_tree(layout, lo, a, i + 1)
+    right = reference_build_split_tree(layout, a + 1, hi, i + 1 + len(left))
+    return [(lo, hi, a, i + 1 + len(left), d, delta1, delta2, x, positions[a] + x)] + left + right
+
+
+def table_rows(tree, layout):
+    """The same rows read from the preorder table and ``split_geometry``."""
+    return [
+        (tree.lo[i], tree.hi[i], a, tree.right[i])
+        + ((None,) * 5 if a is None else split_geometry(tree, i, layout))
+        for i, a in enumerate(tree.split)
+    ]
+
+
+def rows_to_dict(rows, layout, i=0):
+    """``tree_to_dict``'s nested dump, built from reference rows."""
+    lo, hi, a, right, d, delta1, delta2, x, critical = rows[i]
+    if a is None:
+        return {"server": lo, "position": fraction_str(layout.positions[lo])}
+    return {
+        "lo": lo,
+        "hi": hi,
+        "split_after": a,
+        "gap": fraction_str(d),
+        "delta1": fraction_str(delta1),
+        "delta2": fraction_str(delta2),
+        "x": fraction_str(x),
+        "critical": fraction_str(critical),
+        "left": rows_to_dict(rows, layout, i + 1),
+        "right": rows_to_dict(rows, layout, right),
+    }
 
 
 def reference_surrounding_servers(r, free, layout):
@@ -184,9 +206,9 @@ def runs(draw, kinds=("ptcp", "greedy", "farthest", "seeded", "hashed")):
 def test_split_tree_matches_the_rescanning_build(layout):
     tree = build_split_tree(layout)
     reference = reference_build_split_tree(layout)
-    # Dataclass equality compares every field of every node, recursively.
-    assert tree == reference
-    assert tree_to_dict(tree, layout) == tree_to_dict(reference, layout)
+    # Every block's bounds, split, right child and geometry, in preorder.
+    assert table_rows(tree, layout) == reference
+    assert tree_to_dict(tree, layout) == rows_to_dict(reference, layout)
 
 
 @given(runs())

@@ -10,20 +10,23 @@ on the layout's scaled integers.  The reference functions below are the
 earlier code, inlined: two ``any()`` scans and a Fraction ``<=`` per tree
 level, one Fraction division per interval, the full triple loop over
 every state and block length, a bisection of the Fraction positions,
-two Fraction distances per greedy decision and the Fraction
-critical-point formula.  Results must be equal, including which of
-several tied maximisers or servers is reported.
+two Fraction distances per greedy decision, the Fraction
+critical-point formula, and the nested split tree of frozen node objects
+with its descent, which the preorder table of ``SplitTree`` replaced.
+Results must be equal, including which of several tied maximisers or
+servers is reported.
 """
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ofal.algorithms import SplitTree, build_split_tree, greedy_decide, ptcp_decide
-from ofal.alpha import Metrics, alpha_fast, gap_ratio
+from ofal.algorithms import build_split_tree, greedy_decide, ptcp_decide, split_geometry
+from ofal.alpha import Metrics, alpha_fast
 from ofal.core import ServerLayout, ValidationError
 from ofal.engine import surrounding_servers
 from ofal.offline import dp_cost_ints
@@ -32,15 +35,15 @@ from conftest import layout_of, layouts
 
 
 def reference_ptcp_decide(tree, r, free):
-    node = tree
-    while not node.is_leaf:
-        left_free = any(node.lo <= j <= node.a for j in free)
-        right_free = any(node.a < j <= node.hi for j in free)
-        if (r <= node.critical and left_free) or not right_free:
-            node = node.left
+    i = 0
+    while (a := tree.split[i]) is not None:
+        left_free = any(tree.lo[i] <= j <= a for j in free)
+        right_free = any(a < j <= tree.hi[i] for j in free)
+        if (r <= Fraction(*tree.critical[i]) and left_free) or not right_free:
+            i += 1
         else:
-            node = node.right
-    return node.lo
+            i = tree.right[i]
+    return tree.lo[i]
 
 
 def reference_alpha_fast(layout):
@@ -58,7 +61,7 @@ def reference_alpha_fast(layout):
             if value > best:
                 best = value
                 witness = tuple(range(i, j + 1))
-    return Metrics(l_value=gap_ratio(positions), alpha=best, witness=witness)
+    return Metrics(alpha=best, witness=witness)
 
 
 def reference_dp_cost_ints(servers, caps, requests):
@@ -93,7 +96,7 @@ def reference_dp_cost_ints(servers, caps, requests):
 
 
 def critical_points(tree):
-    return [node.critical for node in tree.nodes() if not node.is_leaf]
+    return [Fraction(*c) for c in tree.critical if c is not None]
 
 
 @st.composite
@@ -120,10 +123,11 @@ def ptcp_cases(draw):
     tree = build_split_tree(layout)
     k = layout.k
     free = set(draw(st.sets(st.integers(0, k - 1), min_size=1)))
-    inner = [node for node in tree.nodes() if not node.is_leaf]
+    inner = [i for i, a in enumerate(tree.split) if a is not None]
     if inner and draw(st.booleans()):
-        node = draw(st.sampled_from(inner))
-        lo, hi = (node.lo, node.a) if draw(st.booleans()) else (node.a + 1, node.hi)
+        i = draw(st.sampled_from(inner))
+        a = tree.split[i]
+        lo, hi = (tree.lo[i], a) if draw(st.booleans()) else (a + 1, tree.hi[i])
         emptied = free - set(range(lo, hi + 1))
         if emptied:
             free = emptied
@@ -143,25 +147,24 @@ class TestPtcpDecide:
     @given(layouts(min_k=2, max_k=12))
     @settings(max_examples=100, deadline=None)
     def test_critical_points_go_left(self, layout):
-        # With every server free, a request exactly on a node's critical
-        # point that reaches the node lands in its left block.
+        # With every server free, a request exactly on a block's critical
+        # point that reaches the block lands in its left child.
         tree = build_split_tree(layout)
         full = tuple(range(layout.k))
-        for node in tree.nodes():
-            if node.is_leaf:
+        for i, a in enumerate(tree.split):
+            if a is None:
                 continue
-            free = tuple(range(node.lo, node.hi + 1))
-            j = ptcp_decide(tree, node.critical, free)
-            assert node.lo <= j <= node.a
-            assert j == reference_ptcp_decide(tree, node.critical, free)
-            assert ptcp_decide(tree, node.critical, full) == reference_ptcp_decide(
-                tree, node.critical, full
-            )
+            critical = Fraction(*tree.critical[i])
+            free = tuple(range(tree.lo[i], tree.hi[i] + 1))
+            j = ptcp_decide(tree, critical, free)
+            assert tree.lo[i] <= j <= a
+            assert j == reference_ptcp_decide(tree, critical, free)
+            assert ptcp_decide(tree, critical, full) == reference_ptcp_decide(tree, critical, full)
 
     def test_one_block_empty(self):
         tree = build_split_tree(layout_of(0, 1, 3, 4))
         # Root splits after server 1 at critical point 2.
-        assert tree.a == 1 and tree.critical == 2
+        assert tree.split[0] == 1 and tree.critical[0] == (2, 1)
         assert ptcp_decide(tree, Fraction(0), (2, 3)) == 2
         assert ptcp_decide(tree, Fraction(4), (0, 1)) == 1
         assert ptcp_decide(tree, Fraction(2), (0, 3)) == 0
@@ -292,29 +295,20 @@ def reference_greedy_decide(r, free, layout):
 
 
 def reference_fraction_split_tree(layout):
+    """Preorder rows (lo, hi, a, D, Delta1, Delta2, x, critical point)."""
     positions = layout.positions
     gaps = layout.gaps()
 
     def build(lo, hi):
         if lo == hi:
-            return SplitTree(lo=lo, hi=hi)
+            return [(lo, hi, None, None, None, None, None, None)]
         a = max(range(lo, hi), key=gaps.__getitem__)
         d = gaps[a]
         delta1 = positions[a] - positions[lo]
         delta2 = positions[hi] - positions[a + 1]
         x = d * (delta2 + d) / ((delta1 + d) + (delta2 + d))
-        return SplitTree(
-            lo=lo,
-            hi=hi,
-            a=a,
-            d=d,
-            delta1=delta1,
-            delta2=delta2,
-            x=x,
-            critical=positions[a] + x,
-            left=build(lo, a),
-            right=build(a + 1, hi),
-        )
+        row = (lo, hi, a, d, delta1, delta2, x, positions[a] + x)
+        return [row] + build(lo, a) + build(a + 1, hi)
 
     return build(0, layout.k - 1)
 
@@ -326,7 +320,7 @@ def boundary_requests(layout):
     positions = layout.positions
     points = set(positions)
     points.update((a + b) / 2 for i, a in enumerate(positions) for b in positions[i + 1 :])
-    points.update(node.critical for node in build_split_tree(layout).nodes() if not node.is_leaf)
+    points.update(critical_points(build_split_tree(layout)))
     eps = Fraction(1, 97)
     points.update((positions[0] - 1, positions[0] - eps, positions[-1] + eps, positions[-1] + 3))
     points.update(p + sign * eps for p in positions for sign in (-1, 1))
@@ -359,17 +353,19 @@ class TestScaledLayers:
     @settings(max_examples=200, deadline=None)
     def test_split_tree_matches_the_fraction_formula(self, layout):
         tree = build_split_tree(layout)
-        # Dataclass equality compares every field but critical_pair.
-        assert tree == reference_fraction_split_tree(layout)
-        for node in tree.nodes():
-            if node.is_leaf:
-                assert node.critical_pair is None
+        reference = reference_fraction_split_tree(layout)
+        # Every block's bounds, split and geometry, in preorder.
+        assert [
+            (tree.lo[i], tree.hi[i], a) + ((None,) * 5 if a is None else split_geometry(tree, i, layout))
+            for i, a in enumerate(tree.split)
+        ] == reference
+        for i, row in enumerate(reference):
+            c = row[-1]
+            if c is None:
+                assert tree.critical[i] is None
             else:
-                c = node.critical
-                assert node.critical_pair == (c.numerator, c.denominator)
-                assert all(
-                    type(v) is Fraction for v in (node.d, node.delta1, node.delta2, node.x, c)
-                )
+                assert tree.critical[i] == (c.numerator, c.denominator)
+                assert all(type(v) is Fraction for v in split_geometry(tree, i, layout))
 
     def test_literal_boundaries(self):
         layout = ServerLayout((Fraction(-7, 3), Fraction(-1, 2), Fraction(5, 7)))
@@ -388,3 +384,114 @@ class TestScaledLayers:
         assert surrounding_servers(Fraction(-3), everyone, layout) == (None, 0)
         assert surrounding_servers(Fraction(1), everyone, layout) == (2, None)
         assert greedy_decide(Fraction(-3), (2,), layout) == 2
+
+
+# ---------------------------------------------------------------------------
+# The split tree as a preorder table, against the nested tree it replaced
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class NestedSplitTree:
+    lo: int
+    hi: int
+    a: int | None = None
+    d: Fraction | None = None
+    delta1: Fraction | None = None
+    delta2: Fraction | None = None
+    x: Fraction | None = None
+    critical: Fraction | None = None
+    left: "NestedSplitTree | None" = None
+    right: "NestedSplitTree | None" = None
+    critical_pair: tuple[int, int] | None = None
+
+    @property
+    def is_leaf(self):
+        return self.lo == self.hi
+
+    def nodes(self):
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if not node.is_leaf:
+                stack += (node.right, node.left)
+
+
+def nested_build_split_tree(layout):
+    ints, scale = layout.scaled
+    gaps = [b - a for a, b in zip(ints, ints[1:])]
+    order = []
+    stack = [(0, layout.k - 1)]
+    while stack:
+        lo, hi = stack.pop()
+        a = None if lo == hi else max(range(lo, hi), key=gaps.__getitem__)
+        order.append((lo, hi, a))
+        if a is not None:
+            stack += ((a + 1, hi), (lo, a))
+    built = []
+    for lo, hi, a in reversed(order):
+        if a is None:
+            built.append(NestedSplitTree(lo=lo, hi=hi))
+            continue
+        d = gaps[a]
+        delta1 = ints[a] - ints[lo]
+        delta2 = ints[hi] - ints[a + 1]
+        x_num, den = d * (delta2 + d), (delta1 + d) + (delta2 + d)
+        critical = Fraction(ints[a] * den + x_num, den * scale)
+        built.append(NestedSplitTree(
+            lo=lo,
+            hi=hi,
+            a=a,
+            d=Fraction(d, scale),
+            delta1=Fraction(delta1, scale),
+            delta2=Fraction(delta2, scale),
+            x=Fraction(x_num, den * scale),
+            critical=critical,
+            left=built.pop(),
+            right=built.pop(),
+            critical_pair=(critical.numerator, critical.denominator),
+        ))
+    return built.pop()
+
+
+def nested_ptcp_decide(tree, r, free):
+    if not free:
+        raise ValidationError("ptcp undefined for an empty free set")
+    i0, i1 = 0, len(free)
+    rn, rd = r.numerator, r.denominator
+    node = tree
+    while not node.is_leaf:
+        m = bisect_right(free, node.a, i0, i1)
+        cn, cd = node.critical_pair
+        if m == i1 or (m > i0 and rn * cd <= cn * rd):
+            node, i1 = node.left, m
+        else:
+            node, i0 = node.right, m
+    return node.lo
+
+
+class TestPreorderTable:
+    @given(mixed_layouts(max_k=16), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_nested_tree(self, layout, data):
+        tree = build_split_tree(layout)
+        nested = nested_build_split_tree(layout)
+        # Every block's bounds, split and critical point, in preorder.
+        assert [
+            (tree.lo[i], tree.hi[i], tree.split[i], tree.critical[i]) for i in range(len(tree.lo))
+        ] == [(node.lo, node.hi, node.a, node.critical_pair) for node in nested.nodes()]
+        # No Fraction and no nested node: every entry is an int, None or
+        # an (int, int) pair.
+        for column in (tree.lo, tree.hi, tree.split, tree.right, tree.critical):
+            for v in column:
+                assert v is None or type(v) is int or tuple(map(type, v)) == (int, int)
+        for i, node in enumerate(nested.nodes()):
+            if not node.is_leaf:
+                assert split_geometry(tree, i, layout) == (node.d, node.delta1, node.delta2, node.x, node.critical)
+                assert (tree.lo[tree.right[i]], tree.hi[tree.right[i]]) == (node.right.lo, node.right.hi)
+        requests = boundary_requests(layout)
+        for _ in range(3):
+            free = data.draw(thinned_free_sets(layout.k))
+            for r in requests:
+                assert ptcp_decide(tree, r, free) == nested_ptcp_decide(nested, r, free)
