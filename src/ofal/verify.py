@@ -13,7 +13,9 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from itertools import accumulate
+from operator import add
+from typing import Callable, Sequence
 
 from .alpha import alpha_fast
 from .adversary import candidate_points, random_rational
@@ -35,7 +37,7 @@ from .core import (
     unit_instance,
 )
 from .engine import PriorityRule, simulate, surrounding_servers
-from .offline import OptResult, dp_cost_ints, noncrossing_dp_cost, optimal_cost
+from .offline import OptResult, noncrossing_dp_cost, optimal_cost
 
 RuleBuilder = Callable[[ServerLayout], PriorityRule]
 
@@ -284,9 +286,14 @@ def sweep_adx(
 #: ``min(n_max, total capacity)`` grid points is a node.  Criterion 3(b) at
 #: k=4 visits 597,871 (9 points, depth 6) and ``ofal verify capacity`` at
 #: its defaults at most 637,421 (28 points, depth 4).  On a 2-core x86
-#: VM with CPython 3.11 the k=4 search takes 0.72-0.74 s, and ``verify
-#: capacity``'s two default walks (813,802 nodes together) 1.5 s.
+#: VM with CPython 3.11 (best of five) the k=4 search takes 0.7-0.9 s,
+#: and ``verify capacity``'s two default walks (813,802 nodes together)
+#: 1.1-1.3 s.
 GRID_SEARCH_MAX_NODES = 700_000
+#: Most levels one grid search may descend: the memo fill and the walk
+#: recurse once per level.  Two or more points reach the node guard by
+#: level 20, so only a one-point grid can go deeper.
+GRID_SEARCH_MAX_DEPTH = 256
 
 
 @dataclass
@@ -297,6 +304,45 @@ class GridSearchResult:
     best_sequence: tuple[Fraction, ...]
     nodes: int
     zero_opt_anomalies: list[dict] = field(default_factory=list)
+
+
+def multiset_optima(
+    servers: list[int], caps: Sequence[int], points: list[int], depth: int
+) -> list[list[int]]:
+    """The optimum of every multiset of 1 to ``depth`` points, by size.
+
+    ``servers`` and ``points`` are scaled ints, both in increasing order
+    (points may repeat).  ``optima[d][i]`` is the optimal cost of the i-th
+    multiset of d + 1 points in the lexicographic order of their index
+    tuples, the order of ``itertools.combinations_with_replacement``.
+
+    A non-crossing optimum sends the sorted requests to strictly
+    increasing capacity slots, where server j owns min(c_j, depth) slots
+    at its position: no multiset of at most ``depth`` requests uses more.
+    One DFS over non-decreasing index sequences extends that DP one
+    request at a time.  F[u] is the least cost of the prefix with its last
+    request in slot u, so a request r gives G[u] = min(F[v] for v < u) +
+    |r - s(u)|, a running minimum in O(number of slots), and the
+    multiset's optimum is min(G).  The caller keeps ``depth`` within the
+    total capacity, so G is never empty.
+    """
+    slots = [s for s, c in zip(servers, caps) for _ in range(min(c, depth))]
+    rows = [[abs(p - s) for s in slots] for p in points]
+    optima: list[list[int]] = [[] for _ in range(depth)]
+
+    def extend(d: int, first: int, F: list[int]) -> None:
+        # F prices the d-request prefix from slot d - 1 on, and G the
+        # prefix plus point x from slot d on.
+        solved = optima[d]
+        for x in range(first, len(points)):
+            G = list(map(add, accumulate(F, min), rows[x][d:]))
+            solved.append(min(G))
+            if d + 1 < depth:
+                extend(d + 1, x, G)
+
+    if depth:
+        extend(0, 0, [0] * (len(slots) + 1))  # a virtual slot -1 at cost 0
+    return optima
 
 
 def grid_search_max_rate(
@@ -312,23 +358,33 @@ def grid_search_max_rate(
     as an anomaly: for the rules in this package it must never happen.
 
     The walk runs on the scaled integers of ``core.scale_to_ints``.  The
-    optimum depends only on the multiset of chosen points (the DP sorts
-    its requests), so each multiset is solved once per call: the memo
-    holds one list per depth, indexed by the multiset's combinatorial
-    rank.  Rates are compared as integer cross products, keeping the
-    first maximiser, and only the result is a Fraction.  Rule decisions
-    are never cached: this search is the exhaustive check of a rule, and a
-    cache would hide a rule that is not pure.  The rule gets ``simulate``'s
-    increasing free tuple and O(1) pick check.  Raises ValidationError for
-    a negative ``n_max``, SizeGuardError above GRID_SEARCH_MAX_NODES, and
-    RuleError, as ``simulate`` does, for a pick that is not a free server.
+    optimum depends only on the multiset of chosen points, so
+    ``multiset_optima`` fills one list per depth before the walk, and a
+    node reads its optimum at the multiset's rank.  Ranks are taken over
+    the points sorted by position, so callers may pass them unsorted or
+    repeated: a rank is the lexicographic rank of the multiset's sorted
+    index tuple, which the walk carries down as rank + lift[i].  A node's
+    children are rated in its own loop; only children above the
+    last level recurse, so a leaf costs one rule call, one pick check and
+    one memo read.  Rates are compared as integer cross products, keeping
+    the first maximiser, and only the result is a Fraction.  Rule
+    decisions are never cached: this search is the exhaustive check of a
+    rule, and a cache would hide a rule that is not pure.  The rule gets
+    ``simulate``'s increasing free tuple and O(1) pick check.  Raises
+    ValidationError for a negative ``n_max``, SizeGuardError above
+    GRID_SEARCH_MAX_NODES or GRID_SEARCH_MAX_DEPTH, and RuleError, as
+    ``simulate`` does, for a pick that is not a free server.
     """
     if n_max < 0:
         raise ValidationError(f"grid search depth n_max={n_max} is negative")
-    depth_cap = min(n_max, inst.total_capacity)
     n_points = len(points)
+    depth_cap = min(n_max, inst.total_capacity) if n_points else 0
+    if depth_cap > GRID_SEARCH_MAX_DEPTH:
+        raise SizeGuardError(
+            f"grid search guard: depth {depth_cap} exceeds {GRID_SEARCH_MAX_DEPTH} levels"
+        )
     total = level = 1  # nodes to the current depth; an empty grid has one
-    for _ in range(depth_cap if n_points else 0):
+    for _ in range(depth_cap):
         level *= n_points
         total += level
         if total > GRID_SEARCH_MAX_NODES:
@@ -337,73 +393,75 @@ def grid_search_max_rate(
                 f"exceed {GRID_SEARCH_MAX_NODES} nodes"
             )
     servers_int, points_int, scale = scale_to_ints(inst.layout.positions, points)
-    k, caps0 = inst.k, list(inst.capacities)
-
-    # Stars and bars: a multiset of d points with prefix counts s_q has
-    # rank sum_q C(s_q + q, q + 1) over the bars q < n_points - 1, a
-    # bijection onto range(C(n_points + d - 1, d)).  memo[d - 1][rank]
-    # is the optimum of that multiset, -1 until solved.
+    k = inst.k
+    order = sorted(range(n_points), key=points_int.__getitem__)
+    optima = multiset_optima(
+        servers_int, inst.capacities, [points_int[x] for x in order], depth_cap
+    )
+    place = [0] * n_points  # point x is the place[x]-th by position
+    for i, x in enumerate(order):
+        place[x] = i
+    steps = tuple(zip(points, points_int, place))
     binom = [[math.comb(a, b) for b in range(n_points)] for a in range(n_points + depth_cap)]
-    memo = [[-1] * math.comb(n_points + d - 1, d) for d in range(1, depth_cap + 1)]
-    counts = [0] * n_points
-
-    best = [0, 1, ()]  # alg, opt, sequence: the best rate is alg / opt
-    nodes = [0]
-    anomalies: list[dict] = []
-    remaining = list(caps0)
+    counts = [0] * n_points  # points chosen at each place
+    remaining = list(inst.capacities)
     chosen: list[Fraction] = []
-    chosen_int: list[int] = []
-
-    def consider(depth: int, rank: int, alg_int: int) -> None:
-        solved = memo[depth - 1]
-        opt_int = solved[rank]
-        if opt_int < 0:
-            opt_int = solved[rank] = dp_cost_ints(servers_int, caps0, chosen_int)
-        if opt_int == 0:
-            if alg_int > 0:
-                anomalies.append(
-                    {"sequence": [str(q) for q in chosen], "alg_cost": str(Fraction(alg_int, scale))}
-                )
-                return
-            alg_int = opt_int = 1
-        if alg_int * best[1] > best[0] * opt_int:
-            best[:] = alg_int, opt_int, tuple(chosen)
+    anomalies: list[dict] = []
+    best_alg, best_opt, best_sequence = 0, 1, ()  # the best rate is alg / opt
+    nodes = 1
+    last = depth_cap - 1
+    decide = rule.decide
 
     def dfs(depth: int, rank: int, alg_int: int, free: tuple[int, ...]) -> None:
-        nodes[0] += 1
-        if depth > 0:
-            consider(depth, rank, alg_int)
-        if depth == depth_cap:
-            return
-        # lift[x]: the rank gained by adding point x, which moves every
-        # bar q >= x one place right.
+        nonlocal best_alg, best_opt, best_sequence, nodes
+        # Stars and bars over the places in reverse: a multiset whose
+        # t_q points sit at place >= n_points - 1 - q has lexicographic
+        # rank sum_q C(t_q + q, q + 1) over q < n_points - 1.  lift[i] is
+        # the rank gained by adding place i, which raises t_q for every
+        # q >= n_points - 1 - i and so adds C(t_q + q, q) for each.
         lift = [0] * n_points
-        s = depth
-        for q in range(n_points - 2, -1, -1):
-            s -= counts[q + 1]
-            lift[q] = lift[q + 1] + binom[s + q][q]
-        for x, (p, p_int) in enumerate(zip(points, points_int)):
-            j = rule.decide(p, free)
+        t = depth
+        for i in range(1, n_points):
+            t -= counts[i - 1]
+            q = n_points - 1 - i
+            lift[i] = lift[i - 1] + binom[t + q][q]
+        solved = optima[depth]
+        inner = depth < last
+        for p, p_int, i in steps:
+            j = decide(p, free)
             if not (type(j) is int and 0 <= j < k and remaining[j] > 0):
                 raise RuleError(f"rule {rule.id!r} chose non-free server {j} for request {p}")
-            remaining[j] -= 1
-            child = free
-            if remaining[j] == 0:
-                i = bisect_left(free, j)
-                child = free[:i] + free[i + 1:]
-            chosen.append(p)
-            chosen_int.append(p_int)
-            counts[x] += 1
-            dfs(depth + 1, rank + lift[x], alg_int + abs(p_int - servers_int[j]), child)
-            counts[x] -= 1
-            chosen.pop()
-            chosen_int.pop()
-            remaining[j] += 1
-    dfs(0, 0, 0, tuple(range(inst.k)))
+            nodes += 1
+            alg = alg_int + abs(p_int - servers_int[j])
+            opt = solved[rank + lift[i]]
+            if opt:
+                if alg * best_opt > best_alg * opt:
+                    best_alg, best_opt, best_sequence = alg, opt, (*chosen, p)
+            elif alg:
+                anomalies.append(
+                    {"sequence": [str(q) for q in chosen] + [str(p)], "alg_cost": str(Fraction(alg, scale))}
+                )
+            elif best_opt > best_alg:  # rate 1: both costs are zero
+                best_alg, best_opt, best_sequence = 1, 1, (*chosen, p)
+            if inner:
+                remaining[j] -= 1
+                child = free
+                if remaining[j] == 0:
+                    c = bisect_left(free, j)
+                    child = free[:c] + free[c + 1:]
+                chosen.append(p)
+                counts[i] += 1
+                dfs(depth + 1, rank + lift[i], alg, child)
+                counts[i] -= 1
+                chosen.pop()
+                remaining[j] += 1
+
+    if depth_cap:
+        dfs(0, 0, 0, tuple(range(k)))
     return GridSearchResult(
-        best_rate=Fraction(best[0], best[1]),
-        best_sequence=best[2],
-        nodes=nodes[0],
+        best_rate=Fraction(best_alg, best_opt),
+        best_sequence=best_sequence,
+        nodes=nodes,
         zero_opt_anomalies=anomalies,
     )
 

@@ -135,6 +135,61 @@ MUTANTS = (
         "if any(lo0 <= j < hi0 for j in free_before(",
         ("tests/test_hybrid.py::TestNegativeControls::test_gap_message_lists_stuck_servers_in_index_order",),
     ),
+    Mutant(
+        "chain-order-flipped",
+        "src/ofal/hybrid.py",
+        "if a_chain[0] <= h_chain[0]:",
+        "if a_chain[0] > h_chain[0]:",
+        (
+            "tests/test_hybrid.py::TestNegativeControls::test_gap_message_lists_stuck_servers_in_index_order",
+            "tests/test_line_walk.py::test_chain_monotone_matches_the_position_check",
+        ),
+    ),
+    Mutant(
+        "c3-fallback-keeps-the-chosen-server",
+        "src/ofal/hybrid.py",
+        "surrounding_servers(layout[chosen], free[:c] + free[c + 1:], layout)",
+        "surrounding_servers(layout[chosen], free, layout)",
+        ("tests/test_line_walk.py::test_c3_candidates_match_the_list_fallback",),
+    ),
+    Mutant(
+        "c3-fallback-left-only",
+        "src/ofal/hybrid.py",
+        "candidates = set(surrounding_servers(layout[chosen], free[:c] + free[c + 1:], layout)) - {None}",
+        "candidates = {surrounding_servers(layout[chosen], free[:c] + free[c + 1:], layout)[0]} - {None}",
+        ("tests/test_line_walk.py::test_c3_candidates_match_the_list_fallback",),
+    ),
+    Mutant(
+        "c3-fallback-on-a-single-free-server",
+        "src/ofal/hybrid.py",
+        "if not candidates and len(free) > 1:",
+        "if not candidates and len(free) > 0:",
+        ("tests/test_hybrid.py::TestC3::test_split_rule_satisfies_threshold_condition",),
+    ),
+    Mutant(
+        "grid-memo-ranks-in-caller-order",
+        "src/ofal/verify.py",
+        "place[x] = i",
+        "place[i] = i",
+        ("tests/test_exhaustive_oracles.py::TestGridSearch::test_unsorted_and_repeated_points",),
+    ),
+    Mutant(
+        "grid-memo-extension-reads-its-own-slot",
+        "src/ofal/verify.py",
+        "map(add, accumulate(F, min), rows[x][d:])",
+        "map(add, list(accumulate(F, min))[1:], rows[x][d:])",
+        ("tests/test_exhaustive_oracles.py::TestMultisetOptima::test_every_multiset_matches_the_dp",),
+    ),
+    Mutant(
+        "grid-last-maximizer",
+        "src/ofal/verify.py",
+        "if alg * best_opt > best_alg * opt:",
+        "if alg * best_opt >= best_alg * opt:",
+        (
+            "tests/test_exhaustive_oracles.py::TestGridSearch::test_candidate_grids",
+            "tests/test_verify.py::TestGridSearch::test_criterion_3b_grid_pins",
+        ),
+    ),
 )
 
 

@@ -243,6 +243,30 @@ class TestVerify:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert "grid search guard" in err
 
+    def test_grid_search_depth_limit(self, capsys, tmp_path):
+        # One server has one candidate point, so the node guard allows any
+        # depth; the memo fill and the walk recurse once per level.
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"servers": [0]}))
+        code, out, err = run_cli(
+            capsys, "verify", "capacity", "--instance", str(path), "--n-max", "5000", "--capacity", "10000"
+        )
+        assert code == EXIT_ERROR
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "grid search guard: depth 5000" in err
+
+    def test_capacity_probe_slots_are_bounded_by_the_depth(self, capsys):
+        # No sequence of --n-max requests uses more than --n-max units of
+        # one server.  A slot table sized by capacity would hold 4 * 10^11
+        # entries here.
+        details = {}
+        for capacity in ("4", "100000000000"):
+            code, out, _ = run_cli(capsys, "verify", "capacity", "--n-max", "4", "--capacity", capacity)
+            assert code == EXIT_OK
+            details[capacity] = json.loads(out)["details"]
+        for key in ("heavy_worst_rate", "heavy_worst_sequence"):
+            assert details["100000000000"][key] == details["4"][key]
+
     @pytest.mark.parametrize("check,trials", [("ratio", "-1"), ("faithful", "-5")])
     def test_negative_trials(self, capsys, check, trials):
         # Unchecked, the sweep runs no trial and exits 0.

@@ -1,16 +1,20 @@
 """Differential check: the two exhaustive oracles agree with the Fraction
 loops they replaced.
 
-``grid_search_max_rate`` solves each request multiset once and compares
-rates as integer cross products; ``alpha_bruteforce`` scans subsets on
-scaled integers.  The reference loops below are the earlier code, inlined:
-a cold DP and a Fraction rate at every grid node, and ``gap_ratio`` on
-every subset.  Results must be equal field for field, including which of
-several tied maximisers is reported.
+``grid_search_max_rate`` reads each request multiset's optimum from the
+memo ``multiset_optima`` fills and compares rates as integer cross
+products; ``alpha_bruteforce`` scans subsets on scaled integers.  The
+reference loops below are the earlier code, inlined: a cold DP and a
+Fraction rate at every grid node, and ``gap_ratio`` on every subset.
+Results must be equal field for field, including which of several tied
+maximisers is reported.  The memo itself is checked against
+``dp_cost_ints`` multiset by multiset.
 """
 
+import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +24,7 @@ from ofal.alpha import Metrics, alpha_bruteforce, gap_ratio
 from ofal.core import Instance, ServerLayout, scale_to_ints
 from ofal.engine import PriorityRule
 from ofal.offline import dp_cost_ints
-from ofal.verify import GridSearchResult, grid_search_max_rate
+from ofal.verify import GridSearchResult, grid_search_max_rate, multiset_optima
 
 from conftest import layouts
 
@@ -126,6 +130,30 @@ class TestGridSearch:
             rule, inst, points, n_max
         )
 
+    def test_unsorted_and_repeated_points(self):
+        # The memo ranks multisets over the points in position order; ranks
+        # taken in the caller's order read the optimum of another multiset.
+        # Hypothesis draws unique points and may go many runs without an
+        # order that exposes it, so this sweep is seeded and wide.
+        rng = random.Random(15)
+        for case in range(2100):
+            k = rng.randint(1, 3)
+            ticks = sorted(rng.sample(range(-8, 25), k))
+            den = rng.choice((1, 2, 3))
+            layout = ServerLayout(tuple(Fraction(t, den) for t in ticks))
+            inst = Instance(layout, tuple(rng.randint(1, 2) for _ in range(k)))
+            pool = (*layout.positions, *(Fraction(t, 4) for t in range(-8, 4 * 8 + 8)))
+            points = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+            if points and rng.random() < 0.5:
+                points[rng.randrange(len(points))] = rng.choice(points)
+            rng.shuffle(points)
+            points = tuple(points)
+            n_max = rng.randint(0, 4)
+            rule = RULES[case % len(RULES)](layout)
+            assert grid_search_max_rate(rule, inst, points, n_max) == reference_grid_search(
+                rule, inst, points, n_max
+            ), (layout, inst.capacities, points, n_max, rule.id)
+
     def test_candidate_grids(self):
         # Tie-heavy grids from the split tree, for every rule; the bad rule
         # must reach the zero-OPT anomaly path here.
@@ -140,6 +168,29 @@ class TestGridSearch:
                 assert got == reference_grid_search(rule, inst, points, 3)
                 anomalies += len(got.zero_opt_anomalies)
         assert anomalies > 0
+
+
+class TestMultisetOptima:
+    def test_every_multiset_matches_the_dp(self):
+        # optima[d] lists the multisets of d + 1 points in the order of
+        # combinations_with_replacement; capacities above the depth and
+        # repeated points exercise the slot bound and equal positions.
+        rng = random.Random(1515)
+        for _ in range(300):
+            k = rng.randint(1, 4)
+            servers = sorted(rng.sample(range(-30, 31), k))
+            caps = [rng.choice((1, 1, 2, 3, 10**12)) for _ in range(k)]
+            points = sorted(rng.randint(-40, 40) for _ in range(rng.randint(1, 5)))
+            depth = min(rng.randint(1, 4), sum(caps))
+            optima = multiset_optima(servers, caps, points, depth)
+            assert len(optima) == depth
+            for d, solved in enumerate(optima):
+                assert len(solved) == math.comb(len(points) + d, d + 1)
+                for rank, combo in enumerate(combinations_with_replacement(range(len(points)), d + 1)):
+                    assert solved[rank] == dp_cost_ints(servers, caps, [points[x] for x in combo])
+
+    def test_no_depth_no_table(self):
+        assert multiset_optima([0, 5], [1, 1], [1, 2], 0) == []
 
 
 class TestSubsetScan:

@@ -13,6 +13,7 @@ from ofal.core import (
     RequestSequence,
     RuleError,
     ServerLayout,
+    SizeGuardError,
     ValidationError,
     sequence_to_dict,
     unit_instance,
@@ -20,6 +21,7 @@ from ofal.core import (
 from ofal.engine import PriorityRule, simulate
 from ofal.offline import OptResult, optimal_cost
 from ofal.verify import (
+    GRID_SEARCH_MAX_DEPTH,
     PropertyReport,
     RuleBuilder,
     _reproducer,
@@ -293,6 +295,19 @@ class TestGridSearch:
         for builder in (ptcp_rule, greedy_rule):
             result = grid_search_max_rate(builder(layout), inst, candidate_points(layout), n_max=3)
             assert not result.zero_opt_anomalies
+
+    def test_depth_guard(self):
+        # A one-point grid passes the node guard at any depth.
+        layout = layout_of(0)
+        inst = Instance(layout, (GRID_SEARCH_MAX_DEPTH + 1,))
+        rule = ptcp_rule(layout)
+        result = grid_search_max_rate(rule, inst, (Fraction(1),), GRID_SEARCH_MAX_DEPTH)
+        assert (result.nodes, result.best_rate) == (GRID_SEARCH_MAX_DEPTH + 1, 1)
+        with pytest.raises(SizeGuardError, match="depth"):
+            grid_search_max_rate(rule, inst, (Fraction(1),), GRID_SEARCH_MAX_DEPTH + 1)
+        # An empty grid has one node whatever the depth and capacity.
+        deep = Instance(layout, (10**12,))
+        assert grid_search_max_rate(rule, deep, (), 10**12).nodes == 1
 
     def test_rule_naming_a_used_server_raises(self):
         # Server 0 is used after the first request; the second request of
