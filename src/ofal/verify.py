@@ -291,7 +291,7 @@ def sweep_adx(
 #: 1.1-1.3 s.
 GRID_SEARCH_MAX_NODES = 700_000
 #: Most levels one grid search may descend: the memo fill and the walk
-#: recurse once per level.  Two or more points reach the node guard by
+#: recurse once per level.  Two or more points hit the node guard before
 #: level 20, so only a one-point grid can go deeper.
 GRID_SEARCH_MAX_DEPTH = 256
 
@@ -311,8 +311,8 @@ def multiset_optima(
 ) -> list[list[int]]:
     """The optimum of every multiset of 1 to ``depth`` points, by size.
 
-    ``servers`` and ``points`` are scaled ints, both in increasing order
-    (points may repeat).  ``optima[d][i]`` is the optimal cost of the i-th
+    ``servers`` and ``points`` are scaled ints, the servers increasing and
+    the points non-decreasing.  ``optima[d][i]`` is the optimal cost of the i-th
     multiset of d + 1 points in the lexicographic order of their index
     tuples, the order of ``itertools.combinations_with_replacement``.
 
