@@ -11,6 +11,7 @@ the right block, and symmetrically.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -42,40 +43,56 @@ class SplitTree:
     critical: tuple[tuple[int, int] | None, ...]
 
 
+def split_blocks(ints: Sequence[int]) -> Iterator[tuple[int, int, int | None]]:
+    """Yield (lo, hi, a) for every block of the split tree over the sorted,
+    distinct points ``ints``, in preorder.
+
+    Block (lo, hi) covers points lo..hi; the first covers all of them.  An
+    internal block splits after point a (lo <= a < hi) at its leftmost
+    maximum adjacent gap ints[a+1] - ints[a], and its children (lo, a) and
+    (a + 1, hi) follow it, left first.  A leaf (lo == hi) yields a = None.
+    One pass with an explicit stack, so the depth of the tree (up to
+    k - 1) is not bounded by the recursion limit; O(k * depth) in all.
+    """
+    gaps = [b - a for a, b in zip(ints, ints[1:])]
+    stack = [(0, len(ints) - 1)]
+    while stack:
+        lo, hi = stack.pop()
+        if lo == hi:
+            yield lo, hi, None
+            continue
+        a = max(range(lo, hi), key=gaps.__getitem__)
+        yield lo, hi, a
+        stack += ((a + 1, hi), (lo, a))
+
+
 def build_split_tree(layout: ServerLayout) -> SplitTree:
     """Build the split tree over all servers of a layout.
 
-    One preorder pass with an explicit stack, on ``layout.scaled``: the
-    gaps once, then per block its leftmost maximum gap D = s[a+1] - s[a],
-    Delta1 = s[a] - s[lo], Delta2 = s[hi] - s[a+1] and the critical point
+    The blocks of ``split_blocks`` on ``layout.scaled``, each internal one
+    with D = s[a+1] - s[a], Delta1 = s[a] - s[lo], Delta2 = s[hi] - s[a+1]
+    and the critical point
 
         s[a] + x,  x = D * (Delta2 + D) / ((Delta1 + D) + (Delta2 + D)),
 
     as ints over the layout's scale, reduced to lowest terms.  Positions
     are distinct, so D > 0 and 0 < x < D: the critical point lies
     strictly inside the gap.  The left subtree of a block over m servers
-    has 2m - 1 blocks, so the right child follows it at i + 2m.  No
-    recursion, so the depth of the tree (up to k - 1) is not bounded by
-    the recursion limit.
+    has 2m - 1 blocks, so the right child follows it at i + 2m.
     """
     ints, scale = layout.scaled
-    gaps = [b - a for a, b in zip(ints, ints[1:])]
     rows: list[tuple] = []  # (lo, hi, split, right, critical) per block
-    stack = [(0, layout.k - 1)]
-    while stack:
-        lo, hi = stack.pop()
-        if lo == hi:
+    for lo, hi, a in split_blocks(ints):
+        if a is None:
             rows.append((lo, hi, None, None, None))
             continue
-        a = max(range(lo, hi), key=gaps.__getitem__)
-        d = gaps[a]
+        d = ints[a + 1] - ints[a]
         delta1 = ints[a] - ints[lo]
         delta2 = ints[hi] - ints[a + 1]
         den = (delta1 + d) + (delta2 + d)
         num, den = ints[a] * den + d * (delta2 + d), den * scale
         g = gcd(num, den)
         rows.append((lo, hi, a, len(rows) + 2 * (a - lo + 1), (num // g, den // g)))
-        stack += ((a + 1, hi), (lo, a))
     return SplitTree(*map(tuple, zip(*rows)))
 
 

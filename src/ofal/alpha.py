@@ -2,11 +2,11 @@
 
 For a sorted subset T, L(T) is span(T) divided by the largest adjacent gap
 inside T (0 when |T| <= 1).  alpha is the maximum of L over all subsets.
-Two evaluators are provided: an exhaustive subset oracle and a fast version
-that only scans contiguous index intervals; their agreement is itself a
-tested property, not an assumption.  Both work on the layout's scaled
-integers and compare span / gap pairs by cross products; alpha becomes
-a Fraction only at return.
+Two evaluators are provided: an exhaustive subset oracle and a fast
+version that reads alpha off the blocks of the split tree; their agreement
+is itself a tested property, not an assumption.  Both work on the layout's
+scaled integers and compare span / gap pairs by cross products; alpha
+becomes a Fraction only at return.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algorithms import split_blocks
 from .core import ServerLayout, SizeGuardError
 
 BRUTEFORCE_MAX_K = 20
@@ -79,32 +80,30 @@ def alpha_bruteforce(layout: ServerLayout) -> Metrics:
 
 
 def alpha_fast(layout: ServerLayout) -> Metrics:
-    """alpha via contiguous index intervals only.
+    """alpha as the largest span / D over the internal blocks of
+    ``split_blocks`` on ``layout.scaled``, D being a block's split gap.
 
-    Filling a subset in with every layout point between its extremes keeps
-    the span and cannot enlarge the maximum gap, so contiguous intervals
-    dominate and the interval scan reaches the same maximum as the subset
-    oracle.  That domination is verified against alpha_bruteforce in the
-    test suite rather than trusted.  O(k^2) interval evaluations on the
-    layout's scaled integers (``layout.scaled``): the best span / gap
-    pair is compared by strict cross products, so the lexicographically
-    smallest maximizing (i, j) wins ties; alpha becomes a Fraction only at
-    return.
+    Some contiguous interval reaches alpha: filling a subset in keeps its
+    span and cannot enlarge its largest gap.  A maximizing interval I is
+    bounded on each side by a strictly larger gap or an end, since
+    extending it across a gap that is not larger raises the span and keeps
+    the largest gap.  So I is a block: the smallest block holding I splits
+    inside I (else a child would hold I), at the block's largest gap, so
+    it holds neither gap bounding I.  Ties go to the lexicographically
+    smallest (lo, hi), the first maximizer of the O(k^2) interval scan the
+    tests keep as the reference.  Cross products on ints, O(k * depth);
+    alpha becomes a Fraction only at return.  One server: 0, witness (0,).
     """
-    xs, _ = layout.scaled
-    k = len(xs)
-    best_span, best_gap, best_i, best_j = 0, 1, 0, 0
-    for i in range(k):
-        x_i = xs[i]
-        max_gap = 0
-        for j in range(i + 1, k):
-            gap = xs[j] - xs[j - 1]
-            if gap > max_gap:
-                max_gap = gap
-            span = xs[j] - x_i
-            if span * best_gap > best_span * max_gap:
-                best_span, best_gap, best_i, best_j = span, max_gap, i, j
-    return Metrics(alpha=Fraction(best_span, best_gap), witness=tuple(range(best_i, best_j + 1)))
+    ints, _ = layout.scaled
+    best_span, best_gap, best = 0, 1, (0, 0)
+    for lo, hi, a in split_blocks(ints):
+        if a is None:
+            continue
+        span, gap = ints[hi] - ints[lo], ints[a + 1] - ints[a]
+        cross = span * best_gap - best_span * gap
+        if cross > 0 or (cross == 0 and (lo, hi) < best):
+            best_span, best_gap, best = span, gap, (lo, hi)
+    return Metrics(alpha=Fraction(best_span, best_gap), witness=tuple(range(best[0], best[1] + 1)))
 
 
 def aspect_ratio(layout: ServerLayout) -> Fraction:

@@ -216,15 +216,17 @@ class AssignmentTrace:
 
     ``assignment[t]`` is the (0-based) server index matched to request t;
     ``remaining_after[t]`` is the per-server residual capacity just after
-    that match, from which the free set F_t is derived.  ``simulate``
-    stores O(n + k): its ``remaining_after`` derives each row on read from
-    the capacities and the assignment, and its costs are summed on
-    integers.  A trace built from a tuple of rows works the same.
+    that match, from which the free set F_t is derived, and
+    ``per_step_cost[t]`` the distance of that match.  ``simulate`` stores
+    O(n + k): its ``remaining_after`` derives each row on read from the
+    capacities and the assignment, and its ``per_step_cost`` each Fraction
+    from an integer cost and the common scale.  A trace built from tuples
+    works the same; the two compare and hash equal.
     """
 
     assignment: tuple[int, ...]
     remaining_after: Sequence[tuple[int, ...]]
-    per_step_cost: tuple[Fraction, ...]
+    per_step_cost: Sequence[Fraction]
     total_cost: Fraction
 
     def free_after(self, t: int) -> tuple[int, ...]:

@@ -41,11 +41,29 @@ class PriorityRule:
     decide: DecideFn
 
 
-class _RemainingRows(Sequence):
+class _TupleView(Sequence):
+    """A read-only sequence whose items are derived on read.  Equality,
+    hash and repr are those of the tuple of its items, so a view equals
+    the eager tuple it stands for, in either operand order."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _TupleView)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+class _RemainingRows(_TupleView):
     """``AssignmentTrace.remaining_after`` kept as its capacities and
     assignment.  Row t, the capacities less the matches ``assignment[:t + 1]``,
-    is derived on read in O(k + t); iteration walks the rows in O(k) each.
-    Equality and hash are those of the tuple of rows."""
+    is derived on read in O(k + t); iteration walks the rows in O(k) each."""
 
     __slots__ = ("_capacities", "_assignment")
 
@@ -67,16 +85,24 @@ class _RemainingRows(Sequence):
             row[j] -= 1
             yield tuple(row)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (tuple, _RemainingRows)):
-            return len(self) == len(other) and all(map(operator.eq, self, other))
-        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(tuple(self))
+class _StepCosts(_TupleView):
+    """``AssignmentTrace.per_step_cost`` kept as integer costs over one
+    scale.  Cost t is the Fraction ``costs[t] / scale``, built on read."""
 
-    def __repr__(self) -> str:
-        return repr(tuple(self))
+    __slots__ = ("_costs", "_scale")
+
+    def __init__(self, costs: tuple[int, ...], scale: int) -> None:
+        self._costs, self._scale = costs, scale
+
+    def __len__(self) -> int:
+        return len(self._costs)
+
+    def __getitem__(self, t: int) -> Fraction:
+        return Fraction(self._costs[operator.index(t)], self._scale)
+
+    def __iter__(self):
+        return (Fraction(c, self._scale) for c in self._costs)
 
 
 def simulate(rule: PriorityRule, inst: Instance, seq: RequestSequence) -> AssignmentTrace:
@@ -86,9 +112,9 @@ def simulate(rule: PriorityRule, inst: Instance, seq: RequestSequence) -> Assign
     when a server runs out.  A pick must be an int j, 0 <= j < k, with
     capacity left, else RuleError: one O(1) check, repeated inline by the
     grid search and ``derive_priority_order``.  Costs are summed on
-    ``scaled_pair``'s integers and divided by its scale once per step and
-    once for the total.  The trace stores O(n + k): ``remaining_after``
-    derives its rows on read.
+    ``scaled_pair``'s integers and divided by its scale once, for the
+    total.  The trace stores O(n + k): ``remaining_after`` derives its
+    rows, and ``per_step_cost`` its Fractions, on read.
     """
     servers, requests, scale = scaled_pair(inst, seq)
     k, remaining = inst.k, list(inst.capacities)
@@ -109,7 +135,7 @@ def simulate(rule: PriorityRule, inst: Instance, seq: RequestSequence) -> Assign
     return AssignmentTrace(
         assignment=matched,
         remaining_after=_RemainingRows(inst.capacities, matched),
-        per_step_cost=tuple(Fraction(c, scale) for c in costs),
+        per_step_cost=_StepCosts(tuple(costs), scale),
         total_cost=Fraction(sum(costs), scale),
     )
 

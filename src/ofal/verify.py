@@ -215,10 +215,9 @@ def check_ratio_bound(
 # ---------------------------------------------------------------------------
 
 
-def adx_bound(layout: ServerLayout, d: Fraction, x: Fraction) -> Fraction:
-    """max{2*alpha(S)+1, (2d-x)/x, (2*span+d+x)/(d-x)} for the guarded rule."""
-    alpha = alpha_fast(layout).alpha
-    span = layout.span
+def adx_bound(alpha: Fraction, span: Fraction, d: Fraction, x: Fraction) -> Fraction:
+    """max{2*alpha(S)+1, (2d-x)/x, (2*span+d+x)/(d-x)} for the guarded rule,
+    given alpha(S) and span(S) of the base layout S."""
     return max(2 * alpha + 1, (2 * d - x) / x, (2 * span + d + x) / (d - x))
 
 
@@ -240,7 +239,7 @@ def sweep_adx(
     rule, extended = guard_rule(builder(layout), layout, d, x)
     inst = unit_instance(extended)
     alpha = alpha_fast(layout).alpha
-    bound = adx_bound(layout, d, x)
+    bound = adx_bound(alpha, layout.span, d, x)
     zone_lo = layout.positions[-1] + x
     zone_hi = layout.positions[-1] + d
     rng = random.Random(seed)

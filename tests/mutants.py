@@ -114,11 +114,22 @@ MUTANTS = (
         "base = max(lo, new_lo - c + 1)",
         ("tests/test_online_kernels.py::TestDpWindow::test_random_larger_instances",),
     ),
+    # A tying block later in preorder would replace the witness.
     Mutant(
         "alpha-fast-last-maximizer",
         "src/ofal/alpha.py",
-        "if span * best_gap > best_span * max_gap:",
-        "if span * best_gap >= best_span * max_gap:",
+        "if cross > 0 or (cross == 0 and (lo, hi) < best):",
+        "if cross >= 0 or (cross == 0 and (lo, hi) < best):",
+        (
+            "tests/test_alpha.py::TestAlphaFast::test_witness_tie_with_a_later_block",
+            "tests/test_alpha.py::TestAlphaFast::test_matches_the_interval_scan",
+        ),
+    ),
+    Mutant(
+        "alpha-fast-tie-to-larger-interval",
+        "src/ofal/alpha.py",
+        "if cross > 0 or (cross == 0 and (lo, hi) < best):",
+        "if cross > 0 or (cross == 0 and (lo, hi) > best):",
         ("tests/test_alpha.py::TestAlphaFast::test_witness_is_lexicographically_first",),
     ),
     Mutant(

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ofal.algorithms import split_blocks
 from ofal.alpha import (
+    Metrics,
     alpha_bruteforce,
     alpha_fast,
     aspect_ratio,
@@ -12,6 +15,39 @@ from ofal.alpha import (
 from ofal.core import ServerLayout, SizeGuardError
 
 from conftest import layout_of, layouts
+
+
+def interval_scan(layout: ServerLayout) -> Metrics:
+    """The O(k^2) scan over all contiguous intervals that ``alpha_fast``
+    was before it read the split blocks: the first maximizing (i, j) in
+    lexicographic order wins, by strict cross products."""
+    xs, _ = layout.scaled
+    k = len(xs)
+    best_span, best_gap, best_i, best_j = 0, 1, 0, 0
+    for i in range(k):
+        max_gap = 0
+        for j in range(i + 1, k):
+            max_gap = max(max_gap, xs[j] - xs[j - 1])
+            span = xs[j] - xs[i]
+            if span * best_gap > best_span * max_gap:
+                best_span, best_gap, best_i, best_j = span, max_gap, i, j
+    return Metrics(alpha=Fraction(best_span, best_gap), witness=tuple(range(best_i, best_j + 1)))
+
+
+def seeded_layouts(seed: int, count: int, max_k: int):
+    """Two thirds tie-heavy (integer gaps drawn from {1, 2, 3}), one third
+    generic rationals with mixed denominators."""
+    rng = random.Random(seed)
+    for c in range(count):
+        k = rng.randint(1, max_k)
+        if c % 3:
+            points = [rng.randint(-5, 5)]
+            for _ in range(k - 1):
+                points.append(points[-1] + rng.choice((1, 2, 3)))
+            yield ServerLayout(tuple(Fraction(p) for p in points))
+        else:
+            points = {Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 5, 7))) for _ in range(k)}
+            yield ServerLayout(tuple(sorted(points)))
 
 
 class TestGapRatio:
@@ -64,6 +100,32 @@ class TestAlphaFast:
         assert metrics.witness == (0, 1, 2)
         check = tuple(layout_of(0, 2, 4, 8).positions[j] for j in metrics.witness)
         assert gap_ratio(check) == metrics.alpha
+
+    def test_witness_tie_with_a_later_block(self):
+        # Gaps 2, 1, 1: the root (0..3) and its right child (1..3) both
+        # reach 2; the root comes first in preorder and in lexicographic
+        # order, so a later tying block must not replace it.
+        metrics = alpha_fast(layout_of(0, 2, 3, 4))
+        assert metrics == Metrics(alpha=Fraction(2), witness=(0, 1, 2, 3))
+
+    def test_matches_the_interval_scan(self):
+        checked = 0
+        for layout in seeded_layouts(seed=41, count=3000, max_k=14):
+            assert alpha_fast(layout) == interval_scan(layout), layout.positions
+            checked += layout.k > 1
+        assert checked > 2500
+
+    def test_single_server(self):
+        assert alpha_fast(layout_of(7)) == interval_scan(layout_of(7)) == Metrics(Fraction(0), (0,))
+
+    def test_path_layout(self):
+        # Gaps 1, 2, ..., k - 1 strictly increase, so every block splits
+        # off its last server and the tree is a path of depth k - 1.
+        k = 300
+        layout = layout_of(*(i * (i + 1) // 2 for i in range(k)))
+        internal = [(lo, hi) for lo, hi, a in split_blocks(layout.scaled[0]) if a is not None]
+        assert internal == [(0, hi) for hi in range(k - 1, 0, -1)]
+        assert alpha_fast(layout) == interval_scan(layout) == Metrics(Fraction(k, 2), tuple(range(k)))
 
     @given(layouts(max_k=8))
     @settings(max_examples=100, deadline=None)

@@ -1,22 +1,33 @@
-"""Metamorphic check: a positive affine map of the line changes no decision.
+"""Metamorphic checks.
 
-Mapping every server and request by x -> a*x + b with rational a > 0 keeps
-every order and every tie, so each online rule and the optimum must pick
-the same servers, and every cost must be multiplied by a.  Requests on a
-quarter grid over half-integer servers land exactly on servers, midpoints
-and critical points, so the tie-breaks are exercised, not just the
-generic case.
+A positive affine map of the line changes no decision: mapping every
+server and request by x -> a*x + b with rational a > 0 keeps every order
+and every tie, so each online rule and the optimum must pick the same
+servers, and every cost must be multiplied by a.  Requests on a quarter
+grid over half-integer servers land exactly on servers, midpoints and
+critical points, so the tie-breaks are exercised, not just the generic
+case.
+
+The mirror x -> -x, with the server order reversed, keeps alpha.  It also
+keeps the split blocks bounded by strictly larger gaps, and so, when no
+two gaps are equal, every block's (span, D).  Equal maximum gaps split
+leftmost, which is not mirror-symmetric.
 """
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ofal.algorithms import greedy_rule, ptcp_rule
+from ofal.algorithms import greedy_rule, ptcp_rule, split_blocks
+from ofal.alpha import alpha_fast
 from ofal.core import Instance, RequestSequence, ServerLayout
 from ofal.engine import simulate
 from ofal.offline import noncrossing_dp_cost, optimal_cost
 from ofal.permutation import permutation_run
+
+from conftest import layout_of
 
 
 @st.composite
@@ -61,3 +72,61 @@ def test_positive_affine_map(pair, a, b):
     assert moved_opt.assignment == opt.assignment
     assert moved_opt.cost == a * opt.cost
     assert noncrossing_dp_cost(moved, moved_seq) == a * noncrossing_dp_cost(inst, seq)
+
+
+def mirror(layout: ServerLayout) -> ServerLayout:
+    return ServerLayout(tuple(-p for p in reversed(layout.positions)))
+
+
+def internal_blocks(layout: ServerLayout) -> list[tuple[int, int, int]]:
+    return [(lo, hi, a) for lo, hi, a in split_blocks(layout.scaled[0]) if a is not None]
+
+
+def block_shapes(layout: ServerLayout) -> Counter:
+    """The multiset of (span, D) over the internal blocks."""
+    s = layout.positions
+    return Counter((s[hi] - s[lo], s[a + 1] - s[a]) for lo, hi, a in internal_blocks(layout))
+
+
+def bounded_blocks(layout: ServerLayout) -> set[tuple[int, int]]:
+    """The internal blocks whose outer gaps are ends or strictly larger
+    than their split gap D."""
+    s, k = layout.positions, layout.k
+    out = set()
+    for lo, hi, a in internal_blocks(layout):
+        d = s[a + 1] - s[a]
+        if (lo == 0 or s[lo] - s[lo - 1] > d) and (hi == k - 1 or s[hi + 1] - s[hi] > d):
+            out.add((lo, hi))
+    return out
+
+
+def test_mirror_keeps_alpha_and_blocks():
+    rng = random.Random(12)
+    distinct = 0
+    for c in range(600):
+        k = rng.randint(1, 12)
+        if c % 2:
+            points = [0]
+            for _ in range(k - 1):
+                points.append(points[-1] + rng.choice((1, 2, 3)))
+            layout = ServerLayout(tuple(Fraction(p) for p in points))
+        else:
+            points = {Fraction(rng.randint(-90, 90), rng.randint(1, 9)) for _ in range(k)}
+            layout = ServerLayout(tuple(sorted(points)))
+        k, flipped = layout.k, mirror(layout)
+        assert alpha_fast(flipped).alpha == alpha_fast(layout).alpha
+        assert bounded_blocks(flipped) == {(k - 1 - hi, k - 1 - lo) for lo, hi in bounded_blocks(layout)}
+        gaps = layout.gaps()
+        if len(set(gaps)) == len(gaps):
+            assert block_shapes(flipped) == block_shapes(layout)
+            distinct += 1
+    assert distinct > 200
+
+
+def test_mirror_of_tied_maximum_gaps():
+    # Gaps 1, 10, 10 split at the first 10, leaving the block (11, 21);
+    # mirrored, the gaps are 10, 10, 1 and the split leaves (-11, 0).
+    layout = layout_of(0, 1, 11, 21)
+    assert block_shapes(layout) == Counter({(21, 10): 1, (10, 10): 1, (1, 1): 1})
+    assert block_shapes(mirror(layout)) == Counter({(21, 10): 1, (11, 10): 1, (1, 1): 1})
+    assert alpha_fast(mirror(layout)).alpha == alpha_fast(layout).alpha == Fraction(21, 10)

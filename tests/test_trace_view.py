@@ -1,12 +1,13 @@
 """Differential tests: ``simulate``'s derived snapshots and integer costs
-against the eager simulation loop that stored one capacity tuple per step
-and summed Fraction costs (inlined below as the reference).
+against the eager simulation loop that stored one capacity tuple and one
+Fraction cost per step (inlined below as the reference).
 
-A trace from ``simulate`` keeps only its assignment and capacities; its
-``remaining_after`` derives rows on read.  Every observable -- rows,
-iteration, free sets, costs, ``trace_to_dict``, equality and hash -- must
-match the eager trace, and a trace rebuilt from plain tuples must compare
-and hash equal to it.
+A trace from ``simulate`` keeps only its assignment, capacities, integer
+costs and their scale; its ``remaining_after`` derives rows, and its
+``per_step_cost`` Fractions, on read.  Every observable -- rows, costs,
+indexing, iteration, free sets, ``trace_to_dict``, equality and hash --
+must match the eager trace, and a trace rebuilt from plain tuples must
+compare and hash equal to it.
 """
 
 from __future__ import annotations
@@ -114,15 +115,25 @@ def assert_same_trace(view: AssignmentTrace, eager: AssignmentTrace) -> None:
         with pytest.raises(IndexError):
             rows[bad]
     assert list(rows) == list(ref)
-    assert view.per_step_cost == eager.per_step_cost
-    assert all(type(c) is Fraction for c in view.per_step_cost)
+    costs, ref_costs = view.per_step_cost, eager.per_step_cost
+    assert len(costs) == n
+    for t in range(n):
+        assert costs[t] == ref_costs[t] and type(costs[t]) is Fraction
+        assert costs[t - n] == ref_costs[t - n]
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            costs[bad]
+    assert all(type(c) is Fraction for c in costs)
+    assert list(costs) == list(ref_costs)
+    assert costs == ref_costs and ref_costs == costs and not costs != ref_costs
+    assert hash(costs) == hash(ref_costs) and repr(costs) == repr(ref_costs)
     assert view.total_cost == eager.total_cost and type(view.total_cost) is Fraction
     assert json.dumps(trace_to_dict(view)) == json.dumps(trace_to_dict(eager))
     # Equality and hash are those of the tuple of rows, in both directions.
     assert rows == ref and ref == rows and not rows != ref
     assert hash(rows) == hash(ref)
     assert view == eager and eager == view and hash(view) == hash(eager)
-    rebuilt = AssignmentTrace(view.assignment, tuple(view.remaining_after), view.per_step_cost, view.total_cost)
+    rebuilt = AssignmentTrace(view.assignment, tuple(view.remaining_after), tuple(costs), view.total_cost)
     assert rebuilt == view and hash(rebuilt) == hash(view)
     assert rows != list(ref)
     if n:
@@ -180,6 +191,17 @@ def test_over_capacity_message_unchanged():
     with pytest.raises(ValidationError) as excinfo:
         simulate(greedy_rule(inst.layout), inst, seq)
     assert str(excinfo.value) == validate_pair(inst, seq)
+
+
+def test_costs_are_a_view_that_compares_as_a_tuple():
+    # Costs 1/2 and 3/2 over scale 2: the view holds the ints 1 and 3.
+    inst = Instance(ServerLayout((Fraction(0), Fraction(2))), (1, 1))
+    trace = simulate(greedy_rule(inst.layout), inst, RequestSequence((Fraction(1, 2), Fraction(1, 2))))
+    costs = trace.per_step_cost
+    assert not isinstance(costs, tuple)
+    assert costs == (Fraction(1, 2), Fraction(3, 2)) and costs != (Fraction(1, 2),)
+    assert costs != [Fraction(1, 2), Fraction(3, 2)] and costs != trace.remaining_after
+    assert trace_to_dict(trace)["per_step_cost"] == ["1/2", "3/2"]
 
 
 def test_equal_rows_from_different_capacities():

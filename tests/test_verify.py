@@ -251,7 +251,8 @@ def check_rightmost_shift_bound(
 class TestGuardedBound:
     def test_bound_formula(self):
         # alpha = 1 so the three terms are 3, 5 and 3.
-        assert adx_bound(layout_of(0, 1), Fraction(3), Fraction(1)) == 5
+        layout = layout_of(0, 1)
+        assert adx_bound(alpha_fast(layout).alpha, layout.span, Fraction(3), Fraction(1)) == 5
 
     @pytest.mark.parametrize("d,x", [(Fraction(3), Fraction(1)), (Fraction(2), Fraction(1)), (Fraction(5), Fraction(4))])
     def test_sweeps_stay_within_bound(self, d, x):
