@@ -8,9 +8,12 @@ Three independent routes to the same number:
                            permutation rule shares;
 * ``optimal_bruteforce``-- exhaustive enumeration, the independence oracle
                            for small inputs;
-* ``noncrossing_dp_cost`` -- a dynamic program over sorted requests that
-                           exploits the existence of a non-crossing
-                           optimum on a line; the fast path for sweeps.
+* ``noncrossing_dp_cost`` -- a dynamic program that sends the sorted
+                           requests to increasing capacity slots, since
+                           a non-crossing optimum exists on a line; the
+                           fast path for sweeps.  ``multiset_optima``
+                           runs the same recurrence over every multiset
+                           of grid points.
 
 All three compute on integers: ``core.scaled_pair`` checks that the
 sequence fits the instance and rescales both by their common denominator.
@@ -21,6 +24,9 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import add
+from typing import Sequence
 
 from .core import (
     Instance,
@@ -198,48 +204,66 @@ def optimal_bruteforce(inst: Instance, seq: RequestSequence) -> OptResult:
 
 
 def dp_cost_ints(servers: list[int], caps: list[int], requests: list[int]) -> int:
-    """Core DP on scaled ints: assign sorted requests to servers in order.
+    """Core DP on scaled ints: send the sorted requests to increasing slots.
 
-    A non-crossing optimum matches the sorted requests to a sorted multiset
-    of server slots, so each server serves a contiguous block.  dp[t] is
-    the best cost of the first t sorted requests; server j extends it by a
-    block of up to c_j requests.  Raises ValidationError when the
-    capacities sum to less than the number of requests.
-
-    Only a window of t is kept: after server j, t runs over
-    [n - cap(servers after j), cap(servers 0..j)], clipped to [0, n].  A
-    larger t cannot be reached, and a smaller one cannot be completed by
-    the servers left; every prefix of an optimal assignment lies inside
-    the window, so dp[n] is exact.  With prefix[t] the cost of requests
-    before t on server j and g[m] = dp[m] - prefix[m], a step is
-    prefix[t] + min(g[m] for t - c_j <= m <= t).  Zero-capacity servers are
-    skipped.  A solve costs O(sum of c_j * window width), O(k * n * c) at
-    most.
+    A non-crossing optimum sends the sorted requests to strictly
+    increasing capacity slots, where server j owns min(c_j, n) slots at
+    its position: n requests never use more.  With slack the number of
+    slots less n, request d can only sit in slots d to d + slack, so F[u]
+    is the least cost of the first d + 1 requests with request d in slot
+    d + u.  A request takes the running minimum of F, since the previous
+    request sits in slot d - 1 + v for some v <= u, and adds its distance
+    to each slot; the optimum is min(F).  Raises ValidationError when the
+    capacities sum to less than the number of requests.  A solve costs
+    O(n * (slack + 1)) time and O(sum of min(c_j, n)) memory.
     """
     reqs = sorted(requests)
     n = len(reqs)
-    rest = sum(caps)
-    if n > rest:
+    slots = [s for s, c in zip(servers, caps) for _ in range(min(c, n))]
+    slack = len(slots) - n
+    if slack < 0:
         raise ValidationError("capacity exhausted in dp")
-    lo, dp = 0, [0]  # dp[t - lo] for t in [lo, lo + len(dp) - 1]
-    for s, c in zip(servers, caps):
-        if c == 0:
-            continue
-        rest -= c
-        hi = lo + len(dp) - 1
-        new_lo, new_hi = max(lo, n - rest), min(n, hi + c)
-        base = max(lo, new_lo - c)  # the first m a step into the window reads
-        # prefix[t - base] is the cost of requests base..t-1 on s.
-        prefix = [0]
-        for r in reqs[base:new_hi]:
-            prefix.append(prefix[-1] + abs(r - s))
-        g = [dp[m - lo] - prefix[m - base] for m in range(base, hi + 1)]
-        dp = [
-            prefix[t - base] + min(g[max(0, t - c - base) : min(hi, t) - base + 1])
-            for t in range(new_lo, new_hi + 1)
-        ]
-        lo = new_lo
-    return dp[n - lo]
+    F = [0] * (slack + 1)
+    for d, r in enumerate(reqs):
+        F = [f + abs(r - s) for f, s in zip(accumulate(F, min), slots[d : d + slack + 1])]
+    return min(F)
+
+
+def multiset_optima(
+    servers: list[int], caps: Sequence[int], points: list[int], depth: int
+) -> dict[int, int]:
+    """The optimum of every multiset of 1 to ``depth`` points, by key.
+
+    ``servers`` and ``points`` are scaled ints, the servers increasing and
+    the points non-decreasing.  A multiset's key is the sum of
+    (depth + 1)**i over its points, the i-th point counted once per copy;
+    no point is taken more than ``depth`` times, so each multiset has its
+    own key.
+
+    This is ``dp_cost_ints``' slot recurrence without the slack window,
+    since the multisets differ in size: server j owns min(c_j, depth)
+    slots, and a depth-first pass over non-decreasing index sequences, on
+    an explicit stack, extends the DP one request at a time.  F[u] is the
+    least cost of the prefix with its last request in slot u, so a
+    request r gives G[u] = min(F[v] for v < u) + |r - s(u)|, and the
+    multiset's optimum is min(G).  The caller keeps ``depth`` within the
+    total capacity, so G is never empty.
+    """
+    slots = [s for s, c in zip(servers, caps) for _ in range(min(c, depth))]
+    rows = [[abs(p - s) for s in slots] for p in points]
+    weight = [(depth + 1) ** i for i in range(len(points))]
+    optima: dict[int, int] = {}
+    # (d, first, F, key): F prices a d-request prefix whose last point
+    # is ``first`` from slot d - 1 on, slot -1 being virtual at cost 0.
+    todo = [(0, 0, [0] * (len(slots) + 1), 0)] if depth else []
+    while todo:
+        d, first, F, key = todo.pop()
+        for x in range(first, len(points)):
+            G = list(map(add, accumulate(F, min), rows[x][d:]))
+            optima[key + weight[x]] = min(G)
+            if d + 1 < depth:
+                todo.append((d + 1, x, G, key + weight[x]))
+    return optima
 
 
 def noncrossing_dp_cost(inst: Instance, seq: RequestSequence) -> Fraction:
@@ -256,7 +280,9 @@ def lexmin_assignment(inst: Instance, seq: RequestSequence) -> OptResult:
     never lowers the optimum, so ``floor``, the optimum of the remaining
     requests over the untouched capacities, bounds every completion: a
     server whose step overshoots the target against it is skipped.  Costs
-    one DP solve per request plus one per server that is not skipped.
+    one DP solve per request plus one per server that is not skipped, each
+    O(n * (slack + 1)) time and O(sum of min(c_j, n)) memory
+    (``dp_cost_ints``).
     """
     servers, requests, scale = scaled_pair(inst, seq)
     n = len(seq)

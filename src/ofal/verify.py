@@ -8,14 +8,11 @@ counts as a test failure -- that is the caller's job.
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
-from operator import add
-from typing import Callable, Sequence
+from typing import Callable
 
 from .alpha import alpha_fast
 from .adversary import candidate_points, random_rational
@@ -37,7 +34,7 @@ from .core import (
     unit_instance,
 )
 from .engine import PriorityRule, simulate, surrounding_servers
-from .offline import OptResult, noncrossing_dp_cost, optimal_cost
+from .offline import OptResult, multiset_optima, noncrossing_dp_cost, optimal_cost
 
 RuleBuilder = Callable[[ServerLayout], PriorityRule]
 
@@ -289,9 +286,9 @@ def sweep_adx(
 #: and ``verify capacity``'s two default walks (813,802 nodes together)
 #: 1.1-1.3 s.
 GRID_SEARCH_MAX_NODES = 700_000
-#: Most levels one grid search may descend: the memo fill and the walk
-#: recurse once per level.  Two or more points hit the node guard before
-#: level 20, so only a one-point grid can go deeper.
+#: Most levels one grid search may descend: the walk recurses once per
+#: level.  Two or more points hit the node guard before level 20, so
+#: only a one-point grid can go deeper.
 GRID_SEARCH_MAX_DEPTH = 256
 
 
@@ -303,45 +300,6 @@ class GridSearchResult:
     best_sequence: tuple[Fraction, ...]
     nodes: int
     zero_opt_anomalies: list[dict] = field(default_factory=list)
-
-
-def multiset_optima(
-    servers: list[int], caps: Sequence[int], points: list[int], depth: int
-) -> list[list[int]]:
-    """The optimum of every multiset of 1 to ``depth`` points, by size.
-
-    ``servers`` and ``points`` are scaled ints, the servers increasing and
-    the points non-decreasing.  ``optima[d][i]`` is the optimal cost of the i-th
-    multiset of d + 1 points in the lexicographic order of their index
-    tuples, the order of ``itertools.combinations_with_replacement``.
-
-    A non-crossing optimum sends the sorted requests to strictly
-    increasing capacity slots, where server j owns min(c_j, depth) slots
-    at its position: no multiset of at most ``depth`` requests uses more.
-    One DFS over non-decreasing index sequences extends that DP one
-    request at a time.  F[u] is the least cost of the prefix with its last
-    request in slot u, so a request r gives G[u] = min(F[v] for v < u) +
-    |r - s(u)|, a running minimum in O(number of slots), and the
-    multiset's optimum is min(G).  The caller keeps ``depth`` within the
-    total capacity, so G is never empty.
-    """
-    slots = [s for s, c in zip(servers, caps) for _ in range(min(c, depth))]
-    rows = [[abs(p - s) for s in slots] for p in points]
-    optima: list[list[int]] = [[] for _ in range(depth)]
-
-    def extend(d: int, first: int, F: list[int]) -> None:
-        # F prices the d-request prefix from slot d - 1 on, and G the
-        # prefix plus point x from slot d on.
-        solved = optima[d]
-        for x in range(first, len(points)):
-            G = list(map(add, accumulate(F, min), rows[x][d:]))
-            solved.append(min(G))
-            if d + 1 < depth:
-                extend(d + 1, x, G)
-
-    if depth:
-        extend(0, 0, [0] * (len(slots) + 1))  # a virtual slot -1 at cost 0
-    return optima
 
 
 def grid_search_max_rate(
@@ -358,11 +316,11 @@ def grid_search_max_rate(
 
     The walk runs on the scaled integers of ``core.scale_to_ints``.  The
     optimum depends only on the multiset of chosen points, so
-    ``multiset_optima`` fills one list per depth before the walk, and a
-    node reads its optimum at the multiset's rank.  Ranks are taken over
+    ``offline.multiset_optima`` fills one dict before the walk, and a
+    node reads its optimum at the multiset's key.  Keys are taken over
     the points sorted by position, so callers may pass them unsorted or
-    repeated: a rank is the lexicographic rank of the multiset's sorted
-    index tuple, which the walk carries down as rank + lift[i].  A node's
+    repeated: the p-th point by position weighs (depth cap + 1)**p, and
+    the walk carries key + weight down to each child.  A node's
     children are rated in its own loop; only children above the
     last level recurse, so a leaf costs one rule call, one pick check and
     one memo read.  Rates are compared as integer cross products, keeping
@@ -397,12 +355,10 @@ def grid_search_max_rate(
     optima = multiset_optima(
         servers_int, inst.capacities, [points_int[x] for x in order], depth_cap
     )
-    place = [0] * n_points  # point x is the place[x]-th by position
+    weight = [0] * n_points
     for i, x in enumerate(order):
-        place[x] = i
-    steps = tuple(zip(points, points_int, place))
-    binom = [[math.comb(a, b) for b in range(n_points)] for a in range(n_points + depth_cap)]
-    counts = [0] * n_points  # points chosen at each place
+        weight[x] = (depth_cap + 1) ** i
+    steps = tuple(zip(points, points_int, weight))
     remaining = list(inst.capacities)
     chosen: list[Fraction] = []
     anomalies: list[dict] = []
@@ -411,28 +367,16 @@ def grid_search_max_rate(
     last = depth_cap - 1
     decide = rule.decide
 
-    def dfs(depth: int, rank: int, alg_int: int, free: tuple[int, ...]) -> None:
+    def dfs(depth: int, key: int, alg_int: int, free: tuple[int, ...]) -> None:
         nonlocal best_alg, best_opt, best_sequence, nodes
-        # Stars and bars over the places in reverse: a multiset whose
-        # t_q points sit at place >= n_points - 1 - q has lexicographic
-        # rank sum_q C(t_q + q, q + 1) over q < n_points - 1.  lift[i] is
-        # the rank gained by adding place i, which raises t_q for every
-        # q >= n_points - 1 - i and so adds C(t_q + q, q) for each.
-        lift = [0] * n_points
-        t = depth
-        for i in range(1, n_points):
-            t -= counts[i - 1]
-            q = n_points - 1 - i
-            lift[i] = lift[i - 1] + binom[t + q][q]
-        solved = optima[depth]
         inner = depth < last
-        for p, p_int, i in steps:
+        for p, p_int, w in steps:
             j = decide(p, free)
             if not (type(j) is int and 0 <= j < k and remaining[j] > 0):
                 raise RuleError(f"rule {rule.id!r} chose non-free server {j} for request {p}")
             nodes += 1
             alg = alg_int + abs(p_int - servers_int[j])
-            opt = solved[rank + lift[i]]
+            opt = optima[key + w]
             if opt:
                 if alg * best_opt > best_alg * opt:
                     best_alg, best_opt, best_sequence = alg, opt, (*chosen, p)
@@ -449,14 +393,15 @@ def grid_search_max_rate(
                     c = bisect_left(free, j)
                     child = free[:c] + free[c + 1:]
                 chosen.append(p)
-                counts[i] += 1
-                dfs(depth + 1, rank + lift[i], alg, child)
-                counts[i] -= 1
+                dfs(depth + 1, key + w, alg, child)
                 chosen.pop()
                 remaining[j] += 1
 
     if depth_cap:
         dfs(0, 0, 0, tuple(range(k)))
+    # dfs refers to itself; breaking that cycle frees the memo here, not
+    # at the next full garbage collection.
+    del dfs
     return GridSearchResult(
         best_rate=Fraction(best_alg, best_opt),
         best_sequence=best_sequence,

@@ -101,18 +101,25 @@ MUTANTS = (
         ("tests/test_offline.py::TestHeldRequestLists::test_zero_cost_hop_reveals_a_spare_server_further_left",),
     ),
     Mutant(
-        "dp-window-lower-bound-too-high",
+        "dp-slot-window-one-short",
         "src/ofal/offline.py",
-        "new_lo, new_hi = max(lo, n - rest), min(n, hi + c)",
-        "new_lo, new_hi = max(lo, n - rest + 1), min(n, hi + c)",
+        "slots[d : d + slack + 1]",
+        "slots[d : d + slack]",
         ("tests/test_online_kernels.py::TestDpWindow::test_edge_cases",),
     ),
     Mutant(
-        "dp-window-first-read-too-high",
+        "dp-server-owns-one-slot-too-few",
         "src/ofal/offline.py",
-        "base = max(lo, new_lo - c)",
-        "base = max(lo, new_lo - c + 1)",
-        ("tests/test_online_kernels.py::TestDpWindow::test_random_larger_instances",),
+        "range(min(c, n))",
+        "range(min(c, n - 1))",
+        ("tests/test_online_kernels.py::TestDpWindow::test_edge_cases",),
+    ),
+    Mutant(
+        "dp-last-slot-starts-at-one",
+        "src/ofal/offline.py",
+        "F = [0] * (slack + 1)",
+        "F = [0] * slack + [1]",
+        ("tests/test_online_kernels.py::TestDpWindow::test_edge_cases",),
     ),
     # A tying block later in preorder would replace the witness.
     Mutant(
@@ -180,13 +187,13 @@ MUTANTS = (
     Mutant(
         "grid-memo-ranks-in-caller-order",
         "src/ofal/verify.py",
-        "place[x] = i",
-        "place[i] = i",
+        "weight[x] = (depth_cap + 1) ** i",
+        "weight[i] = (depth_cap + 1) ** i",
         ("tests/test_exhaustive_oracles.py::TestGridSearch::test_unsorted_and_repeated_points",),
     ),
     Mutant(
         "grid-memo-extension-reads-its-own-slot",
-        "src/ofal/verify.py",
+        "src/ofal/offline.py",
         "map(add, accumulate(F, min), rows[x][d:])",
         "map(add, list(accumulate(F, min))[1:], rows[x][d:])",
         ("tests/test_exhaustive_oracles.py::TestMultisetOptima::test_every_multiset_matches_the_dp",),

@@ -177,6 +177,15 @@ class TestGenerators:
             assert code == EXIT_ERROR, k
             assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
+    # Only values the guard refuses before any list is built: 10^30
+    # requests, and one pair past ADVERSARY_MAX_REQUESTS.
+    @pytest.mark.parametrize("family", ["greedy", "permutation"])
+    @pytest.mark.parametrize("capacity", [str(10**30), "500001"])
+    def test_oversize_adversary_is_one_error_line(self, capsys, family, capacity):
+        code, out, err = run_cli(capsys, "adversary", family, "--k", "2", "--capacity", capacity)
+        assert code == EXIT_ERROR
+        assert out == "" and err.startswith(f"error: {family} adversary guard:") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "k, read_line, unbuffered",
         [("3", True, "1"), ("3", False, ""), ("80", True, ""), ("80", True, "1")],
@@ -335,6 +344,16 @@ class TestBatch:
             code, _, err = run_cli(capsys, "run", str(cfg))
             assert code == EXIT_ERROR
             assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("family", ["greedy", "permutation"])
+    def test_oversize_adversary_source_is_one_error_line(self, capsys, tmp_path, family):
+        cfg = tmp_path / "config.json"
+        source = {"kind": "adversary", "family": family, "k": 2, "capacity": 10**30}
+        config = dict(self.RUN_CONFIG, instance_source=source, sequence_source={"kind": "adversary"})
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "run", str(cfg))
+        assert code == EXIT_ERROR
+        assert out == "" and err.startswith(f"error: {family} adversary guard:") and err.count("\n") == 1
 
     RUN_CONFIG = {
         "algorithms": ["ptcp"],

@@ -7,11 +7,11 @@ products; ``alpha_bruteforce`` scans subsets on scaled integers.  The
 reference loops below are the earlier code, inlined: a cold DP and a
 Fraction rate at every grid node, and ``gap_ratio`` on every subset.
 Results must be equal field for field, including which of several tied
-maximisers is reported.  The memo itself is checked against
-``dp_cost_ints`` multiset by multiset.
+maximisers is reported.  The memo itself is checked multiset by multiset
+against the windowed server-major DP, which shares no recurrence with
+the slot DP of ``multiset_optima`` and ``dp_cost_ints``.
 """
 
-import math
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -23,10 +23,11 @@ from ofal.algorithms import greedy_rule, ptcp_rule
 from ofal.alpha import Metrics, alpha_bruteforce, gap_ratio
 from ofal.core import Instance, ServerLayout, scale_to_ints
 from ofal.engine import PriorityRule
-from ofal.offline import dp_cost_ints
-from ofal.verify import GridSearchResult, grid_search_max_rate, multiset_optima
+from ofal.offline import multiset_optima
+from ofal.verify import GridSearchResult, grid_search_max_rate
 
 from conftest import layouts
+from test_online_kernels import windowed_dp_cost_ints
 
 
 def reference_grid_search(rule, inst, points, n_max):
@@ -42,7 +43,7 @@ def reference_grid_search(rule, inst, points, n_max):
     chosen_int = []
 
     def consider(alg_int):
-        opt_int = dp_cost_ints(servers_int, caps0, chosen_int)
+        opt_int = windowed_dp_cost_ints(servers_int, caps0, chosen_int)
         if opt_int == 0:
             if alg_int > 0:
                 anomalies.append(
@@ -172,8 +173,8 @@ class TestGridSearch:
 
 class TestMultisetOptima:
     def test_every_multiset_matches_the_dp(self):
-        # optima[d] lists the multisets of d + 1 points in the order of
-        # combinations_with_replacement; capacities above the depth and
+        # The key of a multiset of point indices is the sum of
+        # (depth + 1)**x over them; capacities above the depth and
         # repeated points exercise the slot bound and equal positions.
         rng = random.Random(1515)
         for _ in range(300):
@@ -183,14 +184,15 @@ class TestMultisetOptima:
             points = sorted(rng.randint(-40, 40) for _ in range(rng.randint(1, 5)))
             depth = min(rng.randint(1, 4), sum(caps))
             optima = multiset_optima(servers, caps, points, depth)
-            assert len(optima) == depth
-            for d, solved in enumerate(optima):
-                assert len(solved) == math.comb(len(points) + d, d + 1)
-                for rank, combo in enumerate(combinations_with_replacement(range(len(points)), d + 1)):
-                    assert solved[rank] == dp_cost_ints(servers, caps, [points[x] for x in combo])
+            expected = {}
+            for d in range(1, depth + 1):
+                for combo in combinations_with_replacement(range(len(points)), d):
+                    key = sum((depth + 1) ** x for x in combo)
+                    expected[key] = windowed_dp_cost_ints(servers, caps, [points[x] for x in combo])
+            assert optima == expected
 
     def test_no_depth_no_table(self):
-        assert multiset_optima([0, 5], [1, 1], [1, 2], 0) == []
+        assert multiset_optima([0, 5], [1, 1], [1, 2], 0) == {}
 
 
 class TestSubsetScan:

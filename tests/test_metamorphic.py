@@ -8,7 +8,9 @@ grid over half-integer servers land exactly on servers, midpoints and
 critical points, so the tie-breaks are exercised, not just the generic
 case.
 
-The mirror x -> -x, with the server order reversed, keeps alpha.  It also
+The mirror x -> -x, with the server order and the capacities reversed,
+maps each matching to one of equal cost, so it keeps the optimum and
+every multiset optimum of the grid memo.  It keeps alpha, and it also
 keeps the split blocks bounded by strictly larger gaps, and so, when no
 two gaps are equal, every block's (span, D).  Equal maximum gaps split
 leftmost, which is not mirror-symmetric.
@@ -17,14 +19,15 @@ leftmost, which is not mirror-symmetric.
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from hypothesis import given, settings, strategies as st
 
 from ofal.algorithms import greedy_rule, ptcp_rule, split_blocks
 from ofal.alpha import alpha_fast
-from ofal.core import Instance, RequestSequence, ServerLayout
+from ofal.core import Instance, RequestSequence, ServerLayout, scale_to_ints
 from ofal.engine import simulate
-from ofal.offline import noncrossing_dp_cost, optimal_cost
+from ofal.offline import multiset_optima, noncrossing_dp_cost, optimal_cost
 from ofal.permutation import permutation_run
 
 from conftest import layout_of
@@ -130,3 +133,27 @@ def test_mirror_of_tied_maximum_gaps():
     assert block_shapes(layout) == Counter({(21, 10): 1, (10, 10): 1, (1, 1): 1})
     assert block_shapes(mirror(layout)) == Counter({(21, 10): 1, (11, 10): 1, (1, 1): 1})
     assert alpha_fast(mirror(layout)).alpha == alpha_fast(layout).alpha == Fraction(21, 10)
+
+
+@given(tie_heavy_pairs())
+@settings(max_examples=100, deadline=None)
+def test_mirror_keeps_the_optimum(pair):
+    inst, seq = pair
+    flipped = Instance(mirror(inst.layout), inst.capacities[::-1])
+    flipped_seq = RequestSequence(tuple(-r for r in seq))
+    assert noncrossing_dp_cost(flipped, flipped_seq) == noncrossing_dp_cost(inst, seq)
+    assert optimal_cost(flipped, flipped_seq).cost == optimal_cost(inst, seq).cost
+    # The memo over the distinct requests: the x-th point by position is
+    # the (last - x)-th once mirrored.
+    servers, requests, _ = scale_to_ints(inst.layout.positions, seq.requests)
+    points = sorted(set(requests))
+    depth, last = min(3, inst.total_capacity), len(points) - 1
+    optima = multiset_optima(servers, inst.capacities, points, depth)
+    mirrored = multiset_optima(
+        [-s for s in reversed(servers)], inst.capacities[::-1], [-p for p in reversed(points)], depth
+    )
+    assert len(mirrored) == len(optima)
+    for d in range(1, depth + 1):
+        for combo in combinations_with_replacement(range(len(points)), d):
+            key = sum((depth + 1) ** x for x in combo)
+            assert mirrored[sum((depth + 1) ** (last - x) for x in combo)] == optima[key]

@@ -3,13 +3,15 @@ replaced.
 
 ``ptcp_decide`` narrows a sorted slice of the free set by bisection and
 compares with the critical point by integer cross products;
-``alpha_fast`` scans intervals on scaled integers; ``dp_cost_ints`` keeps
-only the window of states that can be reached and still completed;
-``surrounding_servers``, ``greedy_decide`` and ``build_split_tree`` work
-on the layout's scaled integers.  The reference functions below are the
-earlier code, inlined: two ``any()`` scans and a Fraction ``<=`` per tree
-level, one Fraction division per interval, the full triple loop over
-every state and block length, a bisection of the Fraction positions,
+``alpha_fast`` scans intervals on scaled integers; ``dp_cost_ints`` sends
+the sorted requests to increasing capacity slots, keeping only the slots
+each request can reach; ``surrounding_servers``, ``greedy_decide`` and
+``build_split_tree`` work on the layout's scaled integers.  The reference
+functions below are the earlier code, inlined: two ``any()`` scans and a
+Fraction ``<=`` per tree level, one Fraction division per interval, the
+server-major DP over a window of reachable prefix lengths and, before it,
+the full triple loop over every state and block length, a bisection of
+the Fraction positions,
 two Fraction distances per greedy decision, the Fraction
 critical-point formula, and the nested split tree of frozen node objects
 with its descent, which the preorder table of ``SplitTree`` replaced.
@@ -62,6 +64,51 @@ def reference_alpha_fast(layout):
                 best = value
                 witness = tuple(range(i, j + 1))
     return Metrics(alpha=best, witness=witness)
+
+
+def windowed_dp_cost_ints(servers, caps, requests):
+    """Core DP on scaled ints: assign sorted requests to servers in order.
+
+    A non-crossing optimum matches the sorted requests to a sorted multiset
+    of server slots, so each server serves a contiguous block.  dp[t] is
+    the best cost of the first t sorted requests; server j extends it by a
+    block of up to c_j requests.  Raises ValidationError when the
+    capacities sum to less than the number of requests.
+
+    Only a window of t is kept: after server j, t runs over
+    [n - cap(servers after j), cap(servers 0..j)], clipped to [0, n].  A
+    larger t cannot be reached, and a smaller one cannot be completed by
+    the servers left; every prefix of an optimal assignment lies inside
+    the window, so dp[n] is exact.  With prefix[t] the cost of requests
+    before t on server j and g[m] = dp[m] - prefix[m], a step is
+    prefix[t] + min(g[m] for t - c_j <= m <= t).  Zero-capacity servers are
+    skipped.  A solve costs O(sum of c_j * window width), O(k * n * c) at
+    most.
+    """
+    reqs = sorted(requests)
+    n = len(reqs)
+    rest = sum(caps)
+    if n > rest:
+        raise ValidationError("capacity exhausted in dp")
+    lo, dp = 0, [0]  # dp[t - lo] for t in [lo, lo + len(dp) - 1]
+    for s, c in zip(servers, caps):
+        if c == 0:
+            continue
+        rest -= c
+        hi = lo + len(dp) - 1
+        new_lo, new_hi = max(lo, n - rest), min(n, hi + c)
+        base = max(lo, new_lo - c)  # the first m a step into the window reads
+        # prefix[t - base] is the cost of requests base..t-1 on s.
+        prefix = [0]
+        for r in reqs[base:new_hi]:
+            prefix.append(prefix[-1] + abs(r - s))
+        g = [dp[m - lo] - prefix[m - base] for m in range(base, hi + 1)]
+        dp = [
+            prefix[t - base] + min(g[max(0, t - c - base) : min(hi, t) - base + 1])
+            for t in range(new_lo, new_hi + 1)
+        ]
+        lo = new_lo
+    return dp[n - lo]
 
 
 def reference_dp_cost_ints(servers, caps, requests):
@@ -219,9 +266,11 @@ def dp_cases(draw):
     return servers, caps, requests
 
 
-def both(servers, caps, requests):
+def solve_all(servers, caps, requests):
+    """The result or error of the slot DP, the windowed DP and the triple
+    loop, in that order."""
     out = []
-    for solve in (dp_cost_ints, reference_dp_cost_ints):
+    for solve in (dp_cost_ints, windowed_dp_cost_ints, reference_dp_cost_ints):
         try:
             out.append(solve(servers, caps, requests))
         except ValidationError as err:
@@ -233,24 +282,26 @@ class TestDpWindow:
     @given(dp_cases())
     @settings(max_examples=250, deadline=None)
     def test_matches_the_triple_loop(self, case):
-        got, expected = both(*case)
-        assert got == expected
+        got, windowed, expected = solve_all(*case)
+        assert got == windowed == expected
 
     def test_edge_cases(self):
         assert dp_cost_ints([], [], []) == 0
         assert dp_cost_ints([0, 5], [0, 0], []) == 0
         # Zero capacities interleaved with positive ones.
-        assert both([0, 3, 7, 9], [0, 2, 0, 1], [1, 8, 9]) == [7, 7]
-        # Total capacity equal to n: the window shrinks to one state per server.
-        assert both([0, 10], [2, 1], [0, 0, 0]) == [10, 10]
+        assert solve_all([0, 3, 7, 9], [0, 2, 0, 1], [1, 8, 9]) == [7] * 3
+        # Total capacity equal to n: no slack, one slot per request.
+        assert solve_all([0, 10], [2, 1], [0, 0, 0]) == [10] * 3
         # Slack-rich: the nearest server takes every request.
-        assert both([0, 100, 200], [50, 50, 50], [99, 100, 101]) == [2, 2]
+        assert solve_all([0, 100, 200], [50, 50, 50], [99, 100, 101]) == [2] * 3
+        # A capacity far above n owns n slots.
+        assert solve_all([0, 100], [10**12, 1], [1, 2, 3]) == [6] * 3
 
     def test_capacity_exhausted(self):
         for servers, caps, requests in (([0], [0], [1]), ([0, 4], [1, 1], [0, 1, 2]), ([], [], [3])):
             with pytest.raises(ValidationError, match="capacity exhausted in dp"):
                 dp_cost_ints(servers, caps, requests)
-            assert both(servers, caps, requests)[1] == ("error", "capacity exhausted in dp")
+            assert solve_all(servers, caps, requests)[1:] == [("error", "capacity exhausted in dp")] * 2
 
     def test_random_larger_instances(self):
         rng = random.Random(7)
@@ -260,8 +311,8 @@ class TestDpWindow:
             caps = [rng.randint(0, 6) for _ in range(k)]
             n = rng.randint(0, sum(caps))
             requests = [rng.randint(-600, 600) for _ in range(n)]
-            got, expected = both(servers, caps, requests)
-            assert got == expected
+            got, windowed, expected = solve_all(servers, caps, requests)
+            assert got == windowed == expected
 
 
 # ---------------------------------------------------------------------------
