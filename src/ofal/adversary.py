@@ -51,10 +51,11 @@ def _largest_power_of_tenth(ok) -> Fraction:
     return delta
 
 
-def _check_length(family: str, k: int, capacity: int, n: int) -> None:
-    """Refuse a sequence of n requests above ADVERSARY_MAX_REQUESTS before
-    any list is built."""
-    if n > ADVERSARY_MAX_REQUESTS:
+def check_adversary_size(family: str, k: int, capacity: int) -> None:
+    """Refuse a ``family`` sequence above ADVERSARY_MAX_REQUESTS before any
+    list is built: greedy's has k * capacity requests, permutation's
+    2k * capacity."""
+    if (k if family == "greedy" else 2 * k) * capacity > ADVERSARY_MAX_REQUESTS:
         raise SizeGuardError(
             f"{family} adversary guard: k={k} at capacity {capacity} "
             f"exceeds {ADVERSARY_MAX_REQUESTS} requests"
@@ -69,7 +70,7 @@ def greedy_params(k: int, epsilon: Fraction, capacity: int = 1) -> AdversaryPara
     """
     if k < 2:
         raise ValidationError("greedy adversary needs k >= 2")
-    _check_length("greedy", k, capacity, k * capacity)
+    check_adversary_size("greedy", k, capacity)
     epsilon = Fraction(epsilon)
     bound = epsilon * Fraction(1, 2**k)
     delta = _largest_power_of_tenth(lambda d: k * d / (1 + k * d) <= bound)
@@ -106,7 +107,7 @@ def permutation_params(k: int, epsilon: Fraction, capacity: int = 1) -> Adversar
     """
     if k < 1:
         raise ValidationError("permutation adversary needs k >= 1")
-    _check_length("permutation", k, capacity, 2 * k * capacity)
+    check_adversary_size("permutation", k, capacity)
     epsilon = Fraction(epsilon)
 
     def ok(d: Fraction) -> bool:

@@ -19,6 +19,7 @@ from pathlib import Path
 from .alpha import alpha_fast
 from .adversary import (
     candidate_points,
+    check_adversary_size,
     greedy_adversary,
     greedy_params,
     permutation_adversary,
@@ -100,6 +101,7 @@ class ExperimentConfig:
             _check_choice("instance_source.family", src.get("family"), ("greedy", "permutation"))
             _check_int("instance_source.k", src.get("k"), 1)
             _check_int("instance_source.capacity", src.get("capacity", 1), 1)
+            check_adversary_size(src["family"], src["k"], src.get("capacity", 1))
             to_coord(src.get("epsilon", "1/10"))
         if src["kind"] == "random":
             _check_int("instance_source.k_max", src.get("k_max", 6), 1)

@@ -345,16 +345,6 @@ class TestBatch:
             assert code == EXIT_ERROR
             assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("family", ["greedy", "permutation"])
-    def test_oversize_adversary_source_is_one_error_line(self, capsys, tmp_path, family):
-        cfg = tmp_path / "config.json"
-        source = {"kind": "adversary", "family": family, "k": 2, "capacity": 10**30}
-        config = dict(self.RUN_CONFIG, instance_source=source, sequence_source={"kind": "adversary"})
-        cfg.write_text(json.dumps(config))
-        code, out, err = run_cli(capsys, "run", str(cfg))
-        assert code == EXIT_ERROR
-        assert out == "" and err.startswith(f"error: {family} adversary guard:") and err.count("\n") == 1
-
     RUN_CONFIG = {
         "algorithms": ["ptcp"],
         "instance_source": {"kind": "random", "k_max": 3},
@@ -404,6 +394,8 @@ class TestBatch:
             {"instance_source": {"kind": "adversary", "family": "zigzag", "k": 3}},
             {"sequence_source": {"kind": "random", "distribution": "gaussian"}},
             {"sequence_source": {"kind": "adversary"}},
+            {"instance_source": {"kind": "adversary", "family": "greedy", "k": 2, "capacity": 10**30}},
+            {"instance_source": {"kind": "adversary", "family": "permutation", "k": 2, "capacity": 10**30}},
         ],
         ids=[
             "unknown-instance-key",
@@ -412,6 +404,8 @@ class TestBatch:
             "unknown-family",
             "unknown-distribution",
             "adversary-sequence-random-instance",
+            "oversize-greedy-adversary",
+            "oversize-permutation-adversary",
         ],
     )
     def test_config_sources_are_checked_when_built(self, capsys, tmp_path, change):
