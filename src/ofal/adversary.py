@@ -161,6 +161,14 @@ def permutation_adversary(params: AdversaryParams) -> tuple[Instance, RequestSeq
     return inst, RequestSequence(tuple(requests))
 
 
+def adversary(family: str, k: int, epsilon: Fraction, capacity: int) -> tuple[Instance, RequestSequence]:
+    """The instance and sequence of ``family``: "greedy" builds the
+    exponential construction, any other family the permutation one."""
+    if family == "greedy":
+        return greedy_adversary(greedy_params(k, epsilon, capacity))
+    return permutation_adversary(permutation_params(k, epsilon, capacity))
+
+
 # ---------------------------------------------------------------------------
 # Random families
 # ---------------------------------------------------------------------------

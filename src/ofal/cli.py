@@ -15,14 +15,7 @@ import sys
 
 from . import __version__
 from .alpha import alpha_fast, aspect_ratio, gap_ratio
-from .adversary import (
-    greedy_adversary,
-    greedy_params,
-    permutation_adversary,
-    permutation_params,
-    random_layout,
-    random_sequences,
-)
+from .adversary import adversary, random_layout, random_sequences
 from .algorithms import RULE_BUILDERS, build_split_tree, tree_to_dict
 from .core import (
     OfalError,
@@ -113,11 +106,7 @@ def cmd_opt(args) -> int:
 
 
 def cmd_adversary(args) -> int:
-    epsilon = to_coord(args.epsilon)
-    if args.family == "greedy":
-        inst, seq = greedy_adversary(greedy_params(args.k, epsilon, args.capacity))
-    else:
-        inst, seq = permutation_adversary(permutation_params(args.k, epsilon, args.capacity))
+    inst, seq = adversary(args.family, args.k, to_coord(args.epsilon), args.capacity)
     if args.out_prefix:
         inst_path = f"{args.out_prefix}.instance.json"
         seq_path = f"{args.out_prefix}.sequence.json"
@@ -132,8 +121,14 @@ def cmd_adversary(args) -> int:
 
 
 def _verify_layout(args):
+    """The layout to check; every check runs on unit capacities, so an
+    instance file with any other capacity is refused, not cut to ones."""
     if args.instance:
-        return load_instance(args.instance).layout
+        inst = load_instance(args.instance)
+        for j, c in enumerate(inst.capacities):
+            if c != 1:
+                raise OfalError(f"verify runs on unit capacities; server {j} of {args.instance} has capacity {c}")
+        return inst.layout
     import random
 
     return random_layout(random.Random(args.seed), args.k)

@@ -7,13 +7,12 @@ non-free server is a hard error, not a recoverable one.  Priority rules
 decide from those two inputs alone; the permutation rule and hybrid
 runs use stateful deciders that also depend on the history.  Whether a
 rule really is of the fixed-priority kind (one total order per request
-position) is checked empirically by ``derive_priority_order``.
+position) is checked empirically, by a helper of the test suite.
 """
 
 from __future__ import annotations
 
 import operator
-import random
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -111,7 +110,7 @@ def simulate(rule: PriorityRule, inst: Instance, seq: RequestSequence) -> Assign
     The rule sees the free servers as one increasing tuple, rebuilt only
     when a server runs out.  A pick must be an int j, 0 <= j < k, with
     capacity left, else RuleError: one O(1) check, repeated inline by the
-    grid search and ``derive_priority_order``.  Costs are summed on
+    grid search.  Costs are summed on
     ``scaled_pair``'s integers and divided by its scale once, for the
     total.  The trace stores O(n + k): ``remaining_after`` derives its
     rows, and ``per_step_cost`` its Fractions, on read.
@@ -166,43 +165,3 @@ def surrounding_servers(
         return (p, p)
     return (free[i - 1] if i else None, right)
 
-
-def derive_priority_order(
-    rule: PriorityRule,
-    r: Fraction,
-    k: int,
-    consistency_trials: int = 1000,
-    seed: int = 0,
-) -> tuple[int, ...]:
-    """Extract the total server order a rule induces at one position.
-
-    Repeatedly asks the rule to pick from the not-yet-ranked servers (a
-    pick is checked as in ``simulate``); the pick order is the candidate
-    priority order.  The order is then checked on random free sets: the
-    rule must always pick the order-maximum.  An inconsistency means the
-    rule's choice depends on more than (position, free set restricted
-    through one order) and it is reported as RuleError.
-    """
-    free, remaining = tuple(range(k)), [1] * k
-    order: list[int] = []
-    while free:
-        j = rule.decide(r, free)
-        if not (type(j) is int and 0 <= j < k and remaining[j] > 0):
-            raise RuleError(f"rule {rule.id!r} chose non-free server {j} for request {r}")
-        remaining[j] = 0
-        order.append(j)
-        i = bisect_left(free, j)
-        free = free[:i] + free[i + 1:]
-    rank = {j: pos for pos, j in enumerate(order)}
-    rng = random.Random(seed)
-    for _ in range(consistency_trials):
-        size = rng.randint(1, k)
-        subset = tuple(sorted(rng.sample(range(k), size)))
-        picked = rule.decide(r, subset)
-        expected = min(subset, key=rank.__getitem__)
-        if picked != expected:
-            raise RuleError(
-                f"rule {rule.id!r} is not priority-consistent at r={r}: "
-                f"picked {picked} from {list(subset)}, order says {expected}"
-            )
-    return tuple(order)

@@ -18,12 +18,9 @@ from pathlib import Path
 
 from .alpha import alpha_fast
 from .adversary import (
+    adversary,
     candidate_points,
     check_adversary_size,
-    greedy_adversary,
-    greedy_params,
-    permutation_adversary,
-    permutation_params,
     random_instance,
     random_sequences,
 )
@@ -172,11 +169,7 @@ def _materialize_trial(config: ExperimentConfig, trial: int) -> tuple[str, Insta
         family = src["family"]
         k = src["k"]
         epsilon = to_coord(src.get("epsilon", "1/10"))
-        capacity = src.get("capacity", 1)
-        if family == "greedy":
-            inst, adv_seq = greedy_adversary(greedy_params(k, epsilon, capacity))
-        else:
-            inst, adv_seq = permutation_adversary(permutation_params(k, epsilon, capacity))
+        inst, adv_seq = adversary(family, k, epsilon, src.get("capacity", 1))
         label = f"{family}-k{k}"
     else:
         k = rng.randint(1, src.get("k_max", 6))
@@ -354,14 +347,14 @@ def reproduce(table: str, k: int | None = None, epsilon: Fraction | None = None)
     if table in ("thm46", "thm47"):
         if table == "thm46":
             k = 6 if k is None else k
-            inst, seq = greedy_adversary(greedy_params(k, epsilon))
+            inst, seq = adversary("greedy", k, epsilon, 1)
             targets = (
                 ("greedy", Fraction(2**k - 1) - epsilon, "ge"),
                 ("ptcp", Fraction(5), "le"),
             )
         else:
             k = 3 if k is None else k
-            inst, seq = permutation_adversary(permutation_params(k, epsilon))
+            inst, seq = adversary("permutation", k, epsilon, 1)
             targets = (
                 ("permutation", Fraction(4 * k - 1) - epsilon, "ge"),
                 ("ptcp", Fraction(3) + epsilon, "le"),

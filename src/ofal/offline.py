@@ -231,39 +231,45 @@ def dp_cost_ints(servers: list[int], caps: list[int], requests: list[int]) -> in
 
 def multiset_optima(
     servers: list[int], caps: Sequence[int], points: list[int], depth: int
-) -> dict[int, int]:
-    """The optimum of every multiset of 1 to ``depth`` points, by key.
+) -> tuple[dict[int, int], list[int]]:
+    """The optimum of every multiset of 1 to ``depth`` points, by key, and
+    each point's key weight.
 
     ``servers`` and ``points`` are scaled ints, the servers increasing and
-    the points non-decreasing.  A multiset's key is the sum of
-    (depth + 1)**i over its points, the i-th point counted once per copy;
-    no point is taken more than ``depth`` times, so each multiset has its
-    own key.
+    the points in any order, repeats allowed.  The point of rank i by
+    position weighs (depth + 1)**i, and ``weight[x]`` is point x's
+    weight.  A multiset's key is the sum of its points' weights, each
+    counted once per copy; no point is taken more than ``depth`` times,
+    so each multiset has its own key.
 
     This is ``dp_cost_ints``' slot recurrence without the slack window,
     since the multisets differ in size: server j owns min(c_j, depth)
-    slots, and a depth-first pass over non-decreasing index sequences, on
+    slots, and a depth-first pass over rank-non-decreasing sequences, on
     an explicit stack, extends the DP one request at a time.  F[u] is the
     least cost of the prefix with its last request in slot u, so a
     request r gives G[u] = min(F[v] for v < u) + |r - s(u)|, and the
     multiset's optimum is min(G).  The caller keeps ``depth`` within the
     total capacity, so G is never empty.
     """
+    order = sorted(range(len(points)), key=points.__getitem__)
     slots = [s for s, c in zip(servers, caps) for _ in range(min(c, depth))]
-    rows = [[abs(p - s) for s in slots] for p in points]
-    weight = [(depth + 1) ** i for i in range(len(points))]
+    rows = [[abs(points[x] - s) for s in slots] for x in order]
+    ranked = [(depth + 1) ** i for i in range(len(points))]
+    weight = [0] * len(points)
+    for x, w in zip(order, ranked):
+        weight[x] = w
     optima: dict[int, int] = {}
     # (d, first, F, key): F prices a d-request prefix whose last point
-    # is ``first`` from slot d - 1 on, slot -1 being virtual at cost 0.
+    # has rank ``first``, from slot d - 1 on, slot -1 being virtual at cost 0.
     todo = [(0, 0, [0] * (len(slots) + 1), 0)] if depth else []
     while todo:
         d, first, F, key = todo.pop()
-        for x in range(first, len(points)):
-            G = list(map(add, accumulate(F, min), rows[x][d:]))
-            optima[key + weight[x]] = min(G)
+        for i in range(first, len(points)):
+            G = list(map(add, accumulate(F, min), rows[i][d:]))
+            optima[key + ranked[i]] = min(G)
             if d + 1 < depth:
-                todo.append((d + 1, x, G, key + weight[x]))
-    return optima
+                todo.append((d + 1, i, G, key + ranked[i]))
+    return optima, weight
 
 
 def noncrossing_dp_cost(inst: Instance, seq: RequestSequence) -> Fraction:

@@ -14,7 +14,7 @@ the engine holds.  A push is one Dijkstra over the k servers, O(k^2).
 
 The rule runs through ``engine.simulate`` with a history-dependent
 decider: its choice depends on the whole history, not just (position,
-free set), so ``derive_priority_order`` does not apply to it.
+free set), so it has no fixed priority order to check.
 """
 
 from __future__ import annotations

@@ -317,13 +317,12 @@ def grid_search_max_rate(
     The walk runs on the scaled integers of ``core.scale_to_ints``.  The
     optimum depends only on the multiset of chosen points, so
     ``offline.multiset_optima`` fills one dict before the walk, and a
-    node reads its optimum at the multiset's key.  Keys are taken over
-    the points sorted by position, so callers may pass them unsorted or
-    repeated: the p-th point by position weighs (depth cap + 1)**p, and
-    the walk carries key + weight down to each child.  A node's
-    children are rated in its own loop; only children above the
-    last level recurse, so a leaf costs one rule call, one pick check and
-    one memo read.  Rates are compared as integer cross products, keeping
+    node reads its optimum at the multiset's key.  That function also
+    gives each point its key weight, so callers may pass the points
+    unsorted or repeated, and the walk carries key + weight down to each
+    child.  A node's children are rated in its own loop; only children
+    above the last level recurse, so a leaf costs one rule call, one pick
+    check and one memo read.  Rates are compared as integer cross products, keeping
     the first maximiser, and only the result is a Fraction.  Rule
     decisions are never cached: this search is the exhaustive check of a
     rule, and a cache would hide a rule that is not pure.  The rule gets
@@ -351,13 +350,7 @@ def grid_search_max_rate(
             )
     servers_int, points_int, scale = scale_to_ints(inst.layout.positions, points)
     k = inst.k
-    order = sorted(range(n_points), key=points_int.__getitem__)
-    optima = multiset_optima(
-        servers_int, inst.capacities, [points_int[x] for x in order], depth_cap
-    )
-    weight = [0] * n_points
-    for i, x in enumerate(order):
-        weight[x] = (depth_cap + 1) ** i
+    optima, weight = multiset_optima(servers_int, inst.capacities, points_int, depth_cap)
     steps = tuple(zip(points, points_int, weight))
     remaining = list(inst.capacities)
     chosen: list[Fraction] = []

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
-from ofal.core import AssignmentTrace, Instance, RequestSequence, ServerLayout
+from ofal.core import AssignmentTrace, Instance, RequestSequence, RuleError, ServerLayout
+from ofal.engine import PriorityRule
 
 
 def F(x) -> Fraction:
@@ -37,6 +39,47 @@ def check_trace(trace: AssignmentTrace, inst: Instance, seq: RequestSequence) ->
         assert cost == trace.per_step_cost[t], f"per-step cost wrong at step {t}"
         total += cost
     assert total == trace.total_cost, "total cost does not equal the sum of step costs"
+
+
+def derive_priority_order(
+    rule: PriorityRule,
+    r: Fraction,
+    k: int,
+    consistency_trials: int = 1000,
+    seed: int = 0,
+) -> tuple[int, ...]:
+    """Extract the total server order a rule induces at one position.
+
+    Repeatedly asks the rule to pick from the not-yet-ranked servers (a
+    pick is checked as in ``simulate``); the pick order is the candidate
+    priority order.  The order is then checked on random free sets: the
+    rule must always pick the order-maximum.  An inconsistency means the
+    rule's choice depends on more than (position, free set restricted
+    through one order) and it is reported as RuleError.
+    """
+    free, remaining = tuple(range(k)), [1] * k
+    order: list[int] = []
+    while free:
+        j = rule.decide(r, free)
+        if not (type(j) is int and 0 <= j < k and remaining[j] > 0):
+            raise RuleError(f"rule {rule.id!r} chose non-free server {j} for request {r}")
+        remaining[j] = 0
+        order.append(j)
+        i = bisect_left(free, j)
+        free = free[:i] + free[i + 1:]
+    rank = {j: pos for pos, j in enumerate(order)}
+    rng = random.Random(seed)
+    for _ in range(consistency_trials):
+        size = rng.randint(1, k)
+        subset = tuple(sorted(rng.sample(range(k), size)))
+        picked = rule.decide(r, subset)
+        expected = min(subset, key=rank.__getitem__)
+        if picked != expected:
+            raise RuleError(
+                f"rule {rule.id!r} is not priority-consistent at r={r}: "
+                f"picked {picked} from {list(subset)}, order says {expected}"
+            )
+    return tuple(order)
 
 
 @st.composite

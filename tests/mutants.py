@@ -186,16 +186,16 @@ MUTANTS = (
     ),
     Mutant(
         "grid-memo-ranks-in-caller-order",
-        "src/ofal/verify.py",
-        "weight[x] = (depth_cap + 1) ** i",
-        "weight[i] = (depth_cap + 1) ** i",
+        "src/ofal/offline.py",
+        "for x, w in zip(order, ranked):",
+        "for x, w in enumerate(ranked):",
         ("tests/test_exhaustive_oracles.py::TestGridSearch::test_unsorted_and_repeated_points",),
     ),
     Mutant(
         "grid-memo-extension-reads-its-own-slot",
         "src/ofal/offline.py",
-        "map(add, accumulate(F, min), rows[x][d:])",
-        "map(add, list(accumulate(F, min))[1:], rows[x][d:])",
+        "map(add, accumulate(F, min), rows[i][d:])",
+        "map(add, list(accumulate(F, min))[1:], rows[i][d:])",
         ("tests/test_exhaustive_oracles.py::TestMultisetOptima::test_every_multiset_matches_the_dp",),
     ),
     Mutant(

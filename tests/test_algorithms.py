@@ -19,7 +19,7 @@ from ofal.alpha import alpha_fast, gap_ratio
 from ofal.core import ServerLayout, ValidationError, unit_instance
 from ofal.engine import simulate
 
-from conftest import check_trace, layout_of, layouts, seq_of
+from conftest import check_trace, derive_priority_order, layout_of, layouts, seq_of
 
 
 class TestSplitTree:
@@ -172,8 +172,6 @@ class TestGuardRule:
         check_trace(simulate(self.rule, inst, seq), inst, seq)
 
     def test_guarded_rule_is_priority_consistent(self):
-        from ofal.engine import derive_priority_order
-
         for r in (Fraction(0), Fraction(1, 2), Fraction(2), Fraction(7, 2), Fraction(5)):
             derive_priority_order(self.rule, r, self.extended.k, consistency_trials=300)
 

@@ -307,6 +307,36 @@ class TestVerify:
         data = json.loads(out)
         assert data["details"]["unit_worst_rate"] == "3"
 
+    @pytest.mark.parametrize("check", ["surrounding", "faithful", "ratio", "adx", "capacity", "hybrid"])
+    def test_capacitated_instance_refused(self, capsys, tmp_path, check):
+        # Every check runs on unit capacities.  Reading only the layout would
+        # check these servers at capacity 1 and exit 0.
+        path = tmp_path / "caps.json"
+        path.write_text(json.dumps({"servers": [0, 1, 3], "capacities": [1, 2, 1]}))
+        code, out, err = run_cli(capsys, "verify", check, "--instance", str(path), "--trials", "3")
+        assert code == EXIT_ERROR
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "server 1" in err and "capacity 2" in err
+
+    @pytest.mark.parametrize(
+        "check,expected",
+        [
+            ("faithful", {"property": "faithful", "trials": 3, "violations": [], "details": {}, "verdict": "ok"}),
+            # Three sequences of three requests, one trial per request.
+            ("surrounding", {"property": "surrounding-oriented", "trials": 9, "violations": 0}),
+        ],
+    )
+    def test_unit_capacity_instance(self, capsys, tmp_path, check, expected):
+        # Listing all-ones capacities checks what the bare layout checks.
+        outputs = []
+        for name, data in (("ones", {"servers": [0, 1, 3], "capacities": [1, 1, 1]}), ("bare", {"servers": [0, 1, 3]})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data))
+            code, out, err = run_cli(capsys, "verify", check, "--instance", str(path), "--trials", "3")
+            assert code == EXIT_OK and err == ""
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == json.dumps(expected, indent=2) + "\n"
+
     def test_faithful_and_surrounding_and_adx(self, capsys):
         for check in ("faithful", "surrounding"):
             code, out, _ = run_cli(capsys, "verify", check, "--alg", "ptcp", "--k", "3", "--trials", "20")

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from ofal.algorithms import greedy_rule, ptcp_rule
 from ofal.core import Instance, RequestSequence, RuleError, ValidationError
-from ofal.engine import PriorityRule, derive_priority_order, simulate, surrounding_servers
+from ofal.engine import PriorityRule, simulate, surrounding_servers
 
-from conftest import check_trace, instances, layout_of, rand_requests, seq_of
+from conftest import check_trace, derive_priority_order, instances, layout_of, rand_requests, seq_of
 
 
 class TestSimulate:

@@ -183,7 +183,7 @@ class TestMultisetOptima:
             caps = [rng.choice((1, 1, 2, 3, 10**12)) for _ in range(k)]
             points = sorted(rng.randint(-40, 40) for _ in range(rng.randint(1, 5)))
             depth = min(rng.randint(1, 4), sum(caps))
-            optima = multiset_optima(servers, caps, points, depth)
+            optima, _ = multiset_optima(servers, caps, points, depth)
             expected = {}
             for d in range(1, depth + 1):
                 for combo in combinations_with_replacement(range(len(points)), d):
@@ -192,7 +192,7 @@ class TestMultisetOptima:
             assert optima == expected
 
     def test_no_depth_no_table(self):
-        assert multiset_optima([0, 5], [1, 1], [1, 2], 0) == {}
+        assert multiset_optima([0, 5], [1, 1], [1, 2], 0)[0] == {}
 
 
 class TestSubsetScan:

@@ -23,11 +23,11 @@ from hypothesis import given, settings, strategies as st
 from ofal.adversary import candidate_points
 from ofal.algorithms import greedy_rule, guard_rule, ptcp_rule
 from ofal.core import Instance, RuleError
-from ofal.engine import PriorityRule, derive_priority_order, simulate
+from ofal.engine import PriorityRule, simulate
 from ofal.hybrid import free_before
 from ofal.verify import grid_search_max_rate
 
-from conftest import instances, layout_of, layouts, rand_requests, seq_of
+from conftest import derive_priority_order, instances, layout_of, layouts, rand_requests, seq_of
 
 BUILDERS = (ptcp_rule, greedy_rule)
 

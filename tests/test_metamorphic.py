@@ -148,8 +148,8 @@ def test_mirror_keeps_the_optimum(pair):
     servers, requests, _ = scale_to_ints(inst.layout.positions, seq.requests)
     points = sorted(set(requests))
     depth, last = min(3, inst.total_capacity), len(points) - 1
-    optima = multiset_optima(servers, inst.capacities, points, depth)
-    mirrored = multiset_optima(
+    optima, _ = multiset_optima(servers, inst.capacities, points, depth)
+    mirrored, _ = multiset_optima(
         [-s for s in reversed(servers)], inst.capacities[::-1], [-p for p in reversed(points)], depth
     )
     assert len(mirrored) == len(optima)
