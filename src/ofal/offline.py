@@ -4,8 +4,7 @@ Three independent routes to the same number:
 
 * ``optimal_cost``      -- successive-shortest-path min-cost flow, one
                            Dijkstra over the k servers per request, built
-                           on ``AugmentingPathEngine``, which the
-                           permutation rule shares;
+                           on ``AugmentingPathEngine``;
 * ``optimal_bruteforce``-- exhaustive enumeration, the independence oracle
                            for small inputs;
 * ``noncrossing_dp_cost`` -- a dynamic program that sends the sorted
@@ -82,7 +81,9 @@ class AugmentingPathEngine:
     potential, and reduced and true distances order them alike.  The true
     distance to spare server j is the optimum of all requests under
     capacities loads + e_j less ``cost``, so the server a push returns
-    depends on the loads alone.
+    depends on the loads alone.  It is the server the permutation rule
+    picks, which ``permutation_run`` finds from the sorted fill instead;
+    the tests keep the engine as that rule's independent slow oracle.
     """
 
     def __init__(self, servers: list[int], caps: list[int]):

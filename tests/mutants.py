@@ -100,6 +100,26 @@ MUTANTS = (
         "target = max(j for j, d in enumerate(dist) if d == reach and loads[j] < caps[j])",
         ("tests/test_offline.py::TestHeldRequestLists::test_zero_cost_hop_reveals_a_spare_server_further_left",),
     ),
+    # The fill's pick keeps the first minimum over the increasing free tuple.
+    Mutant(
+        "permutation-fill-rightmost-tie",
+        "src/ofal/permutation.py",
+        "if best is None or cost < best:",
+        "if best is None or cost <= best:",
+        (
+            "tests/test_permutation.py::TestAgainstTheEngine::test_tie_heavy_cases",
+            "tests/test_permutation.py::test_golden_tie_breaks",
+        ),
+    ),
+    # One place left is still inside the pick's own run of slots unless
+    # its load was 0, and then the slots fall out of order.
+    Mutant(
+        "permutation-fill-slot-one-left",
+        "src/ofal/permutation.py",
+        "slots.insert(ends[pick], servers[pick])",
+        "slots.insert(ends[pick] - 1, servers[pick])",
+        ("tests/test_permutation.py::TestAgainstTheEngine::test_tie_heavy_cases",),
+    ),
     Mutant(
         "dp-slot-window-one-short",
         "src/ofal/offline.py",

@@ -13,7 +13,9 @@ maps each matching to one of equal cost, so it keeps the optimum and
 every multiset optimum of the grid memo.  It keeps alpha, and it also
 keeps the split blocks bounded by strictly larger gaps, and so, when no
 two gaps are equal, every block's (span, D).  Equal maximum gaps split
-leftmost, which is not mirror-symmetric.
+leftmost, which is not mirror-symmetric.  The permutation rule's pick
+mirrors too, j to k - 1 - j, unless two spare servers tie on the fill
+cost and the leftmost one wins.
 """
 
 import random
@@ -25,9 +27,9 @@ from hypothesis import given, settings, strategies as st
 
 from ofal.algorithms import greedy_rule, ptcp_rule, split_blocks
 from ofal.alpha import alpha_fast
-from ofal.core import Instance, RequestSequence, ServerLayout, scale_to_ints
+from ofal.core import Instance, RequestSequence, ServerLayout, scale_to_ints, scaled_pair
 from ofal.engine import simulate
-from ofal.offline import multiset_optima, noncrossing_dp_cost, optimal_cost
+from ofal.offline import dp_cost_ints, multiset_optima, noncrossing_dp_cost, optimal_cost
 from ofal.permutation import permutation_run
 
 from conftest import layout_of
@@ -157,3 +159,45 @@ def test_mirror_keeps_the_optimum(pair):
         for combo in combinations_with_replacement(range(len(points)), d):
             key = sum((depth + 1) ** x for x in combo)
             assert mirrored[sum((depth + 1) ** (last - x) for x in combo)] == optima[key]
+
+
+def fill_tie(inst: Instance, seq: RequestSequence, assignment: tuple[int, ...]) -> bool:
+    """Whether some pick of a permutation run had two spare servers j at
+    the same optimum of its prefix under capacities loads + e_j (the DP)."""
+    servers, requests, _ = scaled_pair(inst, seq)
+    loads = [0] * inst.k
+    for t, pick in enumerate(assignment):
+        costs = []
+        for j in range(inst.k):
+            if loads[j] < inst.capacities[j]:
+                loads[j] += 1
+                costs.append(dp_cost_ints(servers, loads, requests[: t + 1]))
+                loads[j] -= 1
+        if costs.count(min(costs)) > 1:
+            return True
+        loads[pick] += 1
+    return False
+
+
+def test_mirror_maps_each_permutation_pick():
+    # Denominators up to 10**6 leave no tie; those up to 4 give some, and
+    # a tied run may pick differently in the mirror, so it is skipped.
+    rng = random.Random(47)
+    checked = skipped = 0
+    for c in range(400):
+        big = 4 if c % 2 else 10**6
+        points = {Fraction(rng.randint(-big, big), rng.randint(1, big)) for _ in range(rng.randint(1, 7))}
+        caps = tuple(rng.randint(1, 3) for _ in points)
+        inst = Instance(ServerLayout(tuple(sorted(points))), caps)
+        n = rng.randint(1, sum(caps))
+        seq = RequestSequence(tuple(Fraction(rng.randint(-big, big), rng.randint(1, big)) for _ in range(n)))
+        trace = permutation_run(inst, seq)
+        if fill_tie(inst, seq, trace.assignment):
+            skipped += 1
+            continue
+        flipped = Instance(mirror(inst.layout), caps[::-1])
+        mirrored = permutation_run(flipped, RequestSequence(tuple(-r for r in seq)))
+        assert mirrored.assignment == tuple(inst.k - 1 - j for j in trace.assignment)
+        assert mirrored.total_cost == trace.total_cost
+        checked += 1
+    assert checked > 300 and skipped > 0

@@ -1,3 +1,10 @@
+"""The prefix-optimum follower, checked against the augmenting-path engine.
+
+``permutation_run`` picks its server from the sorted fill of the prefix;
+the engine's pushes pick the same server by a shortest-path search, so
+the engine is the independent slow oracle here.
+"""
+
 import random
 from fractions import Fraction
 
@@ -5,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ofal.adversary import permutation_adversary, permutation_params
-from ofal.core import Instance, ValidationError, compute_rate, scaled_pair
+from ofal.core import Instance, RequestSequence, ValidationError, compute_rate, scaled_pair
 from ofal.offline import AugmentingPathEngine, noncrossing_dp_cost, optimal_cost
 from ofal.permutation import permutation_run
 
@@ -24,6 +31,53 @@ def check_prefix_optimal(inst, seq):
     trace = permutation_run(inst, seq)
     assert trace.assignment == tuple(pushed)
     return trace
+
+
+def engine_run(inst, seq):
+    """The engine's pushes and the online cost of matching each request
+    to the server its push returned."""
+    servers, requests, scale = scaled_pair(inst, seq)
+    engine = AugmentingPathEngine(servers, list(inst.capacities))
+    pushed = tuple(engine.push(r) for r in requests)
+    return pushed, Fraction(sum(abs(r - servers[j]) for r, j in zip(requests, pushed)), scale)
+
+
+def tie_heavy_case(rng):
+    """Up to 8 integer servers with capacities up to 3, and requests on
+    servers, at midpoints of neighbours and on the 1/8 grid around them."""
+    ticks = sorted(rng.sample(range(-12, 13), rng.randint(1, 8)))
+    caps = tuple(rng.randint(1, 3) for _ in ticks)
+    mids = [Fraction(a + b, 2) for a, b in zip(ticks, ticks[1:])] or [Fraction(ticks[0])]
+    eighths = range(8 * ticks[0] - 16, 8 * ticks[-1] + 17)
+    requests = []
+    for _ in range(rng.randint(1, sum(caps))):
+        kind = rng.randrange(3)
+        if kind == 0:
+            requests.append(Fraction(rng.choice(ticks)))
+        elif kind == 1:
+            requests.append(rng.choice(mids))
+        else:
+            requests.append(Fraction(rng.choice(eighths), 8))
+    return Instance(layout_of(*ticks), caps), RequestSequence(tuple(requests))
+
+
+class TestAgainstTheEngine:
+    def test_tie_heavy_cases(self):
+        rng = random.Random(20)
+        for _ in range(3000):
+            inst, seq = tie_heavy_case(rng)
+            trace = permutation_run(inst, seq)
+            assert (trace.assignment, trace.total_cost) == engine_run(inst, seq), (inst, seq)
+
+    def test_one_large_case(self):
+        rng = random.Random(300)
+        positions = sorted(rng.sample(range(-10**4, 10**4), 300))
+        inst = Instance(layout_of(*(Fraction(p, 7) for p in positions)), (1,) * 300)
+        seq = RequestSequence(
+            tuple(Fraction(rng.randint(-10**4, 10**4), rng.randint(1, 9)) for _ in range(300))
+        )
+        trace = permutation_run(inst, seq)
+        assert (trace.assignment, trace.total_cost) == engine_run(inst, seq)
 
 
 class TestSingleSteps:
