@@ -26,6 +26,7 @@ from .core import (
     check_file_coords,
 )
 from .engine import simulate
+from .offline import optimal_cost
 
 #: Most requests one adversary sequence may hold: k * capacity for greedy
 #: and 2k * capacity for permutation.  On a 2-core x86 VM with CPython 3.11,
@@ -246,8 +247,6 @@ def random_sequences(
 
 def _opposite_biased(inst: Instance, n: int, rng: random.Random) -> RequestSequence:
     """Resample each pilot request between its online and offline servers."""
-    from .offline import optimal_cost
-
     positions = inst.layout.positions
     lo, hi = positions[0], positions[-1]
     if hi == lo:

@@ -219,14 +219,6 @@ RULE_BUILDERS = {
 }
 
 
-def build_rule(name: str, layout: ServerLayout) -> PriorityRule:
-    try:
-        builder = RULE_BUILDERS[name]
-    except KeyError:
-        raise ValidationError(f"unknown rule {name!r}; use one of {sorted(RULE_BUILDERS)}")
-    return builder(layout)
-
-
 def tree_to_dict(tree: SplitTree, layout: ServerLayout) -> dict:
     """JSON-friendly dump of a split tree for inspection: nested dicts,
     built bottom-up (a block's children follow it in preorder)."""

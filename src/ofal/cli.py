@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 
 from . import __version__
@@ -18,19 +19,26 @@ from .alpha import alpha_fast, aspect_ratio, gap_ratio
 from .adversary import adversary, random_layout, random_sequences
 from .algorithms import RULE_BUILDERS, build_split_tree, tree_to_dict
 from .core import (
+    INF,
     OfalError,
     ParseError,
+    compute_rate,
+    fraction_decimal,
     fraction_str,
+    instance_to_dict,
     load_instance,
     load_sequence,
     save_instance,
     save_sequence,
+    sequence_to_dict,
     to_coord,
     trace_to_dict,
     unit_instance,
 )
+from .engine import simulate
 from .harness import (
     ALGORITHMS,
+    BOUNDED_ALGORITHMS,
     REPRODUCE_TABLES,
     ExperimentConfig,
     format_reproduce,
@@ -39,11 +47,10 @@ from .harness import (
     run_algorithm,
 )
 from .hybrid import check_c3, sweep_hybrid_invariants
-from .offline import lexmin_assignment
+from .offline import lexmin_assignment, noncrossing_dp_cost
 from .verify import (
     capacity_insensitivity_probe,
     check_faithful,
-    check_ratio_bound,
     check_surrounding_oriented,
     sweep_adx,
 )
@@ -114,8 +121,6 @@ def cmd_adversary(args) -> int:
         save_sequence(seq, seq_path)
         print(json.dumps({"instance": inst_path, "sequence": seq_path}))
     else:
-        from .core import instance_to_dict, sequence_to_dict
-
         print(json.dumps({"instance": instance_to_dict(inst), "sequence": sequence_to_dict(seq)}, indent=2))
     return EXIT_OK
 
@@ -129,8 +134,6 @@ def _verify_layout(args):
             if c != 1:
                 raise OfalError(f"verify runs on unit capacities; server {j} of {args.instance} has capacity {c}")
         return inst.layout
-    import random
-
     return random_layout(random.Random(args.seed), args.k)
 
 
@@ -141,10 +144,10 @@ def cmd_verify(args) -> int:
     layout = _verify_layout(args)
     inst = unit_instance(layout)
     if args.check == "surrounding":
+        rule = rule_builder(layout)
         bad = total = 0
         for seq in random_sequences(inst, inst.total_capacity, seed=args.seed, count=args.trials):
-            trace = run_algorithm(args.alg, inst, seq)
-            report = check_surrounding_oriented(trace, seq, layout, inst)
+            report = check_surrounding_oriented(simulate(rule, inst, seq), seq, inst)
             total += report.trials
             bad += len(report.violations)
         payload = {"property": "surrounding-oriented", "trials": total, "violations": bad}
@@ -155,17 +158,34 @@ def cmd_verify(args) -> int:
         payload = report.to_dict()
         failed = not report.ok
     elif args.check == "ratio":
-        worst = None
-        failed = False
+        rule = rule_builder(layout)
+        bound = 2 * alpha_fast(layout).alpha + 1
+        worst = None  # (rate, trial, alg_cost, opt_cost) of the first largest rate
         for i, seq in enumerate(
             random_sequences(inst, inst.total_capacity, seed=args.seed, count=args.trials)
         ):
-            rr = check_ratio_bound(rule_builder, inst, seq, instance_id=f"trial-{i}")
-            if worst is None or rr.rate > worst.rate:
-                worst = rr
-            if args.alg == "ptcp" and not rr.within_bound:
-                failed = True
-        payload = worst.to_dict() if worst else {"trials": 0}
+            alg_cost = simulate(rule, inst, seq).total_cost
+            opt_cost = noncrossing_dp_cost(inst, seq)
+            rate = compute_rate(alg_cost, opt_cost)
+            if worst is None or rate > worst[0]:
+                worst = rate, i, alg_cost, opt_cost
+        payload, failed = {"trials": 0}, False
+        if worst is not None:
+            rate, i, alg_cost, opt_cost = worst
+            # Some trial is above the bound exactly when the largest rate is.
+            within = rate != INF and rate <= bound
+            failed = not within and args.alg in BOUNDED_ALGORITHMS
+            payload = {
+                "instance_id": f"trial-{i}",
+                "algorithm_id": rule.id,
+                "seed": None,
+                "alg_cost": fraction_str(alg_cost),
+                "opt_cost": fraction_str(opt_cost),
+                "rate": fraction_str(rate),
+                "rate_decimal": fraction_decimal(rate),
+                "bound": fraction_str(bound),
+                "verdict": "within-bound" if within else "VIOLATION",
+            }
     elif args.check == "adx":
         report = sweep_adx(
             rule_builder,

@@ -193,10 +193,6 @@ class RequestSequence:
     def __post_init__(self) -> None:
         object.__setattr__(self, "requests", tuple(to_coord(r) for r in self.requests))
 
-    @property
-    def n(self) -> int:
-        return len(self.requests)
-
     def __len__(self) -> int:
         return len(self.requests)
 
@@ -205,9 +201,6 @@ class RequestSequence:
 
     def __iter__(self):
         return iter(self.requests)
-
-    def prefix(self, n: int) -> "RequestSequence":
-        return RequestSequence(self.requests[:n])
 
 
 @dataclass(frozen=True)
@@ -256,36 +249,6 @@ def compute_rate(alg_cost: Fraction, opt_cost: Fraction) -> Fraction | float:
     if alg_cost > 0:
         return INF
     return Fraction(1)
-
-
-@dataclass(frozen=True)
-class RatioReport:
-    """One measured algorithm-vs-optimum comparison."""
-
-    alg_cost: Fraction
-    opt_cost: Fraction
-    rate: Fraction | float
-    bound: Fraction
-    instance_id: str = ""
-    algorithm_id: str = ""
-    seed: int | None = None
-
-    @property
-    def within_bound(self) -> bool:
-        return self.rate != INF and self.rate <= self.bound
-
-    def to_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "algorithm_id": self.algorithm_id,
-            "seed": self.seed,
-            "alg_cost": fraction_str(self.alg_cost),
-            "opt_cost": fraction_str(self.opt_cost),
-            "rate": fraction_str(self.rate),
-            "rate_decimal": fraction_decimal(self.rate),
-            "bound": fraction_str(self.bound),
-            "verdict": "within-bound" if self.within_bound else "VIOLATION",
-        }
 
 
 # ---------------------------------------------------------------------------

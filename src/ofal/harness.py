@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import os
+import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -29,6 +30,7 @@ from .core import (
     Instance,
     ParseError,
     RequestSequence,
+    ServerLayout,
     ValidationError,
     compute_rate,
     fraction_decimal,
@@ -40,14 +42,15 @@ from .core import (
     to_coord,
     unit_instance,
 )
-from .algorithms import build_rule
-from .core import ServerLayout
+from .algorithms import RULE_BUILDERS, ptcp_rule
 from .engine import simulate
 from .offline import noncrossing_dp_cost
 from .permutation import permutation_run
 from .verify import grid_search_max_rate
 
-ALGORITHMS = ("ptcp", "greedy", "permutation")
+#: The rules of ``RULE_BUILDERS``, then the permutation algorithm, which
+#: ``permutation_run`` runs on its own.
+ALGORITHMS = (*RULE_BUILDERS, "permutation")
 
 #: Algorithms that carry the 2*alpha+1 guarantee; only their above-bound
 #: rows count as violations.
@@ -151,16 +154,14 @@ def _check_int(key: str, value, least: int | None) -> None:
 def run_algorithm(name: str, inst: Instance, seq: RequestSequence):
     if name == "permutation":
         return permutation_run(inst, seq)
-    return simulate(build_rule(name, inst.layout), inst, seq)
+    return simulate(RULE_BUILDERS[name](inst.layout), inst, seq)
 
 
 def _materialize_trial(config: ExperimentConfig, trial: int) -> tuple[str, Instance, RequestSequence]:
     """Build the (instance, sequence) pair for one trial, deterministically;
     the config's sources were checked when it was built."""
-    import random as _random
-
     src, seq_src = config.instance_source, config.sequence_source
-    rng = _random.Random(config.seed * 1_000_003 + trial)
+    rng = random.Random(config.seed * 1_000_003 + trial)
     kind = src["kind"]
     if kind == "file":
         inst = load_instance(src["path"])
@@ -370,7 +371,7 @@ def reproduce(table: str, k: int | None = None, epsilon: Fraction | None = None)
     if table == "tightness-k2":
         layout = ServerLayout((Fraction(0), Fraction(1)))
         inst = unit_instance(layout)
-        result = grid_search_max_rate(build_rule("ptcp", layout), inst, candidate_points(layout), n_max=2)
+        result = grid_search_max_rate(ptcp_rule(layout), inst, candidate_points(layout), n_max=2)
         lo, hi = Fraction(3) - Fraction(1, 100), Fraction(3)
         ok = lo <= result.best_rate <= hi
         rows = [

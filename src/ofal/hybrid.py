@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 
+from .adversary import random_rational
 from .alpha import alpha_fast
 from .core import (
     AssignmentTrace,
@@ -278,9 +279,7 @@ def sweep_hybrid_invariants(
     lo, hi = pos[0] - 1, pos[-1] + 1
     for _ in range(trials):
         report.trials += 1
-        seq = RequestSequence(
-            tuple(lo + Fraction(rng.randint(0, 128), 128) * (hi - lo) for _ in range(layout.k))
-        )
+        seq = RequestSequence(tuple(random_rational(rng, lo, hi, den=128) for _ in range(layout.k)))
         base = simulate(rule, inst, seq)
         i = rng.randrange(layout.k)
         candidates = [s for s in free_before(base, inst, i) if s != base.assignment[i]]
@@ -329,10 +328,7 @@ def check_c3(
     pad = (hi - lo) / 2 if hi > lo else Fraction(1)
     for _ in range(trials):
         report.trials += 1
-        requests = tuple(
-            lo - pad + Fraction(rng.randint(0, 64), 64) * (hi - lo + 2 * pad)
-            for _ in range(layout.k)
-        )
+        requests = tuple(random_rational(rng, lo - pad, hi + pad, den=64) for _ in range(layout.k))
         seq = RequestSequence(requests)
         base = simulate(rule, inst, seq)
         i = rng.randrange(layout.k)

@@ -21,7 +21,6 @@ from .core import (
     INF,
     AssignmentTrace,
     Instance,
-    RatioReport,
     RequestSequence,
     RuleError,
     ServerLayout,
@@ -34,7 +33,7 @@ from .core import (
     unit_instance,
 )
 from .engine import PriorityRule, simulate, surrounding_servers
-from .offline import OptResult, multiset_optima, noncrossing_dp_cost, optimal_cost
+from .offline import OptResult, multiset_optima, optimal_cost
 
 RuleBuilder = Callable[[ServerLayout], PriorityRule]
 
@@ -80,7 +79,6 @@ def _reproducer(inst: Instance, seq: RequestSequence, **extra) -> dict:
 def check_surrounding_oriented(
     trace: AssignmentTrace,
     seq: RequestSequence,
-    layout: ServerLayout,
     inst: Instance,
 ) -> PropertyReport:
     """Each match must hit the nearest free server on one side of the request."""
@@ -88,7 +86,7 @@ def check_surrounding_oriented(
     remaining = list(inst.capacities)
     free = tuple(range(inst.k))  # servers with remaining > 0
     for t, r in enumerate(seq):
-        left, right = surrounding_servers(r, free, layout)
+        left, right = surrounding_servers(r, free, inst.layout)
         j = trace.assignment[t]
         report.trials += 1
         if j not in (left, right):
@@ -184,27 +182,6 @@ def check_opposite(
         if not (lo <= r <= hi):
             failing.append(t)
     return OppositeReport(opposite=not failing, failing_indices=tuple(failing))
-
-
-def check_ratio_bound(
-    builder: RuleBuilder,
-    inst: Instance,
-    seq: RequestSequence,
-    instance_id: str = "",
-) -> RatioReport:
-    """Measured cost ratio of one run against the layout's 2*alpha+1 bound."""
-    rule = builder(inst.layout)
-    trace = simulate(rule, inst, seq)
-    opt_cost = noncrossing_dp_cost(inst, seq)
-    bound = 2 * alpha_fast(inst.layout).alpha + 1
-    return RatioReport(
-        alg_cost=trace.total_cost,
-        opt_cost=opt_cost,
-        rate=compute_rate(trace.total_cost, opt_cost),
-        bound=bound,
-        instance_id=instance_id,
-        algorithm_id=rule.id,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -242,7 +242,7 @@ def test_criterion_7_definitional_checkers():
         inst = Instance(layout, caps)
         seq = rand_requests(rng, inst, rng.randint(0, min(10, inst.total_capacity)))
         trace = simulate(ptcp_rule(layout), inst, seq)
-        if not check_surrounding_oriented(trace, seq, layout, inst).ok:
+        if not check_surrounding_oriented(trace, seq, inst).ok:
             failures.append(f"surrounding case {case}")
             break
 

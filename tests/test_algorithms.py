@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from ofal.algorithms import (
+    RULE_BUILDERS,
     SplitTree,
-    build_rule,
     build_split_tree,
     greedy_decide,
     greedy_rule,
@@ -177,9 +177,7 @@ class TestGuardRule:
 
 
 class TestRuleRegistry:
-    def test_build_rule(self):
+    def test_rule_builders(self):
         layout = layout_of(0, 1)
-        assert build_rule("ptcp", layout).id == "ptcp"
-        assert build_rule("greedy", layout).id == "greedy"
-        with pytest.raises(ValidationError):
-            build_rule("nope", layout)
+        assert RULE_BUILDERS["ptcp"](layout).id == "ptcp"
+        assert RULE_BUILDERS["greedy"](layout).id == "greedy"

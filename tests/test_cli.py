@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from ofal.cli import EXIT_ERROR, EXIT_OK, main
+from ofal.algorithms import RULE_BUILDERS
+from ofal.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, main
 from ofal.core import load_instance, load_sequence
+from ofal.engine import PriorityRule
 
 
 @pytest.fixture
@@ -171,7 +173,7 @@ class TestGenerators:
         assert code == EXIT_OK
         paths = json.loads(out)
         assert load_instance(paths["instance"]).k == 216
-        assert load_sequence(paths["sequence"]).n == 216
+        assert len(load_sequence(paths["sequence"])) == 216
         for k in ("109", "1000"):
             code, out, err = run_cli(capsys, "adversary", "permutation", "--k", k, "--out-prefix", prefix)
             assert code == EXIT_ERROR, k
@@ -289,6 +291,36 @@ class TestVerify:
         assert code == EXIT_OK
         data = json.loads(out)
         assert data["verdict"] == "within-bound"
+
+    def test_ratio_without_trials(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "ratio", "--trials", "0")
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out) == {"trials": 0}
+
+    @pytest.mark.parametrize("check", ["ratio", "surrounding"])
+    def test_rule_built_once_per_command(self, capsys, monkeypatch, check):
+        # Every trial runs the one rule; a build per trial would count 3.
+        layouts = []
+        build = RULE_BUILDERS["ptcp"]
+
+        def counting(layout):
+            layouts.append(layout)
+            return build(layout)
+
+        monkeypatch.setitem(RULE_BUILDERS, "ptcp", counting)
+        code, _, _ = run_cli(capsys, "verify", check, "--alg", "ptcp", "--k", "3", "--trials", "3")
+        assert code == EXIT_OK
+        assert len(layouts) == 1
+
+    @pytest.mark.parametrize("alg,code", [("ptcp", EXIT_VIOLATION), ("greedy", EXIT_OK)])
+    def test_ratio_exit_code_follows_the_bounded_rules(self, capsys, monkeypatch, alg, code):
+        # A rule that always takes the rightmost free server breaks the
+        # bound; only a rule that carries the bound makes that exit 1.
+        rightmost = PriorityRule("rightmost", lambda r, free: free[-1])
+        monkeypatch.setitem(RULE_BUILDERS, alg, lambda layout: rightmost)
+        got, out, _ = run_cli(capsys, "verify", "ratio", "--alg", alg, "--k", "3", "--trials", "20")
+        assert got == code
+        assert json.loads(out)["verdict"] == "VIOLATION"
 
     def test_hybrid_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "hybrid", "--alg", "ptcp", "--k", "3", "--trials", "40")

@@ -9,6 +9,7 @@ from ofal.core import (
     Instance,
     MAX_NUMBER_DIGITS,
     ParseError,
+    RequestSequence,
     ServerLayout,
     ValidationError,
     check_file_coords,
@@ -61,7 +62,7 @@ class TestCoordinates:
     def test_common_denominator_limit(self):
         # Each number has ~600 digits; the lcm of two of them has ~1200.
         a, b = f"1/{2**1994}", f"1/{3**1258}"
-        assert parse_sequence({"requests": [a, a, a]}).n == 3
+        assert len(parse_sequence({"requests": [a, a, a]})) == 3
         with pytest.raises(ParseError):
             parse_sequence({"requests": [0, a, b]})
         with pytest.raises(ParseError):
@@ -125,7 +126,7 @@ class TestScaling:
         with pytest.raises(ValidationError) as excinfo:
             scaled_pair(inst, seq)
         assert str(excinfo.value) == validate_pair(inst, seq)
-        assert scaled_pair(inst, seq.prefix(2)) == ([-3, 18], [2, 12], 6)
+        assert scaled_pair(inst, RequestSequence(seq.requests[:2])) == ([-3, 18], [2, 12], 6)
 
 
 class TestTypes:

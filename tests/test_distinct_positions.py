@@ -126,7 +126,7 @@ def test_surrounding_oriented_verdicts(pair, seed):
     inst, seq = pair
     for rule in (greedy_rule(inst.layout), ptcp_rule(inst.layout), random_rule(seed)):
         trace = simulate(rule, inst, seq)
-        report = check_surrounding_oriented(trace, seq, inst.layout, inst)
+        report = check_surrounding_oriented(trace, seq, inst)
         assert report.trials == len(seq)
         expected = position_oriented_steps(trace, seq, inst)
         assert [v["step"] for v in report.violations] == expected

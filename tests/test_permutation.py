@@ -27,7 +27,8 @@ def check_prefix_optimal(inst, seq):
     pushed = []
     for t, r in enumerate(requests, 1):
         pushed.append(engine.push(r))
-        assert Fraction(engine.cost, scale) == noncrossing_dp_cost(inst, seq.prefix(t)), t
+        prefix = RequestSequence(seq.requests[:t])
+        assert Fraction(engine.cost, scale) == noncrossing_dp_cost(inst, prefix), t
     trace = permutation_run(inst, seq)
     assert trace.assignment == tuple(pushed)
     return trace
@@ -97,7 +98,7 @@ class TestSingleSteps:
         params = permutation_params(2, Fraction(1, 10))
         inst, seq = permutation_adversary(params)
         assert len(seq) == 2 * params.k
-        assert permutation_run(inst, seq.prefix(1)).assignment == (params.k - 1,)
+        assert permutation_run(inst, RequestSequence(seq.requests[:1])).assignment == (params.k - 1,)
 
     def test_capacity_exhaustion(self):
         # Server 0 takes two units, then the third request must move on.

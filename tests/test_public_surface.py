@@ -1,12 +1,16 @@
-"""Every public top-level name in ``src/ofal`` must have a caller, and no
-module may import another module's private name.
+"""Every public top-level name and every public method or property in
+``src/ofal`` must have a caller, and no module may import another
+module's private name.
 
 A top-level ``def`` or ``class`` whose name has no leading underscore is
 public.  It must be named somewhere in ``src/ofal`` outside its own
 definition and ``__init__.py``, or in ``perfbench/``.  Nothing is
 exempt: a re-export from the package root is not a caller, and a name
-reached only from tests belongs in the tests.  A name with a leading underscore (dunders aside) is private to
-its module: code another module needs gets a public name.
+reached only from tests belongs in the tests.  A public method or
+property of a top-level class is called when its name appears as an
+attribute in ``src/ofal`` or ``perfbench/`` outside its own definition.
+A name with a leading underscore (dunders aside) is private to its
+module: code another module needs gets a public name.
 """
 
 import ast
@@ -29,11 +33,14 @@ def _references(tree: ast.AST) -> list[tuple[str, int]]:
     return refs
 
 
+def _parse(directory: Path) -> dict[Path, ast.Module]:
+    return {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(directory.glob("*.py"))}
+
+
 def uncalled_public_names(package: Path = PACKAGE, others: Path = ROOT / "perfbench") -> list[str]:
-    modules = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))}
+    modules = _parse(package)
     refs = {p: _references(tree) for p, tree in modules.items() if p.name != "__init__.py"}
-    for p in sorted(others.glob("*.py")):
-        refs[p] = _references(ast.parse(p.read_text(encoding="utf-8")))
+    refs.update((p, _references(tree)) for p, tree in _parse(others).items())
     flagged = []
     for path, tree in modules.items():
         for node in tree.body:
@@ -54,6 +61,34 @@ def uncalled_public_names(package: Path = PACKAGE, others: Path = ROOT / "perfbe
 
 def test_every_public_name_has_a_caller():
     assert uncalled_public_names() == []
+
+
+def uncalled_public_methods(package: Path = PACKAGE, others: Path = ROOT / "perfbench") -> list[str]:
+    modules = _parse(package)
+    attributes = {
+        p: [(node.attr, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+        for p, tree in {**modules, **_parse(others)}.items()
+    }
+    flagged = []
+    for path, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                span = range(node.lineno, node.end_lineno + 1)
+                if not any(
+                    attr == node.name and not (where == path and line in span)
+                    for where, found in attributes.items()
+                    for attr, line in found
+                ):
+                    flagged.append(f"{path.stem}.{cls.name}.{node.name}")
+    return flagged
+
+
+def test_every_public_method_has_a_caller():
+    assert uncalled_public_methods() == []
 
 
 def private_imports(package: Path = PACKAGE) -> list[str]:

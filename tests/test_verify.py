@@ -8,6 +8,7 @@ from ofal.adversary import candidate_points, random_rational
 from ofal.algorithms import greedy_rule, guard_rule, ptcp_rule
 from ofal.alpha import alpha_fast
 from ofal.core import (
+    INF,
     AssignmentTrace,
     Instance,
     RequestSequence,
@@ -15,11 +16,12 @@ from ofal.core import (
     ServerLayout,
     SizeGuardError,
     ValidationError,
+    compute_rate,
     sequence_to_dict,
     unit_instance,
 )
 from ofal.engine import PriorityRule, simulate
-from ofal.offline import OptResult, optimal_cost
+from ofal.offline import OptResult, noncrossing_dp_cost, optimal_cost
 from ofal.verify import (
     GRID_SEARCH_MAX_DEPTH,
     PropertyReport,
@@ -29,7 +31,6 @@ from ofal.verify import (
     capacity_insensitivity_probe,
     check_faithful,
     check_opposite,
-    check_ratio_bound,
     check_surrounding_oriented,
     grid_search_max_rate,
     sweep_adx,
@@ -48,7 +49,7 @@ class TestSurroundingOriented:
             inst = random_instance(rng, rng.randint(1, 6), cap_max=2)
             seq = rand_requests(rng, inst, rng.randint(0, min(8, inst.total_capacity)))
             trace = simulate(builder(inst.layout), inst, seq)
-            report = check_surrounding_oriented(trace, seq, inst.layout, inst)
+            report = check_surrounding_oriented(trace, seq, inst)
             assert report.ok, report.violations
 
     def test_synthetic_violation_detected(self):
@@ -61,7 +62,7 @@ class TestSurroundingOriented:
             per_step_cost=(Fraction(19, 10),),
             total_cost=Fraction(19, 10),
         )
-        report = check_surrounding_oriented(forged, seq, layout, inst)
+        report = check_surrounding_oriented(forged, seq, inst)
         assert not report.ok
         assert report.violations[0]["step"] == 0
 
@@ -165,13 +166,17 @@ class TestRatioBound:
         n = data.draw(st.integers(0, min(inst.total_capacity, 10)))
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         seq = rand_requests(rng, inst, n)
-        report = check_ratio_bound(ptcp_rule, inst, seq)
-        assert report.within_bound, (inst, seq, report.rate, report.bound)
+        alg_cost = simulate(ptcp_rule(inst.layout), inst, seq).total_cost
+        rate = compute_rate(alg_cost, noncrossing_dp_cost(inst, seq))
+        bound = 2 * alpha_fast(inst.layout).alpha + 1
+        assert rate != INF and rate <= bound, (inst, seq, rate, bound)
 
     def test_rate_conventions(self):
         inst = unit_instance(layout_of(0, 2))
-        report = check_ratio_bound(ptcp_rule, inst, seq_of(0, 2))
-        assert report.rate == 1 and report.alg_cost == 0 and report.opt_cost == 0
+        seq = seq_of(0, 2)
+        alg_cost = simulate(ptcp_rule(inst.layout), inst, seq).total_cost
+        opt_cost = noncrossing_dp_cost(inst, seq)
+        assert alg_cost == 0 and opt_cost == 0 and compute_rate(alg_cost, opt_cost) == 1
 
 
 def check_rightmost_shift_bound(
