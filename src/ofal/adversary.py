@@ -17,6 +17,7 @@ from typing import Iterator
 
 from .algorithms import build_split_tree, ptcp_rule, split_geometry
 from .core import (
+    MAX_NUMBER_DIGITS,
     Instance,
     ParseError,
     RequestSequence,
@@ -138,6 +139,16 @@ def permutation_adversary(params: AdversaryParams) -> tuple[Instance, RequestSeq
     if not (0 < delta < Fraction(1, 3)):
         # Keeps the geometric gaps well separated from the request nudges.
         raise ValidationError("geometric construction needs 0 < delta < 1/3")
+    # The first coordinate checked below is the leftmost server,
+    # -(1 + delta + ... + delta^(k-1)).  At delta = 10^-p and k >= 2 it is
+    # written as a numerator and a denominator of p(k - 1) + 1 digits each,
+    # so a k too large for the files is refused, with the message the
+    # check would give, before anything is built.
+    p = len(str(delta.denominator)) - 1
+    if k > 1 and delta == Fraction(1, 10**p) and 2 * (p * (k - 1) + 1) > MAX_NUMBER_DIGITS:
+        raise ValidationError(
+            f"permutation adversary k={k} exceeds the input limits: number with more than {MAX_NUMBER_DIGITS} digits"
+        )
     layout = permutation_geometric_layout(k, delta)
     inst = Instance(layout, params.capacities)
     s = layout.positions  # s[j] is the paper-order (j+1)-th server, 0-based

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .core import ServerLayout, ValidationError, fraction_str
-from .engine import PriorityRule, surrounding_servers
+from .core import ServerLayout, ValidationError, fraction_str, scale_to_ints
+from .engine import PicksFn, PriorityRule, surrounding_servers
 
 
 @dataclass(frozen=True)
@@ -144,13 +144,76 @@ def ptcp_decide(tree: SplitTree, r: Fraction, free: tuple[int, ...]) -> int:
     return tree.lo[i]
 
 
+def _position_order(points: Sequence[Fraction]) -> tuple[list[int], list[int] | None]:
+    """(order, rank): the indices of ``points`` by position, ties in list
+    order, and each point's place in that order, or None when the list
+    is already in order."""
+    order = sorted(range(len(points)), key=points.__getitem__)
+    if order == list(range(len(order))):
+        return order, None
+    rank = [0] * len(order)
+    for t, i in enumerate(order):
+        rank[i] = t
+    return order, rank
+
+
+def ptcp_batch(tree: SplitTree, points: Sequence[Fraction]) -> PicksFn:
+    """``ptcp_decide`` for every point of ``points`` against one free tuple
+    per call (see ``PriorityRule.batch``).
+
+    Once per list: sort the points by position, and give each internal
+    block its cut, the number of sorted points at or left of its critical
+    point (``bisect_right``, so the boundary goes left).  Per call: one
+    descent of the tree that carries a range of sorted points with the
+    block's slice of the free tuple, left child first.  A block with free
+    servers on both sides splits the range at its cut (clamped to the
+    range); a side with none sends the whole range to the other; an empty
+    range stops.  A call costs one bisection per visited block plus O(m)
+    for m points, and raises ValidationError for an empty free set.
+    """
+    split, right, lo_of = tree.split, tree.right, tree.lo
+    order, rank = _position_order(points)
+    ordered = [points[i] for i in order]
+    cut = [None if c is None else bisect_right(ordered, Fraction(*c)) for c in tree.critical]
+    n = len(ordered)
+
+    def picks(free: tuple[int, ...]) -> list[int]:
+        if not free:
+            raise ValidationError("ptcp undefined for an empty free set")
+        out: list[int] = []
+        stack = [(0, 0, n, 0, len(free))]  # block, points [p0, p1), free[i0:i1]
+        while stack:
+            i, p0, p1, i0, i1 = stack.pop()
+            a = split[i]
+            if a is None:
+                out += [lo_of[i]] * (p1 - p0)
+                continue
+            m = bisect_right(free, a, i0, i1)
+            if m == i1:
+                stack.append((i + 1, p0, p1, i0, m))
+            elif m == i0:
+                stack.append((right[i], p0, p1, m, i1))
+            else:
+                c = min(max(cut[i], p0), p1)
+                if c < p1:
+                    stack.append((right[i], c, p1, m, i1))
+                if c > p0:
+                    stack.append((i + 1, p0, c, i0, m))
+        return out if rank is None else [out[t] for t in rank]
+
+    return picks
+
+
 def ptcp_rule(layout: ServerLayout) -> PriorityRule:
     tree = build_split_tree(layout)
 
     def decide(r: Fraction, free: tuple[int, ...]) -> int:
         return ptcp_decide(tree, r, free)
 
-    return PriorityRule(id="ptcp", decide=decide)
+    def batch(points: Sequence[Fraction]) -> PicksFn:
+        return ptcp_batch(tree, points)
+
+    return PriorityRule(id="ptcp", decide=decide, batch=batch)
 
 
 def greedy_decide(r: Fraction, free: tuple[int, ...], layout: ServerLayout) -> int:
@@ -172,11 +235,49 @@ def greedy_decide(r: Fraction, free: tuple[int, ...], layout: ServerLayout) -> i
     return left
 
 
+def greedy_batch(layout: ServerLayout, points: Sequence[Fraction]) -> PicksFn:
+    """``greedy_decide`` for every point of ``points`` against one free
+    tuple per call (see ``PriorityRule.batch``).
+
+    Once per list: the servers and the points sorted by position as ints
+    over one scale.  Per call: one merge of the sorted points with the
+    free tuple, which keeps the first free server at or right of each
+    point.  A point on that server gets it; otherwise the nearer of it and
+    the free server before it, an exact midpoint going left.  A call costs
+    O(m + f) for m points and f free servers, and raises ValidationError
+    for an empty free set.
+    """
+    order, rank = _position_order(points)
+    ints, xs, _ = scale_to_ints(layout.positions, [points[i] for i in order])
+
+    def picks(free: tuple[int, ...]) -> list[int]:
+        if not free:
+            raise ValidationError("surrounding servers undefined for an empty free set")
+        out: list[int] = []
+        f, last = 0, len(free) - 1
+        right = free[0]
+        for x in xs:
+            while ints[right] < x and f < last:
+                f += 1
+                right = free[f]
+            if not f or ints[right] <= x:  # no free server on one side, or on x
+                out.append(right)
+            else:
+                left = free[f - 1]
+                out.append(right if ints[left] + ints[right] < 2 * x else left)
+        return out if rank is None else [out[t] for t in rank]
+
+    return picks
+
+
 def greedy_rule(layout: ServerLayout) -> PriorityRule:
     def decide(r: Fraction, free: tuple[int, ...]) -> int:
         return greedy_decide(r, free, layout)
 
-    return PriorityRule(id="greedy", decide=decide)
+    def batch(points: Sequence[Fraction]) -> PicksFn:
+        return greedy_batch(layout, points)
+
+    return PriorityRule(id="greedy", decide=decide, batch=batch)
 
 
 def guard_rule(

@@ -5,7 +5,11 @@ tuple of their indices in increasing order, and must name a free server.
 The simulator owns all capacity bookkeeping; a rule that names a
 non-free server is a hard error, not a recoverable one.  Priority rules
 decide from those two inputs alone; the permutation rule and hybrid
-runs use stateful deciders that also depend on the history.  Whether a
+runs use stateful deciders that also depend on the history.  A priority
+rule may also give its picks for a fixed list of positions against any
+free tuple in one call (``PriorityRule.picks``), which the exhaustive
+grid search asks once per node; a rule without such a batch gets one
+derived from ``decide`` here.  Whether a
 rule really is of the fixed-priority kind (one total order per request
 position) is checked empirically, by a helper of the test suite.
 """
@@ -30,14 +34,32 @@ from .core import (
 )
 
 DecideFn = Callable[[Fraction, tuple[int, ...]], int]
+#: A free tuple to one pick per position of a fixed list, in its order.
+PicksFn = Callable[[tuple[int, ...]], list[int]]
 
 
 @dataclass(frozen=True)
 class PriorityRule:
-    """A pure decision function plus a name for reports."""
+    """A pure decision function plus a name for reports.
+
+    ``batch``, if given, takes a list of request positions (in any order,
+    repeats allowed) and returns a ``PicksFn``: for any free tuple, the
+    servers ``decide`` picks for those positions, in the list's order.  It
+    may prepare once what depends only on the layout and the positions;
+    every call still decides every position against its own free tuple.
+    """
 
     id: str
     decide: DecideFn
+    batch: Callable[[Sequence[Fraction]], PicksFn] | None = None
+
+    def picks(self, points: Sequence[Fraction]) -> PicksFn:
+        """The rule's ``batch`` for ``points``, or else one ``decide`` call
+        per point."""
+        if self.batch is not None:
+            return self.batch(points)
+        decide = self.decide
+        return lambda free: [decide(p, free) for p in points]
 
 
 class _TupleView(Sequence):

@@ -259,9 +259,9 @@ def sweep_adx(
 #: ``min(n_max, total capacity)`` grid points is a node.  Criterion 3(b) at
 #: k=4 visits 597,871 (9 points, depth 6) and ``ofal verify capacity`` at
 #: its defaults at most 637,421 (28 points, depth 4).  On a 2-core x86
-#: VM with CPython 3.11 (best of five) the k=4 search takes 0.7-0.9 s,
-#: and ``verify capacity``'s two default walks (813,802 nodes together)
-#: 1.1-1.3 s.
+#: VM with CPython 3.11 (best of five, two runs) the k=4 search takes
+#: 0.3-0.4 s, and ``verify capacity``'s two default walks (813,802 nodes
+#: together) 0.5-0.7 s with ptcp and 0.5-0.9 s with greedy.
 GRID_SEARCH_MAX_NODES = 700_000
 #: Most levels one grid search may descend: the walk recurses once per
 #: level.  Two or more points hit the node guard before level 20, so
@@ -297,13 +297,17 @@ def grid_search_max_rate(
     node reads its optimum at the multiset's key.  That function also
     gives each point its key weight, so callers may pass the points
     unsorted or repeated, and the walk carries key + weight down to each
-    child.  A node's children are rated in its own loop; only children
-    above the last level recurse, so a leaf costs one rule call, one pick
-    check and one memo read.  Rates are compared as integer cross products, keeping
-    the first maximiser, and only the result is a Fraction.  Rule
-    decisions are never cached: this search is the exhaustive check of a
-    rule, and a cache would hide a rule that is not pure.  The rule gets
-    ``simulate``'s increasing free tuple and O(1) pick check.  Raises
+    child.  A node asks the rule for all of its children's picks in one
+    call of ``rule.picks(points)``, the rule's batch or one ``decide`` per
+    point, before any child recurses.  Its children are rated in its own
+    loop; only children above the last level recurse, so a leaf costs its
+    share of its parent's batch, one pick check and one memo read.  Rates
+    are compared as integer cross products, keeping the first maximiser,
+    and only the result is a Fraction.  Rule decisions are never cached:
+    this search is the exhaustive check of a rule, and a cache would hide
+    a rule that is not pure, so every node decides every child against
+    its own free tuple.  The rule gets ``simulate``'s increasing free
+    tuple and O(1) pick check.  Raises
     ValidationError for a negative ``n_max``, SizeGuardError above
     GRID_SEARCH_MAX_NODES or GRID_SEARCH_MAX_DEPTH, and RuleError, as
     ``simulate`` does, for a pick that is not a free server.
@@ -335,13 +339,12 @@ def grid_search_max_rate(
     best_alg, best_opt, best_sequence = 0, 1, ()  # the best rate is alg / opt
     nodes = 1
     last = depth_cap - 1
-    decide = rule.decide
+    picks = rule.picks(points)
 
     def dfs(depth: int, key: int, alg_int: int, free: tuple[int, ...]) -> None:
         nonlocal best_alg, best_opt, best_sequence, nodes
         inner = depth < last
-        for p, p_int, w in steps:
-            j = decide(p, free)
+        for (p, p_int, w), j in zip(steps, picks(free)):
             if not (type(j) is int and 0 <= j < k and remaining[j] > 0):
                 raise RuleError(f"rule {rule.id!r} chose non-free server {j} for request {p}")
             nodes += 1

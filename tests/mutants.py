@@ -218,6 +218,28 @@ MUTANTS = (
         "map(add, list(accumulate(F, min))[1:], rows[i][d:])",
         ("tests/test_exhaustive_oracles.py::TestMultisetOptima::test_every_multiset_matches_the_dp",),
     ),
+    # The batch paths' tie-breaks: a point at a critical point goes left,
+    # an exact midpoint goes left.
+    Mutant(
+        "ptcp-batch-critical-cut-goes-right",
+        "src/ofal/algorithms.py",
+        "bisect_right(ordered, Fraction(*c))",
+        "bisect_left(ordered, Fraction(*c))",
+        (
+            "tests/test_batch_picks.py::test_batch_matches_decide",
+            "tests/test_acceptance.py::test_criterion_4_tightness_at_k2",
+        ),
+    ),
+    Mutant(
+        "greedy-batch-midpoint-goes-right",
+        "src/ofal/algorithms.py",
+        "ints[left] + ints[right] < 2 * x",
+        "ints[left] + ints[right] <= 2 * x",
+        (
+            "tests/test_batch_picks.py::test_batch_matches_decide",
+            "tests/test_acceptance.py::test_criterion_8_capacity_insensitivity",
+        ),
+    ),
     Mutant(
         "grid-last-maximizer",
         "src/ofal/verify.py",

@@ -26,7 +26,7 @@ from ofal.core import (
     compute_rate,
     unit_instance,
 )
-from ofal.engine import simulate
+from ofal.engine import PriorityRule, simulate
 from ofal.hybrid import check_chain_monotone, check_transition_rules, free_before, run_hybrid
 from ofal.offline import noncrossing_dp_cost, optimal_bruteforce, optimal_cost
 from ofal.permutation import permutation_run
@@ -41,6 +41,19 @@ from ofal.verify import (
 from conftest import rand_requests
 
 EPS = Fraction(1, 10)
+
+
+def per_point(builder):
+    """``builder`` with ``decide`` as the rule's only path: the grid search
+    then asks it once per point instead of through the rule's batch.  The
+    criteria that walk a grid require the same result both ways, since
+    the paper's rule is the one ``decide`` defines."""
+
+    def build(layout):
+        rule = builder(layout)
+        return PriorityRule(rule.id, rule.decide)
+
+    return build
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -122,14 +135,18 @@ def test_criterion_3_upper_bound_suite():
 
 def test_criterion_4_tightness_at_k2():
     layout = ServerLayout((Fraction(0), Fraction(1)))
-    result = grid_search_max_rate(ptcp_rule(layout), unit_instance(layout), candidate_points(layout), n_max=2)
+    result, reference = (
+        grid_search_max_rate(builder(layout), unit_instance(layout), candidate_points(layout), n_max=2)
+        for builder in (ptcp_rule, per_point(ptcp_rule))
+    )
     lo = Fraction(3) - Fraction(1, 100)
-    ok = lo <= result.best_rate <= 3
+    ok = lo <= result.best_rate <= 3 and result == reference
     _report(
         4,
         "tightness at k=2",
         ok,
-        f"worst rate {result.best_rate} via {[str(q) for q in result.best_sequence]}",
+        f"worst rate {result.best_rate} via {[str(q) for q in result.best_sequence]}"
+        + ("" if result == reference else "; batch picks differ from decide"),
     )
 
 
@@ -267,9 +284,14 @@ def test_criterion_8_capacity_insensitivity():
     ):
         for builder, name in ((greedy_rule, "greedy"), (ptcp_rule, "ptcp")):
             for capacity in (2, 3):
-                report = capacity_insensitivity_probe(builder, layout, max_capacity=capacity, n_max=4)
+                report, reference = (
+                    capacity_insensitivity_probe(b, layout, max_capacity=capacity, n_max=4)
+                    for b in (builder, per_point(builder))
+                )
                 if not report.ok:
                     failures.append(f"{name} k={layout.k} c={capacity}")
+                if report != reference:
+                    failures.append(f"{name} k={layout.k} c={capacity}: batch picks differ from decide")
                 if name == "greedy" and layout.k == 2:
                     worst_unit_greedy_k2 = Fraction(report.details["unit_worst_rate"])
     if worst_unit_greedy_k2 is None or worst_unit_greedy_k2 < 3 - Fraction(1, 100):

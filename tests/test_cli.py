@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ofal import adversary
 from ofal.algorithms import RULE_BUILDERS
 from ofal.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, main
 from ofal.core import load_instance, load_sequence
@@ -490,6 +491,21 @@ class TestBatch:
         code, out, err = run_cli(capsys, "reproduce", "tightness-k2", *flag)
         assert code == EXIT_ERROR
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("k", ["109", "1000", "2000"])
+    def test_reproduce_thm47_refuses_a_k_too_large_for_the_files(self, capsys, monkeypatch, k):
+        # From k = 1000 at epsilon = 1/10 the leftmost server alone needs
+        # more digits than a file may hold, so the refusal comes before the
+        # layout is built; at k = 109 only the requests are too long.
+        if k != "109":
+
+            def unbuilt(*args):
+                raise AssertionError("the layout was built")
+
+            monkeypatch.setattr(adversary, "permutation_geometric_layout", unbuilt)
+        code, out, err = run_cli(capsys, "reproduce", "thm47", "--k", k)
+        assert code == EXIT_ERROR and out == ""
+        assert err == f"error: permutation adversary k={k} exceeds the input limits: number with more than 1000 digits\n"
 
     def test_reproduce_text(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "csv", "reproduce", "thm46", "--k", "3")

@@ -2,10 +2,12 @@
 servers with capacity left, from every producer.
 
 A recording rule wraps ptcp or greedy, asserts the tuple's form on each
-call and logs ``(request, free, choice)``.  The log is replayed against
-capacities kept here, independently of the producer: ``simulate`` in
-sequence order, ``grid_search_max_rate`` in its depth-first order (a
-child sees its parent's servers minus any that ran out), and
+call and logs ``(request, free, choice)``; a recording batch does the
+same for each call of a rule's ``picks`` and logs ``(free, picks)``.
+The log is replayed against capacities kept here, independently of the
+producer: ``simulate`` in sequence order, ``grid_search_max_rate`` in its
+depth-first order (a node asks for all of its children's picks, then
+each child sees its parent's servers minus any that ran out), and
 ``derive_priority_order``'s ranking phase and its seeded subsets.
 ``guard_rule``'s slice of the free tuple is pinned against the frozenset
 filter it replaced.  The three producers refuse a pick that is not a free
@@ -45,6 +47,24 @@ def recording(rule):
     return PriorityRule(rule.id, decide), calls
 
 
+def recording_batch(rule):
+    calls = []
+
+    def batch(points):
+        picks = rule.picks(points)
+
+        def recorded(free):
+            assert type(free) is tuple
+            assert all(a < b for a, b in zip(free, free[1:])), free
+            js = picks(free)
+            calls.append((free, js))
+            return js
+
+        return recorded
+
+    return PriorityRule(rule.id, rule.decide, batch), calls
+
+
 def with_capacity(remaining):
     return tuple(j for j, c in enumerate(remaining) if c > 0)
 
@@ -69,23 +89,31 @@ def test_grid_search_hands_each_node_its_servers(inst, n_max):
     points = candidate_points(inst.layout, include_offsets=False)
     depth_cap = min(n_max, inst.total_capacity)
     for builder in BUILDERS:
+        # ``recording`` has no batch, so the walk calls its decide once per
+        # point; ``recording_batch`` keeps the rule's own batch.
         rule, calls = recording(builder(inst.layout))
+        batched, batch_calls = recording_batch(builder(inst.layout))
         result = grid_search_max_rate(rule, inst, points, n_max)
-        log = iter(calls)
+        assert grid_search_max_rate(batched, inst, points, n_max) == result
+        log, batch_log = iter(calls), iter(batch_calls)
 
         def walk(depth, remaining):
             if depth == depth_cap:
                 return
+            picks = []
             for p in points:
                 r, free, j = next(log)
                 assert r == p
                 assert free == with_capacity(remaining)
+                picks.append(j)
+            assert next(batch_log) == (with_capacity(remaining), picks)
+            for j in picks:
                 remaining[j] -= 1
                 walk(depth + 1, remaining)
                 remaining[j] += 1
 
         walk(0, list(inst.capacities))
-        assert next(log, None) is None
+        assert next(log, None) is None and next(batch_log, None) is None
         assert len(calls) == result.nodes - 1
 
 
