@@ -2,10 +2,10 @@
 composition that bolts one extra server onto an existing rule.
 
 The split-tree rule ("ptcp") recursively partitions the servers at a
-maximum adjacent gap.  Each internal block has a critical point inside
-its gap; a request left of (or exactly at) the critical point descends
-into the left block whenever a free server remains there, otherwise into
-the right block, and symmetrically.
+maximum adjacent gap; each internal block has a critical point inside
+its gap.  ptcp and greedy pick one of the two free servers around a
+request (``surrounding_rule``), switching from left to right at the
+critical point of the block that separates them, or at their midpoint.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from typing import Callable
 
-from .core import ServerLayout, ValidationError, fraction_str, scale_to_ints
+from .core import ServerLayout, ValidationError, fraction_str
 from .engine import PicksFn, PriorityRule, surrounding_servers
 
 
@@ -30,10 +31,9 @@ class SplitTree:
     a = split[i] (lo <= a < hi) at the leftmost maximum adjacent gap of
     the block; its left child is block i + 1 and its right child is block
     right[i].  critical[i] is the block's critical point as a reduced
-    (numerator, denominator) pair, the one stored form of it, which
-    ``ptcp_decide`` compares with by cross products; ``split_geometry``
-    gives the rest of the block's geometry.  A tree of k servers has
-    2k - 1 blocks.
+    (numerator, denominator) pair, its one stored form and ptcp's
+    threshold; ``split_geometry`` gives the rest of the block's geometry.
+    A tree of k servers has 2k - 1 blocks.
     """
 
     lo: tuple[int, ...]
@@ -114,170 +114,105 @@ def split_geometry(
     return s[a + 1] - s[a], s[a] - s[tree.lo[i]], s[tree.hi[i]] - s[a + 1], critical - s[a], critical
 
 
-def ptcp_decide(tree: SplitTree, r: Fraction, free: tuple[int, ...]) -> int:
-    """Descend the split tree to a free server for request r.
+def surrounding_rule(
+    rule_id: str, layout: ServerLayout, threshold: Callable[[int, int], tuple[int, int]]
+) -> PriorityRule:
+    """A rule that picks one of the two ``surrounding_servers`` of a request.
 
-    At each internal block: go left iff (r <= critical point and the left
-    block has a free server) or the right block has none.  The boundary
-    r == critical point goes left.  Raises ValidationError for an empty
-    free set.
+    A request on a free server, or with free servers on one side only,
+    gets the one server ``surrounding_servers`` leaves it.  Between free
+    servers left < right, it goes left iff r <= threshold(left, right), a
+    (num, den) pair, den > 0, strictly between the two positions: one
+    integer cross product, a tie going left.
 
-    ``free`` is increasing, so each level narrows the slice of it that
-    lies in the block with one bisection, and compares r with the block's
-    critical point as an integer cross product.  A call costs
-    O(depth * log f) for f free servers, with no copy or sort of ``free``
-    and no Fraction arithmetic.
+    The batch sorts the points once, as ints over the lcm of their
+    denominators.  A call walks the free tuple once: each adjacent free
+    pair gives the points up to its threshold to its left server, one
+    ``bisect_right`` from the previous cut (thresholds increase along the
+    tuple), and the rest go to the last free server: f - 1 thresholds and
+    bisections for f free servers plus O(m) for m points.  A call raises
+    ValidationError for an empty free set.
     """
-    if not free:
-        raise ValidationError("ptcp undefined for an empty free set")
-    split, right, critical = tree.split, tree.right, tree.critical
-    i0, i1 = 0, len(free)  # free[i0:i1] are the free servers in block i
-    rn, rd = r.numerator, r.denominator
-    i = 0
-    while (a := split[i]) is not None:
-        m = bisect_right(free, a, i0, i1)
-        cn, cd = critical[i]
-        if m == i1 or (m > i0 and rn * cd <= cn * rd):
-            i, i1 = i + 1, m
+
+    def decide(r: Fraction, free: tuple[int, ...]) -> int:
+        left, right = surrounding_servers(r, free, layout)
+        if left is None or right is None or left == right:
+            return right if left is None else left
+        num, den = threshold(left, right)
+        return left if r.numerator * den <= num * r.denominator else right
+
+    def batch(points: Sequence[Fraction]) -> PicksFn:
+        n = len(points)
+        order = sorted(range(n), key=points.__getitem__)
+        rank = None if order == list(range(n)) else sorted(range(n), key=order.__getitem__)
+        scale = lcm(*(p.denominator for p in points))
+        xs = [points[i].numerator * (scale // points[i].denominator) for i in order]
+
+        def picks(free: tuple[int, ...]) -> list[int]:
+            if not free:
+                raise ValidationError("surrounding servers undefined for an empty free set")
+            out: list[int] = []
+            c0 = 0
+            for left, right in zip(free, free[1:]):
+                num, den = threshold(left, right)
+                c = bisect_right(xs, num * scale // den, c0)  # x/scale <= num/den iff x <= this floor
+                out += [left] * (c - c0)
+                c0 = c
+            out += [free[-1]] * (n - c0)
+            return out if rank is None else [out[t] for t in rank]
+
+        return picks
+
+    return PriorityRule(id=rule_id, decide=decide, batch=batch)
+
+
+def separating_block(tree: SplitTree, left: int, right: int) -> int:
+    """The block whose split separates servers left < right: the smallest
+    block holding both.  From the root, go to the left child while right
+    <= split, to the right child while left > split, and stop at the first
+    block with left <= split < right.  Two int comparisons per level."""
+    split, right_child, i = tree.split, tree.right, 0
+    while True:
+        a = split[i]
+        if right <= a:
+            i += 1
+        elif left > a:
+            i = right_child[i]
         else:
-            i, i0 = right[i], m
-    return tree.lo[i]
-
-
-def _position_order(points: Sequence[Fraction]) -> tuple[list[int], list[int] | None]:
-    """(order, rank): the indices of ``points`` by position, ties in list
-    order, and each point's place in that order, or None when the list
-    is already in order."""
-    order = sorted(range(len(points)), key=points.__getitem__)
-    if order == list(range(len(order))):
-        return order, None
-    rank = [0] * len(order)
-    for t, i in enumerate(order):
-        rank[i] = t
-    return order, rank
-
-
-def ptcp_batch(tree: SplitTree, points: Sequence[Fraction]) -> PicksFn:
-    """``ptcp_decide`` for every point of ``points`` against one free tuple
-    per call (see ``PriorityRule.batch``).
-
-    Once per list: sort the points by position, and give each internal
-    block its cut, the number of sorted points at or left of its critical
-    point (``bisect_right``, so the boundary goes left).  Per call: one
-    descent of the tree that carries a range of sorted points with the
-    block's slice of the free tuple, left child first.  A block with free
-    servers on both sides splits the range at its cut (clamped to the
-    range); a side with none sends the whole range to the other; an empty
-    range stops.  A call costs one bisection per visited block plus O(m)
-    for m points, and raises ValidationError for an empty free set.
-    """
-    split, right, lo_of = tree.split, tree.right, tree.lo
-    order, rank = _position_order(points)
-    ordered = [points[i] for i in order]
-    cut = [None if c is None else bisect_right(ordered, Fraction(*c)) for c in tree.critical]
-    n = len(ordered)
-
-    def picks(free: tuple[int, ...]) -> list[int]:
-        if not free:
-            raise ValidationError("ptcp undefined for an empty free set")
-        out: list[int] = []
-        stack = [(0, 0, n, 0, len(free))]  # block, points [p0, p1), free[i0:i1]
-        while stack:
-            i, p0, p1, i0, i1 = stack.pop()
-            a = split[i]
-            if a is None:
-                out += [lo_of[i]] * (p1 - p0)
-                continue
-            m = bisect_right(free, a, i0, i1)
-            if m == i1:
-                stack.append((i + 1, p0, p1, i0, m))
-            elif m == i0:
-                stack.append((right[i], p0, p1, m, i1))
-            else:
-                c = min(max(cut[i], p0), p1)
-                if c < p1:
-                    stack.append((right[i], c, p1, m, i1))
-                if c > p0:
-                    stack.append((i + 1, p0, c, i0, m))
-        return out if rank is None else [out[t] for t in rank]
-
-    return picks
+            return i
 
 
 def ptcp_rule(layout: ServerLayout) -> PriorityRule:
+    """The split-tree rule: a ``surrounding_rule`` whose threshold for free
+    servers left < right is the critical point of their ``separating_block``.
+
+    This equals the paper's descent: at each block, go left iff r <= its
+    critical point and the left child has a free server, or the right
+    child has none.  A critical point lies strictly inside its split gap.
+    Take r strictly between left and right, with none free in between:
+
+    - the descent reaches the separating block: above it both servers lie
+      in one child, which so holds a free server, on r's side of the
+      critical point;
+    - there both children hold a free server, so it goes left iff r is at
+      or left of the critical point;
+    - it then ends at left (or right): in each block below that holds
+      that server, the server lies on r's side of the critical point, or
+      the other child lies between left and right and has no free server.
+
+    The same argument ends the descent on the free server at r, or on the
+    nearest one when every free server lies on one side of r.
+    """
     tree = build_split_tree(layout)
-
-    def decide(r: Fraction, free: tuple[int, ...]) -> int:
-        return ptcp_decide(tree, r, free)
-
-    def batch(points: Sequence[Fraction]) -> PicksFn:
-        return ptcp_batch(tree, points)
-
-    return PriorityRule(id="ptcp", decide=decide, batch=batch)
-
-
-def greedy_decide(r: Fraction, free: tuple[int, ...], layout: ServerLayout) -> int:
-    """Nearest free server: the nearer of the two ``surrounding_servers``.
-    Positions are distinct, so an exact distance tie is between one server
-    on each side; it breaks to the left.
-
-    A call costs one ``surrounding_servers`` call, then, when r has a free
-    server on each side and sits on none, one integer comparison on
-    ``layout.scaled``: s_R - r < r - s_L iff (S_L + S_R) * rd < 2 * rn * scale
-    for r = rn/rd.
-    """
-    left, right = surrounding_servers(r, free, layout)
-    if right is None or left == right:
-        return left
-    ints, scale = layout.scaled
-    if left is None or (ints[left] + ints[right]) * r.denominator < 2 * r.numerator * scale:
-        return right
-    return left
-
-
-def greedy_batch(layout: ServerLayout, points: Sequence[Fraction]) -> PicksFn:
-    """``greedy_decide`` for every point of ``points`` against one free
-    tuple per call (see ``PriorityRule.batch``).
-
-    Once per list: the servers and the points sorted by position as ints
-    over one scale.  Per call: one merge of the sorted points with the
-    free tuple, which keeps the first free server at or right of each
-    point.  A point on that server gets it; otherwise the nearer of it and
-    the free server before it, an exact midpoint going left.  A call costs
-    O(m + f) for m points and f free servers, and raises ValidationError
-    for an empty free set.
-    """
-    order, rank = _position_order(points)
-    ints, xs, _ = scale_to_ints(layout.positions, [points[i] for i in order])
-
-    def picks(free: tuple[int, ...]) -> list[int]:
-        if not free:
-            raise ValidationError("surrounding servers undefined for an empty free set")
-        out: list[int] = []
-        f, last = 0, len(free) - 1
-        right = free[0]
-        for x in xs:
-            while ints[right] < x and f < last:
-                f += 1
-                right = free[f]
-            if not f or ints[right] <= x:  # no free server on one side, or on x
-                out.append(right)
-            else:
-                left = free[f - 1]
-                out.append(right if ints[left] + ints[right] < 2 * x else left)
-        return out if rank is None else [out[t] for t in rank]
-
-    return picks
+    return surrounding_rule("ptcp", layout, lambda left, right: tree.critical[separating_block(tree, left, right)])
 
 
 def greedy_rule(layout: ServerLayout) -> PriorityRule:
-    def decide(r: Fraction, free: tuple[int, ...]) -> int:
-        return greedy_decide(r, free, layout)
-
-    def batch(points: Sequence[Fraction]) -> PicksFn:
-        return greedy_batch(layout, points)
-
-    return PriorityRule(id="greedy", decide=decide, batch=batch)
+    """Nearest free server: a ``surrounding_rule`` whose threshold is the
+    midpoint (S_L + S_R) / (2 * scale) on ``layout.scaled``.  Positions are
+    distinct, so a distance tie is between one server on each side."""
+    ints, scale = layout.scaled
+    return surrounding_rule("greedy", layout, lambda left, right: (ints[left] + ints[right], 2 * scale))
 
 
 def guard_rule(

@@ -8,6 +8,7 @@ hinge on exact ``<=`` decisions at ratio-valued boundaries.
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 from dataclasses import dataclass
@@ -102,10 +103,16 @@ def fraction_str(value: Fraction | float) -> str:
 
 
 def fraction_decimal(value: Fraction | float) -> str:
-    """Decimal approximation with 12 significant digits."""
+    """Decimal approximation with 12 significant digits.  A value beyond
+    the float range is rounded exactly, in ``decimal`` at 12 digits, and
+    printed in the same format."""
     if value is INF or value == INF:
         return "inf"
-    return f"{float(value):.12g}"
+    try:
+        return f"{float(value):.12g}"
+    except OverflowError:
+        quotient = decimal.Context(prec=12).divide(value.numerator, value.denominator)
+        return f"{quotient.normalize():.12g}"
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,8 @@ def simulate(rule: PriorityRule, inst: Instance, seq: RequestSequence) -> Assign
 def surrounding_servers(
     r: Fraction, free: tuple[int, ...], layout: ServerLayout
 ) -> tuple[int | None, int | None]:
-    """Closest free server on each side of a request position.
+    """Closest free server on each side of a request position; ptcp and
+    greedy (``algorithms.surrounding_rule``) each pick one of the two.
 
     When the request sits exactly on a free server, that server is the
     only surrounding server and is returned on both sides.  Index order is

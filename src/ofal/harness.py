@@ -72,8 +72,8 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        """Check every field's type and range; a trial rebuilds the config,
-        so this stays a handful of isinstance tests."""
+        """Check every field's type and range, and that the two sources fit
+        together, once, when the config is built."""
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
@@ -110,21 +110,20 @@ class ExperimentConfig:
             _check_int("sequence_source.n_max", seq_src.get("n_max", 10), 0)
             distribution = seq_src.get("distribution", "uniform")
             _check_choice("sequence_source.distribution", distribution, ("uniform", "mixture", "opposite"))
+        if seq_src["kind"] == "adversary" and src["kind"] != "adversary":
+            raise ValidationError("adversary sequences require an adversary instance")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
-        """Build a config, as each trial does; unknown or missing keys are input
-        errors, and so is an adversary sequence without an adversary instance."""
+        """Build a config from parsed JSON; unknown or missing keys are input
+        errors."""
         try:
-            config = ExperimentConfig(**data)
+            return ExperimentConfig(**data)
         except TypeError as exc:
             raise ParseError(f"bad config: {exc}") from None
-        if config.sequence_source["kind"] == "adversary" and config.instance_source["kind"] != "adversary":
-            raise ValidationError("adversary sequences require an adversary instance")
-        return config
 
 
 #: Per source and kind, the keys a source may give besides ``kind``.
@@ -196,9 +195,8 @@ def _materialize_trial(config: ExperimentConfig, trial: int) -> tuple[str, Insta
     return f"{label}-t{trial:04d}", inst, seq
 
 
-def _run_trial(payload: tuple[dict, int]) -> list[dict]:
-    config_dict, trial = payload
-    config = ExperimentConfig.from_dict(config_dict)
+def _run_trial(payload: tuple[ExperimentConfig, int]) -> list[dict]:
+    config, trial = payload
     instance_id, inst, seq = _materialize_trial(config, trial)
     bound = 2 * alpha_fast(inst.layout).alpha + 1
     opt_cost = noncrossing_dp_cost(inst, seq)
@@ -274,8 +272,7 @@ class ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    config_dict = config.to_dict()  # one copy, shared by every trial and the summary
-    payloads = [(config_dict, t) for t in range(config.trials)]
+    payloads = [(config, t) for t in range(config.trials)]
     # One worker per trial at most, and no more than the machine's cores:
     # a fork pool may start every worker it is allowed up front.
     workers = min(config.jobs, config.trials, os.cpu_count() or 1)
@@ -306,7 +303,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 }
             )
     summary = {
-        "config": config_dict,
+        "config": config.to_dict(),
         "max_rate": {alg: fraction_str(r) for alg, r in max_rate.items()},
         "violations": violations,
         "runs": [

@@ -43,14 +43,27 @@ class Mutant:
 
 
 MUTANTS = (
+    # ptcp and greedy share surrounding_rule's decide: a request exactly
+    # at the threshold (ptcp's critical point, greedy's midpoint) goes left.
     Mutant(
         "ptcp-critical-point-goes-right",
         "src/ofal/algorithms.py",
-        "if m == i1 or (m > i0 and rn * cd <= cn * rd):",
-        "if m == i1 or (m > i0 and rn * cd < cn * rd):",
+        "return left if r.numerator * den <= num * r.denominator else right",
+        "return left if r.numerator * den < num * r.denominator else right",
         (
             "tests/test_algorithms.py::TestSplitRuleDecisions::test_boundary_goes_left",
             "tests/test_algorithms.py::TestSplitRuleDecisions::test_recursive_descent",
+            "tests/test_algorithms.py::TestGreedy::test_tie_breaks_left",
+        ),
+    ),
+    Mutant(
+        "ptcp-separating-block-right-edge",
+        "src/ofal/algorithms.py",
+        "if right <= a:",
+        "if right < a:",
+        (
+            "tests/test_online_kernels.py::TestSeparatingBlock::test_tie_heavy_layouts",
+            "tests/test_online_kernels.py::TestPtcpDecide::test_matches_the_any_scan_descent",
         ),
     ),
     Mutant(
@@ -67,11 +80,12 @@ MUTANTS = (
         "len(rows) + 2 * (a - lo) + 1",
         ("tests/test_algorithms.py::TestSplitTree::test_three_servers_asymmetric",),
     ),
+    # Greedy's midpoint moved one scaled unit left: an exact tie goes right.
     Mutant(
         "greedy-tie-goes-right",
         "src/ofal/algorithms.py",
-        "(ints[left] + ints[right]) * r.denominator < 2 * r.numerator * scale",
-        "(ints[left] + ints[right]) * r.denominator <= 2 * r.numerator * scale",
+        "(ints[left] + ints[right], 2 * scale)",
+        "(ints[left] + ints[right] - 1, 2 * scale)",
         (
             "tests/test_algorithms.py::TestGreedy::test_tie_breaks_left",
             "tests/test_online_kernels.py::TestScaledLayers::test_literal_boundaries",
@@ -218,25 +232,16 @@ MUTANTS = (
         "map(add, list(accumulate(F, min))[1:], rows[i][d:])",
         ("tests/test_exhaustive_oracles.py::TestMultisetOptima::test_every_multiset_matches_the_dp",),
     ),
-    # The batch paths' tie-breaks: a point at a critical point goes left,
-    # an exact midpoint goes left.
+    # The one batch cut of ptcp and greedy: a point at the threshold (a
+    # critical point, an exact midpoint) goes left.
     Mutant(
         "ptcp-batch-critical-cut-goes-right",
         "src/ofal/algorithms.py",
-        "bisect_right(ordered, Fraction(*c))",
-        "bisect_left(ordered, Fraction(*c))",
+        "c = bisect_right(xs, num * scale // den, c0)",
+        "c = bisect_left(xs, num * scale // den, c0)",
         (
             "tests/test_batch_picks.py::test_batch_matches_decide",
             "tests/test_acceptance.py::test_criterion_4_tightness_at_k2",
-        ),
-    ),
-    Mutant(
-        "greedy-batch-midpoint-goes-right",
-        "src/ofal/algorithms.py",
-        "ints[left] + ints[right] < 2 * x",
-        "ints[left] + ints[right] <= 2 * x",
-        (
-            "tests/test_batch_picks.py::test_batch_matches_decide",
             "tests/test_acceptance.py::test_criterion_8_capacity_insensitivity",
         ),
     ),

@@ -7,10 +7,8 @@ from ofal.algorithms import (
     RULE_BUILDERS,
     SplitTree,
     build_split_tree,
-    greedy_decide,
     greedy_rule,
     guard_rule,
-    ptcp_decide,
     ptcp_rule,
     split_geometry,
     tree_to_dict,
@@ -97,46 +95,46 @@ class TestSplitTree:
 
 class TestSplitRuleDecisions:
     def test_boundary_goes_left(self):
-        tree = build_split_tree(layout_of(0, 2))
-        assert ptcp_decide(tree, Fraction(1), (0, 1)) == 0
+        decide = ptcp_rule(layout_of(0, 2)).decide
+        assert decide(Fraction(1), (0, 1)) == 0
 
     def test_only_free_server_wins(self):
-        tree = build_split_tree(layout_of(0, 2))
-        assert ptcp_decide(tree, Fraction(1, 10), (1,)) == 1
+        decide = ptcp_rule(layout_of(0, 2)).decide
+        assert decide(Fraction(1, 10), (1,)) == 1
 
     def test_recursive_descent(self):
-        tree = build_split_tree(layout_of(0, 1, 3))
+        decide = ptcp_rule(layout_of(0, 1, 3)).decide
         full = (0, 1, 2)
-        assert ptcp_decide(tree, Fraction(17, 10), full) == 1
-        assert ptcp_decide(tree, Fraction(19, 10), full) == 2
-        assert ptcp_decide(tree, Fraction(9, 5), full) == 1  # exactly critical
+        assert decide(Fraction(17, 10), full) == 1
+        assert decide(Fraction(19, 10), full) == 2
+        assert decide(Fraction(9, 5), full) == 1  # exactly critical
 
     @given(layouts(min_k=1, max_k=7))
     @settings(max_examples=60, deadline=None)
     def test_decide_returns_free_server(self, layout):
         import itertools
 
-        tree = build_split_tree(layout)
+        decide = ptcp_rule(layout).decide
         k = layout.k
         for size in range(1, k + 1):
             for combo in itertools.islice(itertools.combinations(range(k), size), 12):
                 free = combo
                 r = layout.positions[0] + Fraction(1, 3)
-                assert ptcp_decide(tree, r, free) in free
+                assert decide(r, free) in free
 
 
 class TestGreedy:
     def test_nearest_and_cascade(self):
-        layout = layout_of(0, 2, 4, 8)
+        decide = greedy_rule(layout_of(0, 2, 4, 8)).decide
         delta = Fraction(1, 100)
-        assert greedy_decide(2 + delta, (0, 1, 2, 3), layout) == 1
-        assert greedy_decide(2 + delta, (0, 2, 3), layout) == 2
+        assert decide(2 + delta, (0, 1, 2, 3)) == 1
+        assert decide(2 + delta, (0, 2, 3)) == 2
 
     def test_tie_breaks_left(self):
-        assert greedy_decide(Fraction(1), (0, 1), layout_of(0, 2)) == 0
+        assert greedy_rule(layout_of(0, 2)).decide(Fraction(1), (0, 1)) == 0
 
     def test_singleton(self):
-        assert greedy_decide(Fraction(100), (0,), layout_of(0, 2)) == 0
+        assert greedy_rule(layout_of(0, 2)).decide(Fraction(100), (0,)) == 0
 
 
 class TestGuardRule:

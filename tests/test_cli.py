@@ -408,6 +408,25 @@ class TestBatch:
             assert code == EXIT_ERROR
             assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_run_rate_beyond_float_range(self, capsys, tmp_path):
+        # Servers at 0 and 2^1..2^1039, requests at 2^t + 1/10 for t = 0..1039
+        # in order: greedy takes 2^(t+1) each time and finally 0, so its rate
+        # is about 1.1e+311, past the largest float.
+        inst, seq, cfg = tmp_path / "inst.json", tmp_path / "seq.json", tmp_path / "config.json"
+        inst.write_text(json.dumps({"servers": [0] + [str(2**t) for t in range(1, 1040)], "capacities": [1] * 1040}))
+        seq.write_text(json.dumps({"requests": [f"{10 * 2**t + 1}/10" for t in range(1040)]}))
+        cfg.write_text(json.dumps({
+            "algorithms": ["greedy"],
+            "instance_source": {"kind": "file", "path": str(inst)},
+            "sequence_source": {"kind": "file", "path": str(seq)},
+        }))
+        code, out, err = run_cli(capsys, "run", str(cfg))
+        assert code == EXIT_OK
+        header, row = out.splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields["opt_cost"] == "105" and fields["verdict"] == "above-bound"
+        assert fields["rate_decimal"] == "1.12203445035e+311"
+
     RUN_CONFIG = {
         "algorithms": ["ptcp"],
         "instance_source": {"kind": "random", "k_max": 3},

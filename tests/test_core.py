@@ -14,6 +14,7 @@ from ofal.core import (
     ValidationError,
     check_file_coords,
     compute_rate,
+    fraction_decimal,
     INF,
     instance_to_dict,
     load_instance,
@@ -257,3 +258,18 @@ class TestRate:
     def test_unit_instance(self):
         inst = unit_instance(layout_of(0, 1, 2))
         assert inst.capacities == (1, 1, 1)
+
+
+class TestDecimal:
+    def test_float_range_keeps_the_float_format(self):
+        assert fraction_decimal(Fraction(1, 3)) == "0.333333333333"
+        assert fraction_decimal(Fraction(17 * 10**307)) == f"{1.7e308:.12g}" == "1.7e+308"
+        assert fraction_decimal(Fraction(5)) == "5" and fraction_decimal(INF) == "inf"
+
+    def test_beyond_float_range_is_rounded_exactly(self):
+        # 2^1100 = 1.358298529049...e+331, past the largest float.
+        value = Fraction(2**1100) + Fraction(1, 10)
+        assert fraction_decimal(value) == "1.35829852905e+331"
+        # 12 digits end in a zero, which the format drops as float's does.
+        assert fraction_decimal(-value / 3) == "-4.5276617635e+330"
+        assert fraction_decimal(Fraction(15 * 10**399)) == "1.5e+400"

@@ -4,7 +4,7 @@ with the position-based formulas they replaced.
 Server positions are strictly increasing, so index order is position
 order.  The formulas below compare and key by position, as the code did
 while layouts could hold co-located servers; ``surrounding_servers``,
-``greedy_decide``, ``check_surrounding_oriented`` and ``check_faithful``
+greedy's ``decide``, ``check_surrounding_oriented`` and ``check_faithful``
 must give the same answers on every layout, with requests both exactly on
 servers and between them.
 """
@@ -15,7 +15,7 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from ofal.algorithms import greedy_decide, greedy_rule, ptcp_rule
+from ofal.algorithms import greedy_rule, ptcp_rule
 from ofal.core import Instance, RequestSequence, ServerLayout
 from ofal.engine import PriorityRule, simulate, surrounding_servers
 from ofal.verify import check_faithful, check_surrounding_oriented, closer_variant
@@ -117,7 +117,7 @@ def test_surrounding_and_greedy(layout, data):
     )
     r = data.draw(requests_near(layout))
     assert surrounding_servers(r, free, layout) == position_surrounding(r, free, layout)
-    assert greedy_decide(r, free, layout) == position_greedy(r, free, layout)
+    assert greedy_rule(layout).decide(r, free) == position_greedy(r, free, layout)
 
 
 @given(pairs(cap_max=3), st.integers(0, 10**6))

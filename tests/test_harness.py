@@ -159,15 +159,17 @@ class TestRunExperiment:
         assert "instance" in violation and "sequence" in violation
 
     def test_adversary_sequences_need_adversary_instances(self):
-        config = ExperimentConfig(
-            algorithms=("ptcp",),
-            instance_source={"kind": "random", "k_max": 3},
-            sequence_source={"kind": "adversary"},
-            trials=1,
-            seed=0,
-        )
-        with pytest.raises(ValidationError):
-            run_experiment(config)
+        # The constructor refuses the pair, so a config built in code never
+        # reaches a trial, and one with no trials is refused too.
+        for trials in (1, 0):
+            with pytest.raises(ValidationError, match="adversary sequences require an adversary instance"):
+                ExperimentConfig(
+                    algorithms=("ptcp",),
+                    instance_source={"kind": "random", "k_max": 3},
+                    sequence_source={"kind": "adversary"},
+                    trials=trials,
+                    seed=0,
+                )
 
 
 def _fraction_repr(value) -> str:

@@ -13,7 +13,7 @@ drawn on an integer grid so that equal maximum gaps occur, and the free
 sets thin out step by step so that the walks cross used servers.
 
 ``test_distinct_positions.test_surrounding_and_greedy`` pins the walk in
-``surrounding_servers`` and ``greedy_decide`` against position formulas.
+``surrounding_servers`` and greedy's ``decide`` against position formulas.
 """
 
 import random

@@ -1,20 +1,22 @@
 """Differential check: the online-path kernels agree with the code they
 replaced.
 
-``ptcp_decide`` narrows a sorted slice of the free set by bisection and
-compares with the critical point by integer cross products;
-``alpha_fast`` scans intervals on scaled integers; ``dp_cost_ints`` sends
-the sorted requests to increasing capacity slots, keeping only the slots
-each request can reach; ``surrounding_servers``, ``greedy_decide`` and
-``build_split_tree`` work on the layout's scaled integers.  The reference
-functions below are the earlier code, inlined: two ``any()`` scans and a
-Fraction ``<=`` per tree level, one Fraction division per interval, the
+ptcp's ``decide`` takes the two ``surrounding_servers`` of a request and
+compares it with the critical point of the block that separates them by
+an integer cross product; ``alpha_fast`` scans intervals on scaled
+integers; ``dp_cost_ints`` sends the sorted requests to increasing
+capacity slots, keeping only the slots each request can reach;
+``surrounding_servers``, greedy's ``decide`` and ``build_split_tree``
+work on the layout's scaled integers.  The reference
+functions below are the earlier code, inlined: the split-tree descent
+with two ``any()`` scans and a Fraction ``<=`` per tree level, one Fraction division per interval, the
 server-major DP over a window of reachable prefix lengths and, before it,
 the full triple loop over every state and block length, a bisection of
 the Fraction positions,
 two Fraction distances per greedy decision, the Fraction
 critical-point formula, and the nested split tree of frozen node objects
-with its descent, which the preorder table of ``SplitTree`` replaced.
+with its bisecting descent, which the preorder table of ``SplitTree``
+replaced.
 Results must be equal, including which of several tied maximisers or
 servers is reported.
 """
@@ -27,11 +29,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ofal.algorithms import build_split_tree, greedy_decide, ptcp_decide, split_geometry
+from ofal.algorithms import build_split_tree, greedy_rule, ptcp_rule, separating_block, split_geometry
 from ofal.alpha import Metrics, alpha_fast
-from ofal.core import ServerLayout, ValidationError
-from ofal.engine import surrounding_servers
+from ofal.core import Instance, RequestSequence, ServerLayout, ValidationError
+from ofal.engine import PriorityRule, simulate, surrounding_servers
 from ofal.offline import dp_cost_ints
+from ofal.verify import check_surrounding_oriented
 
 from conftest import layout_of, layouts
 
@@ -181,15 +184,15 @@ def ptcp_cases(draw):
     grid = st.integers(-8, 8 * 12 + 8).map(lambda t: Fraction(t, 8))
     candidates = critical_points(tree) + list(layout.positions)
     r = draw(st.one_of(st.sampled_from(candidates), grid))
-    return tree, r, tuple(sorted(free))
+    return layout, tree, r, tuple(sorted(free))
 
 
 class TestPtcpDecide:
     @given(ptcp_cases())
     @settings(max_examples=200, deadline=None)
     def test_matches_the_any_scan_descent(self, case):
-        tree, r, free = case
-        assert ptcp_decide(tree, r, free) == reference_ptcp_decide(tree, r, free)
+        layout, tree, r, free = case
+        assert ptcp_rule(layout).decide(r, free) == reference_ptcp_decide(tree, r, free)
 
     @given(layouts(min_k=2, max_k=12))
     @settings(max_examples=100, deadline=None)
@@ -197,29 +200,94 @@ class TestPtcpDecide:
         # With every server free, a request exactly on a block's critical
         # point that reaches the block lands in its left child.
         tree = build_split_tree(layout)
+        decide = ptcp_rule(layout).decide
         full = tuple(range(layout.k))
         for i, a in enumerate(tree.split):
             if a is None:
                 continue
             critical = Fraction(*tree.critical[i])
             free = tuple(range(tree.lo[i], tree.hi[i] + 1))
-            j = ptcp_decide(tree, critical, free)
+            j = decide(critical, free)
             assert tree.lo[i] <= j <= a
             assert j == reference_ptcp_decide(tree, critical, free)
-            assert ptcp_decide(tree, critical, full) == reference_ptcp_decide(tree, critical, full)
+            assert decide(critical, full) == reference_ptcp_decide(tree, critical, full)
 
     def test_one_block_empty(self):
-        tree = build_split_tree(layout_of(0, 1, 3, 4))
+        layout = layout_of(0, 1, 3, 4)
+        tree = build_split_tree(layout)
+        decide = ptcp_rule(layout).decide
         # Root splits after server 1 at critical point 2.
         assert tree.split[0] == 1 and tree.critical[0] == (2, 1)
-        assert ptcp_decide(tree, Fraction(0), (2, 3)) == 2
-        assert ptcp_decide(tree, Fraction(4), (0, 1)) == 1
-        assert ptcp_decide(tree, Fraction(2), (0, 3)) == 0
+        assert decide(Fraction(0), (2, 3)) == 2
+        assert decide(Fraction(4), (0, 1)) == 1
+        assert decide(Fraction(2), (0, 3)) == 0
 
     def test_empty_free_set_refused(self):
-        tree = build_split_tree(layout_of(0, 2))
         with pytest.raises(ValidationError):
-            ptcp_decide(tree, Fraction(1), ())
+            ptcp_rule(layout_of(0, 2)).decide(Fraction(1), ())
+
+    def test_split_tree_descent_is_surrounding_oriented(self):
+        # ptcp decides through surrounding_servers, so criterion 7's check
+        # on ptcp_rule holds by construction.  The paper's descent itself,
+        # run with capacities, must pass the same check and match it.
+        rng = random.Random(7_700)
+        for _ in range(300):
+            k = rng.randint(1, 8)
+            ticks = sorted(rng.sample(range(0, 25), k))
+            den = rng.choice((1, 2, 3))
+            layout = ServerLayout(tuple(Fraction(t, den) for t in ticks))
+            inst = Instance(layout, tuple(rng.randint(1, 3) for _ in range(k)))
+            tree = build_split_tree(layout)
+            points = critical_points(tree) + list(layout.positions) + [Fraction(t, 4) for t in range(-4, 60)]
+            seq = RequestSequence(tuple(rng.choice(points) for _ in range(rng.randint(0, inst.total_capacity))))
+            descent = PriorityRule("ptcp-descent", lambda r, free, tree=tree: reference_ptcp_decide(tree, r, free))
+            trace = simulate(descent, inst, seq)
+            report = check_surrounding_oriented(trace, seq, inst)
+            assert report.ok and report.trials == len(seq), report.violations
+            assert trace.assignment == simulate(ptcp_rule(layout), inst, seq).assignment
+
+
+def leftmost_max_gap_split(layout, left, right):
+    """The server after the leftmost maximum gap among servers left..right."""
+    s = layout.positions
+    return max(range(left, right), key=lambda a: s[a + 1] - s[a])
+
+
+class TestSeparatingBlock:
+    """The block that separates two servers is the one split at the
+    leftmost maximum gap between them: each block splits at its own
+    leftmost maximum gap, and the smallest block holding both servers
+    holds every gap between them."""
+
+    def check_every_pair(self, layout):
+        tree = build_split_tree(layout)
+        for left in range(layout.k):
+            for right in range(left + 1, layout.k):
+                i = separating_block(tree, left, right)
+                assert tree.lo[i] <= left <= tree.split[i] < right <= tree.hi[i]
+                assert tree.split[i] == leftmost_max_gap_split(layout, left, right)
+
+    @given(st.one_of(layouts(min_k=2, max_k=12, den=1, hull=16), mixed_layouts()))
+    @settings(max_examples=150, deadline=None)
+    def test_tie_heavy_layouts(self, layout):
+        self.check_every_pair(layout)
+
+    def test_every_layout_on_a_small_integer_grid(self):
+        # Equal gaps are everywhere, so the leftmost tie decides each block.
+        for mask in range(1, 1 << 9):
+            self.check_every_pair(ServerLayout(tuple(Fraction(i) for i in range(9) if mask >> i & 1)))
+
+    def test_evenly_spaced_servers_make_a_path(self):
+        # Each block of 2000 evenly spaced servers splits after its first
+        # server, so the tree is a path and the descent runs left + 1 levels.
+        layout = ServerLayout(tuple(Fraction(i) for i in range(2000)))
+        tree = build_split_tree(layout)
+        assert all(a is None or a == lo for a, lo in zip(tree.split, tree.lo))
+        rng = random.Random(2000)
+        pairs = [(0, 1), (0, 1999), (1998, 1999)] + [tuple(sorted(rng.sample(range(2000), 2))) for _ in range(300)]
+        for left, right in pairs:
+            i = separating_block(tree, left, right)
+            assert (tree.lo[i], tree.split[i]) == (left, left) == (left, leftmost_max_gap_split(layout, left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +384,7 @@ class TestDpWindow:
 
 
 # ---------------------------------------------------------------------------
-# The scaled-integer layers: surrounding_servers, greedy_decide and
+# The scaled-integer layers: surrounding_servers, greedy's decide and
 # build_split_tree
 # ---------------------------------------------------------------------------
 
@@ -394,11 +462,12 @@ class TestScaledLayers:
     @settings(max_examples=200, deadline=None)
     def test_walk_and_greedy_match_the_fraction_code(self, layout, data):
         requests = boundary_requests(layout)
+        greedy = greedy_rule(layout).decide
         for _ in range(3):
             free = data.draw(thinned_free_sets(layout.k))
             for r in requests:
                 assert surrounding_servers(r, free, layout) == reference_surrounding_servers(r, free, layout)
-                assert greedy_decide(r, free, layout) == reference_greedy_decide(r, free, layout)
+                assert greedy(r, free) == reference_greedy_decide(r, free, layout)
 
     @given(mixed_layouts(max_k=16))
     @settings(max_examples=200, deadline=None)
@@ -428,13 +497,14 @@ class TestScaledLayers:
         # On a used server: the walk crosses it both ways.
         assert surrounding_servers(Fraction(-1, 2), (0, 2), layout) == (0, 2)
         # Midpoint of servers 0 and 2 with 1 used: a distance tie goes left.
+        greedy = greedy_rule(layout).decide
         mid = (Fraction(-7, 3) + Fraction(5, 7)) / 2
-        assert greedy_decide(mid, (0, 2), layout) == 0
-        assert greedy_decide(mid + Fraction(1, 10**9), (0, 2), layout) == 2
+        assert greedy(mid, (0, 2)) == 0
+        assert greedy(mid + Fraction(1, 10**9), (0, 2)) == 2
         # Outside the hull.
         assert surrounding_servers(Fraction(-3), everyone, layout) == (None, 0)
         assert surrounding_servers(Fraction(1), everyone, layout) == (2, None)
-        assert greedy_decide(Fraction(-3), (2,), layout) == 2
+        assert greedy(Fraction(-3), (2,)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +612,8 @@ class TestPreorderTable:
                 assert split_geometry(tree, i, layout) == (node.d, node.delta1, node.delta2, node.x, node.critical)
                 assert (tree.lo[tree.right[i]], tree.hi[tree.right[i]]) == (node.right.lo, node.right.hi)
         requests = boundary_requests(layout)
+        decide = ptcp_rule(layout).decide
         for _ in range(3):
             free = data.draw(thinned_free_sets(layout.k))
             for r in requests:
-                assert ptcp_decide(tree, r, free) == nested_ptcp_decide(nested, r, free)
+                assert decide(r, free) == nested_ptcp_decide(nested, r, free)
