@@ -259,14 +259,24 @@ def sweep_adx(
 #: ``min(n_max, total capacity)`` grid points is a node.  Criterion 3(b) at
 #: k=4 visits 597,871 (9 points, depth 6) and ``ofal verify capacity`` at
 #: its defaults at most 637,421 (28 points, depth 4).  On a 2-core x86
-#: VM with CPython 3.11 (best of five, two runs) the k=4 search takes
-#: 0.3-0.4 s, and ``verify capacity``'s two default walks (813,802 nodes
-#: together) 0.5-0.7 s with ptcp and 0.5-0.9 s with greedy.
+#: VM with CPython 3.11 (best of five, five runs) the k=4 search takes
+#: 0.2-0.35 s, and ``verify capacity``'s two default walks (813,802 nodes
+#: together) 0.3-0.55 s with either rule.
 GRID_SEARCH_MAX_NODES = 700_000
 #: Most levels one grid search may descend: the walk recurses once per
 #: level.  Two or more points hit the node guard before level 20, so
 #: only a one-point grid can go deeper.
 GRID_SEARCH_MAX_DEPTH = 256
+#: Most points x slots x scale digits one grid search's memo fill may
+#: hold, the scale's digits counted from its bit length: the fill holds
+#: a distance per point and slot, each with about as many digits as the
+#: grid's common scale.  ``ofal verify capacity
+#: --instance --n-max 1`` on 300 random integer servers in [0, 10^6)
+#: measures 2392 x 300 x 442 = 3.2e8 and peaks at 183 MB RSS; on 450 it
+#: measures 3598 x 450 x 585 = 9.5e8 and peaked at 488 MB before this
+#: guard, so the limit allows about 270 MB.  Criterion 8's defaults stay
+#: under 2,400 and the benchmark's grids under 600.
+GRID_FILL_MAX_SIZE = 500_000_000
 
 
 @dataclass
@@ -293,23 +303,25 @@ def grid_search_max_rate(
 
     The walk runs on the scaled integers of ``core.scale_to_ints``.  The
     optimum depends only on the multiset of chosen points, so
-    ``offline.multiset_optima`` fills one dict before the walk, and a
-    node reads its optimum at the multiset's key.  That function also
-    gives each point its key weight, so callers may pass the points
-    unsorted or repeated, and the walk carries key + weight down to each
-    child.  A node asks the rule for all of its children's picks in one
-    call of ``rule.picks(points)``, the rule's batch or one ``decide`` per
-    point, before any child recurses.  Its children are rated in its own
-    loop; only children above the last level recurse, so a leaf costs its
-    share of its parent's batch, one pick check and one memo read.  Rates
-    are compared as integer cross products, keeping the first maximiser,
-    and only the result is a Fraction.  Rule decisions are never cached:
-    this search is the exhaustive check of a rule, and a cache would hide
-    a rule that is not pure, so every node decides every child against
-    its own free tuple.  The rule gets ``simulate``'s increasing free
-    tuple and O(1) pick check.  Raises
-    ValidationError for a negative ``n_max``, SizeGuardError above
-    GRID_SEARCH_MAX_NODES or GRID_SEARCH_MAX_DEPTH, and RuleError, as
+    ``offline.multiset_optima`` fills, before the walk, one child row per
+    multiset below the last level: the optima of that multiset plus each
+    point, in the caller's point order.  It also returns each point's key
+    weight, so callers may pass the points unsorted or repeated, and each
+    point's distances to the servers.  A node reads its row once, at its
+    multiset's key, and asks the rule for all of its children's picks in
+    one call of ``rule.picks(points)``, the rule's batch or one ``decide``
+    per point, before any child recurses.  It rates its children in its
+    own loop over the points, their picks and its row, so a leaf costs
+    its share of its parent's batch, one pick check and one distance
+    read; only children above the last level recurse, with key + weight.
+    Rates are compared as integer cross products, keeping the first
+    maximiser, and only the result is a Fraction.  Rule decisions are
+    never cached: this search is the exhaustive check of a rule, and a
+    cache would hide a rule that is not pure, so every node decides every
+    child against its own free tuple.  The rule gets ``simulate``'s
+    increasing free tuple and O(1) pick check.  Raises ValidationError
+    for a negative ``n_max``, SizeGuardError above GRID_SEARCH_MAX_NODES,
+    GRID_SEARCH_MAX_DEPTH or GRID_FILL_MAX_SIZE, and RuleError, as
     ``simulate`` does, for a pick that is not a free server.
     """
     if n_max < 0:
@@ -330,9 +342,16 @@ def grid_search_max_rate(
                 f"exceed {GRID_SEARCH_MAX_NODES} nodes"
             )
     servers_int, points_int, scale = scale_to_ints(inst.layout.positions, points)
+    slots = sum(min(c, depth_cap) for c in inst.capacities)
+    digits = scale.bit_length() * 30103 // 100000 + 1
+    if n_points * slots * digits > GRID_FILL_MAX_SIZE:
+        raise SizeGuardError(
+            f"grid search guard: {n_points} points x {slots} slots x {digits} scale digits "
+            f"exceed {GRID_FILL_MAX_SIZE}"
+        )
     k = inst.k
-    optima, weight = multiset_optima(servers_int, inst.capacities, points_int, depth_cap)
-    steps = tuple(zip(points, points_int, weight))
+    rows, weight, dist = multiset_optima(servers_int, inst.capacities, points_int, depth_cap)
+    steps = tuple(zip(points, weight, dist))
     remaining = list(inst.capacities)
     chosen: list[Fraction] = []
     anomalies: list[dict] = []
@@ -344,12 +363,11 @@ def grid_search_max_rate(
     def dfs(depth: int, key: int, alg_int: int, free: tuple[int, ...]) -> None:
         nonlocal best_alg, best_opt, best_sequence, nodes
         inner = depth < last
-        for (p, p_int, w), j in zip(steps, picks(free)):
+        nodes += n_points
+        for (p, w, to_server), j, opt in zip(steps, picks(free), rows[key]):
             if not (type(j) is int and 0 <= j < k and remaining[j] > 0):
                 raise RuleError(f"rule {rule.id!r} chose non-free server {j} for request {p}")
-            nodes += 1
-            alg = alg_int + abs(p_int - servers_int[j])
-            opt = optima[key + w]
+            alg = alg_int + to_server[j]
             if opt:
                 if alg * best_opt > best_alg * opt:
                     best_alg, best_opt, best_sequence = alg, opt, (*chosen, p)

@@ -228,9 +228,19 @@ MUTANTS = (
     Mutant(
         "grid-memo-extension-reads-its-own-slot",
         "src/ofal/offline.py",
-        "map(add, accumulate(F, min), rows[i][d:])",
-        "map(add, list(accumulate(F, min))[1:], rows[i][d:])",
+        "P = list(accumulate(F, min))",
+        "P = list(accumulate(F, min))[1:]",
         ("tests/test_exhaustive_oracles.py::TestMultisetOptima::test_every_multiset_matches_the_dp",),
+    ),
+    Mutant(
+        "grid-child-row-in-rank-order",
+        "src/ofal/offline.py",
+        "tuple([optima[key + w] for w in weight])",
+        "tuple([optima[key + w] for w in ranked])",
+        (
+            "tests/test_exhaustive_oracles.py::TestGridSearch::test_unsorted_and_repeated_points",
+            "tests/test_exhaustive_oracles.py::TestMultisetOptima::test_child_rows_match_the_flat_fill",
+        ),
     ),
     # The one batch cut of ptcp and greedy: a point at the threshold (a
     # critical point, an exact midpoint) goes left.

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -254,6 +255,17 @@ class TestVerify:
         assert code == EXIT_ERROR
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert "grid search guard" in err
+
+    def test_grid_fill_size_limit(self, capsys, tmp_path):
+        # 450 random integer servers give 3598 candidate points on a scale
+        # of 585 digits: a memo fill of about half a gigabyte, refused
+        # before it starts.
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"servers": sorted(random.Random(450).sample(range(10**6), 450))}))
+        code, out, err = run_cli(capsys, "verify", "capacity", "--instance", str(path), "--n-max", "1")
+        assert code == EXIT_ERROR
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "grid search guard: 3598 points x 450 slots x 585 scale digits" in err
 
     def test_grid_search_depth_limit(self, capsys, tmp_path):
         # One server has one candidate point, so the node guard allows any

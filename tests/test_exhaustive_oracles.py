@@ -9,12 +9,15 @@ Fraction rate at every grid node, and ``gap_ratio`` on every subset.
 Results must be equal field for field, including which of several tied
 maximisers is reported.  The memo itself is checked multiset by multiset
 against the windowed server-major DP, which shares no recurrence with
-the slot DP of ``multiset_optima`` and ``dp_cost_ints``.
+the slot DP of ``multiset_optima`` and ``dp_cost_ints``, and child row by
+child row against the flat fill it replaced, kept below as
+``reference_multiset_optima``.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
+from operator import add
 
 from hypothesis import given, settings, strategies as st
 
@@ -81,6 +84,35 @@ def reference_grid_search(rule, inst, points, n_max):
     return GridSearchResult(
         best_rate=best[0], best_sequence=best[1], nodes=nodes[0], zero_opt_anomalies=anomalies
     )
+
+
+def reference_multiset_optima(servers, caps, points, depth):
+    """The flat fill: the optimum of every multiset of 1 to ``depth``
+    points by key, and each point's key weight."""
+    order = sorted(range(len(points)), key=points.__getitem__)
+    slots = [s for s, c in zip(servers, caps) for _ in range(min(c, depth))]
+    rows = [[abs(points[x] - s) for s in slots] for x in order]
+    ranked = [(depth + 1) ** i for i in range(len(points))]
+    weight = [0] * len(points)
+    for x, w in zip(order, ranked):
+        weight[x] = w
+    optima = {}
+    todo = [(0, 0, [0] * (len(slots) + 1), 0)] if depth else []
+    while todo:
+        d, first, F, key = todo.pop()
+        for i in range(first, len(points)):
+            G = list(map(add, accumulate(F, min), rows[i][d:]))
+            optima[key + ranked[i]] = min(G)
+            if d + 1 < depth:
+                todo.append((d + 1, i, G, key + ranked[i]))
+    return optima, weight
+
+
+def multiset_keys(weight, depth):
+    """The key of every multiset of fewer than ``depth`` point indices."""
+    for d in range(depth):
+        for combo in combinations_with_replacement(range(len(weight)), d):
+            yield sum(weight[x] for x in combo)
 
 
 def reference_alpha_bruteforce(layout):
@@ -155,6 +187,26 @@ class TestGridSearch:
                 rule, inst, points, n_max
             ), (layout, inst.capacities, points, n_max, rule.id)
 
+    def test_zero_optimum_grid(self):
+        # Every point on a server and capacities above one: most states
+        # cost the optimum nothing, so the rate-1 updates and, for the bad
+        # rule, the anomaly list (in walk order) carry the result.
+        layout = ServerLayout((Fraction(0), Fraction(1), Fraction(3)))
+        inst = Instance(layout, (2, 3, 2))
+        points = (Fraction(3), Fraction(0), Fraction(1), Fraction(0))
+        results = {}
+        for builder in RULES:
+            rule = builder(layout)
+            got = grid_search_max_rate(rule, inst, points, 4)
+            assert got == reference_grid_search(rule, inst, points, 4)
+            results[rule.id] = got
+        # The nearest free server is always optimal here, so the first
+        # zero-cost state gives the rate 1 and no later state beats it.
+        for rule_id in ("ptcp", "greedy"):
+            assert results[rule_id].best_rate == 1 and results[rule_id].best_sequence == (Fraction(3),)
+            assert not results[rule_id].zero_opt_anomalies
+        assert len(results["rightmost"].zero_opt_anomalies) == 233
+
     def test_candidate_grids(self):
         # Tie-heavy grids from the split tree, for every rule; the bad rule
         # must reach the zero-OPT anomaly path here.
@@ -173,9 +225,9 @@ class TestGridSearch:
 
 class TestMultisetOptima:
     def test_every_multiset_matches_the_dp(self):
-        # The key of a multiset of point indices is the sum of
-        # (depth + 1)**x over them; capacities above the depth and
-        # repeated points exercise the slot bound and equal positions.
+        # Each child row holds, for every point x, the optimum of its
+        # multiset plus x; capacities above the depth and repeated points
+        # exercise the slot bound and equal positions.
         rng = random.Random(1515)
         for _ in range(300):
             k = rng.randint(1, 4)
@@ -183,13 +235,38 @@ class TestMultisetOptima:
             caps = [rng.choice((1, 1, 2, 3, 10**12)) for _ in range(k)]
             points = sorted(rng.randint(-40, 40) for _ in range(rng.randint(1, 5)))
             depth = min(rng.randint(1, 4), sum(caps))
-            optima, _ = multiset_optima(servers, caps, points, depth)
+            rows, weight, _ = multiset_optima(servers, caps, points, depth)
             expected = {}
-            for d in range(1, depth + 1):
+            for d in range(depth):
                 for combo in combinations_with_replacement(range(len(points)), d):
-                    key = sum((depth + 1) ** x for x in combo)
-                    expected[key] = windowed_dp_cost_ints(servers, caps, [points[x] for x in combo])
-            assert optima == expected
+                    key = sum(weight[x] for x in combo)
+                    expected[key] = tuple(
+                        windowed_dp_cost_ints(servers, caps, [points[y] for y in (*combo, x)])
+                        for x in range(len(points))
+                    )
+            assert rows == expected
+
+    def test_child_rows_match_the_flat_fill(self):
+        # Unsorted and repeated points, depth 0 and depth equal to the
+        # total capacity: every child row reads the flat fill's optimum of
+        # its multiset plus each point, in the caller's order.
+        rng = random.Random(2424)
+        for case in range(400):
+            k = rng.randint(1, 3)
+            servers = sorted(rng.sample(range(-30, 31), k))
+            caps = [rng.randint(1, 3) for _ in range(k)]
+            points = [rng.randint(-40, 40) for _ in range(rng.randint(0, 5))]
+            if points and rng.random() < 0.5:
+                points[rng.randrange(len(points))] = rng.choice(points)
+            rng.shuffle(points)
+            depth = sum(caps) if case % 4 == 0 else rng.randint(0, min(4, sum(caps)))
+            rows, weight, dist = multiset_optima(servers, caps, points, depth)
+            optima, expected_weight = reference_multiset_optima(servers, caps, points, depth)
+            assert weight == expected_weight
+            assert dist == [[abs(p - s) for s in servers] for p in points]
+            assert rows == {
+                key: tuple(optima[key + w] for w in weight) for key in multiset_keys(weight, depth)
+            }, (servers, caps, points, depth)
 
     def test_no_depth_no_table(self):
         assert multiset_optima([0, 5], [1, 1], [1, 2], 0)[0] == {}

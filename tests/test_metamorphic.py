@@ -146,19 +146,20 @@ def test_mirror_keeps_the_optimum(pair):
     assert noncrossing_dp_cost(flipped, flipped_seq) == noncrossing_dp_cost(inst, seq)
     assert optimal_cost(flipped, flipped_seq).cost == optimal_cost(inst, seq).cost
     # The memo over the distinct requests: the x-th point by position is
-    # the (last - x)-th once mirrored.
+    # the (last - x)-th once mirrored, in each child row and in each key.
     servers, requests, _ = scale_to_ints(inst.layout.positions, seq.requests)
     points = sorted(set(requests))
     depth, last = min(3, inst.total_capacity), len(points) - 1
-    optima, _ = multiset_optima(servers, inst.capacities, points, depth)
-    mirrored, _ = multiset_optima(
+    rows, weight, _ = multiset_optima(servers, inst.capacities, points, depth)
+    mirrored, mirrored_weight, _ = multiset_optima(
         [-s for s in reversed(servers)], inst.capacities[::-1], [-p for p in reversed(points)], depth
     )
-    assert len(mirrored) == len(optima)
-    for d in range(1, depth + 1):
+    assert len(mirrored) == len(rows)
+    for d in range(depth):
         for combo in combinations_with_replacement(range(len(points)), d):
-            key = sum((depth + 1) ** x for x in combo)
-            assert mirrored[sum((depth + 1) ** (last - x) for x in combo)] == optima[key]
+            row = rows[sum(weight[x] for x in combo)]
+            mirrored_row = mirrored[sum(mirrored_weight[last - x] for x in combo)]
+            assert mirrored_row[::-1] == row
 
 
 def fill_tie(inst: Instance, seq: RequestSequence, assignment: tuple[int, ...]) -> bool:
