@@ -108,13 +108,6 @@ def reference_multiset_optima(servers, caps, points, depth):
     return optima, weight
 
 
-def multiset_keys(weight, depth):
-    """The key of every multiset of fewer than ``depth`` point indices."""
-    for d in range(depth):
-        for combo in combinations_with_replacement(range(len(weight)), d):
-            yield sum(weight[x] for x in combo)
-
-
 def reference_alpha_bruteforce(layout):
     k = layout.k
     positions = layout.positions
@@ -264,9 +257,12 @@ class TestMultisetOptima:
             optima, expected_weight = reference_multiset_optima(servers, caps, points, depth)
             assert weight == expected_weight
             assert dist == [[abs(p - s) for s in servers] for p in points]
-            assert rows == {
-                key: tuple(optima[key + w] for w in weight) for key in multiset_keys(weight, depth)
-            }, (servers, caps, points, depth)
+            expected = {}
+            for d in range(depth):
+                for combo in combinations_with_replacement(range(len(points)), d):
+                    key = sum(weight[x] for x in combo)
+                    expected[key] = tuple(optima[key + w] for w in weight)
+            assert rows == expected, (servers, caps, points, depth)
 
     def test_no_depth_no_table(self):
         assert multiset_optima([0, 5], [1, 1], [1, 2], 0)[0] == {}
