@@ -51,19 +51,34 @@ def split_blocks(ints: Sequence[int]) -> Iterator[tuple[int, int, int | None]]:
     internal block splits after point a (lo <= a < hi) at its leftmost
     maximum adjacent gap ints[a+1] - ints[a], and its children (lo, a) and
     (a + 1, hi) follow it, left first.  A leaf (lo == hi) yields a = None.
-    One pass with an explicit stack, so the depth of the tree (up to
-    k - 1) is not bounded by the recursion limit; O(k * depth) in all.
+
+    The splits form the max-Cartesian tree of the gaps (Vuillemin 1980),
+    built in one stack pass: a gap pops the strictly smaller gaps before
+    it and takes the last popped as its left child, so an equal earlier
+    gap stays its ancestor and each block's root is its leftmost maximum.
+    Block (lo, a) splits at a's left child and (a + 1, hi) at its right
+    child, None when the block is one point.  The preorder walk uses an
+    explicit stack, so the depth of the tree (up to k - 1) is not bounded
+    by the recursion limit; O(k) in all.
     """
     gaps = [b - a for a, b in zip(ints, ints[1:])]
-    stack = [(0, len(ints) - 1)]
-    while stack:
-        lo, hi = stack.pop()
-        if lo == hi:
-            yield lo, hi, None
-            continue
-        a = max(range(lo, hi), key=gaps.__getitem__)
+    left: list[int | None] = [None] * len(gaps)
+    right: list[int | None] = [None] * len(gaps)
+    stack: list[int] = []
+    for i, g in enumerate(gaps):
+        last = None
+        while stack and gaps[stack[-1]] < g:
+            last = stack.pop()
+        left[i] = last
+        if stack:
+            right[stack[-1]] = i
+        stack.append(i)
+    todo = [(0, len(ints) - 1, stack[0] if stack else None)]
+    while todo:
+        lo, hi, a = todo.pop()
         yield lo, hi, a
-        stack += ((a + 1, hi), (lo, a))
+        if a is not None:
+            todo += ((a + 1, hi, right[a]), (lo, a, left[a]))
 
 
 def build_split_tree(layout: ServerLayout) -> SplitTree:

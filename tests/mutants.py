@@ -69,9 +69,12 @@ MUTANTS = (
     Mutant(
         "split-at-rightmost-maximum-gap",
         "src/ofal/algorithms.py",
-        "a = max(range(lo, hi), key=gaps.__getitem__)",
-        "a = max(reversed(range(lo, hi)), key=gaps.__getitem__)",
-        ("tests/test_algorithms.py::TestSplitTree::test_max_gap_tie_breaks_left",),
+        "while stack and gaps[stack[-1]] < g:",
+        "while stack and gaps[stack[-1]] <= g:",
+        (
+            "tests/test_algorithms.py::TestSplitTree::test_max_gap_tie_breaks_left",
+            "tests/test_algorithms.py::TestSplitBlocks::test_every_layout_on_a_nine_point_grid",
+        ),
     ),
     Mutant(
         "split-right-child-index",
@@ -165,6 +168,15 @@ MUTANTS = (
             "tests/test_alpha.py::TestAlphaFast::test_witness_tie_with_a_later_block",
             "tests/test_alpha.py::TestAlphaFast::test_matches_the_interval_scan",
         ),
+    ),
+    # A tying subset later in the same top-index group would replace the
+    # witness of the subset oracle.
+    Mutant(
+        "alpha-bruteforce-last-maximiser",
+        "src/ofal/alpha.py",
+        "if span * best_gap > best_span * gap:",
+        "if span * best_gap >= best_span * gap:",
+        ("tests/test_exhaustive_oracles.py::TestSubsetScan::test_every_layout_on_a_small_integer_grid",),
     ),
     Mutant(
         "alpha-fast-tie-to-larger-interval",

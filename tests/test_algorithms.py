@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from ofal.algorithms import (
     RULE_BUILDERS,
     SplitTree,
     build_split_tree,
+    split_blocks,
     greedy_rule,
     guard_rule,
     ptcp_rule,
@@ -91,6 +93,45 @@ class TestSplitTree:
         data = tree_to_dict(build_split_tree(layout), layout)
         assert data["critical"] == "9/5"
         assert data["right"]["server"] == 2
+
+
+def reference_split_blocks(ints):
+    """The max-scan build that ``split_blocks`` replaced: each block is
+    scanned for its leftmost maximum gap, O(k * depth) in all."""
+    gaps = [b - a for a, b in zip(ints, ints[1:])]
+    stack = [(0, len(ints) - 1)]
+    while stack:
+        lo, hi = stack.pop()
+        if lo == hi:
+            yield lo, hi, None
+            continue
+        a = max(range(lo, hi), key=gaps.__getitem__)
+        yield lo, hi, a
+        stack += ((a + 1, hi), (lo, a))
+
+
+class TestSplitBlocks:
+    """The Cartesian-tree build against the max scan it replaced."""
+
+    def test_tie_heavy_layouts(self):
+        rng = random.Random(1980)
+        for _ in range(2000):
+            ints = [rng.randint(-5, 5)]
+            for _ in range(rng.randint(0, 15)):
+                ints.append(ints[-1] + rng.choice((1, 2, 3)))
+            assert list(split_blocks(ints)) == list(reference_split_blocks(ints)), ints
+
+    def test_every_layout_on_a_nine_point_grid(self):
+        for mask in range(1, 1 << 9):
+            ints = [i for i in range(9) if mask >> i & 1]
+            assert list(split_blocks(ints)) == list(reference_split_blocks(ints)), ints
+
+    def test_evenly_spaced_servers_form_a_path(self):
+        # Every block splits off its leftmost server: depth k - 1.
+        ints = list(range(2000))
+        blocks = list(split_blocks(ints))
+        assert blocks == list(reference_split_blocks(ints))
+        assert [b for b in blocks if b[2] is not None] == [(lo, 1999, lo) for lo in range(1999)]
 
 
 class TestSplitRuleDecisions:

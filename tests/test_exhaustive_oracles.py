@@ -3,9 +3,11 @@ loops they replaced.
 
 ``grid_search_max_rate`` reads each request multiset's optimum from the
 memo ``multiset_optima`` fills and compares rates as integer cross
-products; ``alpha_bruteforce`` scans subsets on scaled integers.  The
-reference loops below are the earlier code, inlined: a cold DP and a
-Fraction rate at every grid node, and ``gap_ratio`` on every subset.
+products; ``alpha_bruteforce`` scans subsets on scaled integers, group by
+group.  The reference loops below are the earlier code, inlined: a cold
+DP and a Fraction rate at every grid node, ``gap_ratio`` on every subset,
+and the integer walk over each subset's bits
+(``bitmask_alpha_bruteforce``) that the grouped scan replaced.
 Results must be equal field for field, including which of several tied
 maximisers is reported.  The memo itself is checked multiset by multiset
 against the windowed server-major DP, which shares no recurrence with
@@ -23,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from ofal.adversary import candidate_points
 from ofal.algorithms import greedy_rule, ptcp_rule
-from ofal.alpha import Metrics, alpha_bruteforce, gap_ratio
+from ofal.alpha import BRUTEFORCE_MAX_K, Metrics, alpha_bruteforce, alpha_fast, gap_ratio
 from ofal.core import Instance, ServerLayout, scale_to_ints
 from ofal.engine import PriorityRule
 from ofal.offline import multiset_optima
@@ -120,6 +122,29 @@ def reference_alpha_bruteforce(layout):
             best = value
             witness = subset
     return Metrics(alpha=best, witness=witness)
+
+
+def bitmask_alpha_bruteforce(layout):
+    xs, _ = layout.scaled
+    at_bit = {1 << j: x for j, x in enumerate(xs)}
+    best_span, best_gap, best_mask = 0, 1, 1
+    for mask in range(1, 1 << layout.k):
+        rest = mask
+        low = rest & -rest
+        first = last = at_bit[low]
+        rest ^= low
+        gap = 0
+        while rest:
+            low = rest & -rest
+            x = at_bit[low]
+            if x - last > gap:
+                gap = x - last
+            last = x
+            rest ^= low
+        if (last - first) * best_gap > best_span * gap:
+            best_span, best_gap, best_mask = last - first, gap, mask
+    witness = tuple(j for j in range(layout.k) if best_mask >> j & 1)
+    return Metrics(alpha=Fraction(best_span, best_gap), witness=witness)
 
 
 def rightmost_rule(layout: ServerLayout) -> PriorityRule:
@@ -282,3 +307,28 @@ class TestSubsetScan:
         for mask in range(1, 1 << 8):
             layout = ServerLayout(tuple(Fraction(i) for i in range(8) if mask >> i & 1))
             assert alpha_bruteforce(layout) == reference_alpha_bruteforce(layout)
+
+    def test_matches_the_bitmask_walk(self):
+        # Ten layouts of each size up to 13, alternately tie-heavy (gaps
+        # from {1, 2, 3}) and rationals with mixed denominators.
+        rng = random.Random(1984)
+        for c in range(130):
+            k = 1 + c % 13
+            if c % 2:
+                points = [Fraction(rng.randint(-5, 5))]
+                for _ in range(k - 1):
+                    points.append(points[-1] + rng.choice((1, 2, 3)))
+            else:
+                points = {Fraction(rng.randint(-90, 90), rng.choice((1, 2, 3, 5, 7))) for _ in range(k)}
+            layout = ServerLayout(tuple(sorted(points)))
+            assert alpha_bruteforce(layout) == bitmask_alpha_bruteforce(layout), layout.positions
+
+    def test_largest_guarded_size_matches_the_split_blocks(self):
+        rng = random.Random(2020)
+        points = set()
+        while len(points) < BRUTEFORCE_MAX_K:
+            points.add(Fraction(rng.randint(0, 10**6)))
+        layout = ServerLayout(tuple(sorted(points)))
+        metrics = alpha_bruteforce(layout)
+        assert metrics.alpha == alpha_fast(layout).alpha
+        assert gap_ratio(tuple(layout.positions[j] for j in metrics.witness)) == metrics.alpha
