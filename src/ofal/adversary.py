@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .algorithms import build_split_tree, ptcp_rule, split_geometry
+from .algorithms import gap_table, ptcp_rule
 from .core import (
     MAX_NUMBER_DIGITS,
     Instance,
@@ -294,25 +294,12 @@ def candidate_points(
     positions = layout.positions
     lo, hi = positions[0], positions[-1]
     points: set[Fraction] = set(positions)
-    tree = build_split_tree(layout)
-    for i, a in enumerate(tree.split):
-        if a is not None:
-            gap, _, _, _, crit = split_geometry(tree, i, layout)
-            points.add(crit)
-            if include_offsets:
-                points.update((crit - gap / OFFSET_DEN, crit + gap / OFFSET_DEN))
-    for a, b in zip(positions, positions[1:]):
-        gap = b - a
-        mid = (a + b) / 2
-        points.add(mid)
+    critical, _ = gap_table(layout)
+    for a, b, (num, den) in zip(positions, positions[1:], critical):
+        crit, mid = Fraction(num, den), (a + b) / 2
+        points.update((crit, mid))
         if include_offsets:
-            points.update(
-                (
-                    mid - gap / OFFSET_DEN,
-                    mid + gap / OFFSET_DEN,
-                    a + gap / OFFSET_DEN,
-                    b - gap / OFFSET_DEN,
-                )
-            )
+            step = (b - a) / OFFSET_DEN
+            points.update((crit - step, crit + step, mid - step, mid + step, a + step, b - step))
     return tuple(sorted(p for p in points if lo <= p <= hi))
 

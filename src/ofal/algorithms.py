@@ -3,44 +3,23 @@ composition that bolts one extra server onto an existing rule.
 
 The split-tree rule ("ptcp") recursively partitions the servers at a
 maximum adjacent gap; each internal block has a critical point inside
-its gap.  ptcp and greedy pick one of the two free servers around a
-request (``surrounding_rule``), switching from left to right at the
-critical point of the block that separates them, or at their midpoint.
+its gap.  Each gap splits exactly one block, so ``gap_table`` holds the
+tree as one critical point and one reach per gap.  ptcp and greedy pick
+one of the two free servers around a request (``surrounding_rule``),
+switching from left to right at the critical point of the block that
+separates them, or at their midpoint.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable
 
 from .core import ServerLayout, ValidationError, fraction_str
 from .engine import PicksFn, PriorityRule, surrounding_servers
-
-
-@dataclass(frozen=True)
-class SplitTree:
-    """The split tree of a layout as one table of blocks in preorder.
-
-    Block i covers the servers lo[i]..hi[i]; block 0 covers all of them.
-    A leaf is a single server (lo == hi), and its ``split``, ``right`` and
-    ``critical`` entries are None.  An internal block splits after server
-    a = split[i] (lo <= a < hi) at the leftmost maximum adjacent gap of
-    the block; its left child is block i + 1 and its right child is block
-    right[i].  critical[i] is the block's critical point as a reduced
-    (numerator, denominator) pair, its one stored form and ptcp's
-    threshold; ``split_geometry`` gives the rest of the block's geometry.
-    A tree of k servers has 2k - 1 blocks.
-    """
-
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
-    split: tuple[int | None, ...]
-    right: tuple[int | None, ...]
-    critical: tuple[tuple[int, int] | None, ...]
 
 
 def split_blocks(ints: Sequence[int]) -> Iterator[tuple[int, int, int | None]]:
@@ -81,25 +60,24 @@ def split_blocks(ints: Sequence[int]) -> Iterator[tuple[int, int, int | None]]:
             todo += ((a + 1, hi, right[a]), (lo, a, left[a]))
 
 
-def build_split_tree(layout: ServerLayout) -> SplitTree:
-    """Build the split tree over all servers of a layout.
-
-    The blocks of ``split_blocks`` on ``layout.scaled``, each internal one
-    with D = s[a+1] - s[a], Delta1 = s[a] - s[lo], Delta2 = s[hi] - s[a+1]
-    and the critical point
+def gap_table(layout: ServerLayout) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """(critical, reach), indexed by gap a between servers a and a + 1,
+    which splits exactly one internal block (lo, hi) of ``split_blocks``
+    on ``layout.scaled``.  With D = s[a+1] - s[a], Delta1 = s[a] - s[lo]
+    and Delta2 = s[hi] - s[a+1], critical[a] is the block's critical point
 
         s[a] + x,  x = D * (Delta2 + D) / ((Delta1 + D) + (Delta2 + D)),
 
-    as ints over the layout's scale, reduced to lowest terms.  Positions
-    are distinct, so D > 0 and 0 < x < D: the critical point lies
-    strictly inside the gap.  The left subtree of a block over m servers
-    has 2m - 1 blocks, so the right child follows it at i + 2m.
+    as ints over the layout's scale reduced to a (num, den) pair; D > 0,
+    so 0 < x < D.  reach[a] is hi: a gap pops only strictly smaller gaps,
+    so gap hi is the first gap right of a strictly larger than gap a, and
+    hi = k - 1 when there is none.
     """
     ints, scale = layout.scaled
-    rows: list[tuple] = []  # (lo, hi, split, right, critical) per block
+    critical: list = [None] * (len(ints) - 1)  # every gap is set below
+    reach = critical.copy()
     for lo, hi, a in split_blocks(ints):
         if a is None:
-            rows.append((lo, hi, None, None, None))
             continue
         d = ints[a + 1] - ints[a]
         delta1 = ints[a] - ints[lo]
@@ -107,26 +85,8 @@ def build_split_tree(layout: ServerLayout) -> SplitTree:
         den = (delta1 + d) + (delta2 + d)
         num, den = ints[a] * den + d * (delta2 + d), den * scale
         g = gcd(num, den)
-        rows.append((lo, hi, a, len(rows) + 2 * (a - lo + 1), (num // g, den // g)))
-    return SplitTree(*map(tuple, zip(*rows)))
-
-
-def split_geometry(
-    tree: SplitTree, i: int, layout: ServerLayout
-) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
-    """(D, Delta1, Delta2, x, critical point) of internal block i, as
-    Fractions: D = s[a+1] - s[a] is the split gap, Delta1 = s[a] - s[lo]
-    and Delta2 = s[hi] - s[a+1] the spans of the two children, and
-    x = critical - s[a] the critical offset into the gap (see
-    ``build_split_tree`` for its formula).  Raises ValidationError for a
-    leaf, which has no split.
-    """
-    a = tree.split[i]
-    if a is None:
-        raise ValidationError(f"block {i} is a leaf and has no split")
-    s = layout.positions
-    critical = Fraction(*tree.critical[i])
-    return s[a + 1] - s[a], s[a] - s[tree.lo[i]], s[tree.hi[i]] - s[a + 1], critical - s[a], critical
+        critical[a], reach[a] = (num // g, den // g), hi
+    return tuple(critical), tuple(reach)
 
 
 def surrounding_rule(
@@ -181,25 +141,16 @@ def surrounding_rule(
     return PriorityRule(id=rule_id, decide=decide, batch=batch)
 
 
-def separating_block(tree: SplitTree, left: int, right: int) -> int:
-    """The block whose split separates servers left < right: the smallest
-    block holding both.  From the root, go to the left child while right
-    <= split, to the right child while left > split, and stop at the first
-    block with left <= split < right.  Two int comparisons per level."""
-    split, right_child, i = tree.split, tree.right, 0
-    while True:
-        a = split[i]
-        if right <= a:
-            i += 1
-        elif left > a:
-            i = right_child[i]
-        else:
-            return i
-
-
 def ptcp_rule(layout: ServerLayout) -> PriorityRule:
     """The split-tree rule: a ``surrounding_rule`` whose threshold for free
-    servers left < right is the critical point of their ``separating_block``.
+    servers left < right is the critical point of the block that separates
+    them, the smallest block holding both.  It holds every gap between
+    them and splits at its leftmost maximum gap, the leftmost maximum of
+    [left, right).  From a = left, the threshold steps to reach[a] of
+    ``gap_table``, the next strictly larger gap, while it lies before
+    right: it visits the strict running maxima of the gaps from left and
+    stops at that split.  O(1) for adjacent or evenly spaced servers, one
+    step per gap (O(k)) when the gaps strictly increase.
 
     This equals the paper's descent: at each block, go left iff r <= its
     critical point and the left child has a free server, or the right
@@ -218,8 +169,15 @@ def ptcp_rule(layout: ServerLayout) -> PriorityRule:
     The same argument ends the descent on the free server at r, or on the
     nearest one when every free server lies on one side of r.
     """
-    tree = build_split_tree(layout)
-    return surrounding_rule("ptcp", layout, lambda left, right: tree.critical[separating_block(tree, left, right)])
+    critical, reach = gap_table(layout)
+
+    def threshold(left: int, right: int) -> tuple[int, int]:
+        a = left
+        while reach[a] < right:
+            a = reach[a]
+        return critical[a]
+
+    return surrounding_rule("ptcp", layout, threshold)
 
 
 def greedy_rule(layout: ServerLayout) -> PriorityRule:
@@ -270,26 +228,30 @@ RULE_BUILDERS = {
 }
 
 
-def tree_to_dict(tree: SplitTree, layout: ServerLayout) -> dict:
-    """JSON-friendly dump of a split tree for inspection: nested dicts,
-    built bottom-up (a block's children follow it in preorder)."""
-    out: list = [None] * len(tree.lo)
-    for i in reversed(range(len(tree.lo))):
-        a = tree.split[i]
+def tree_to_dict(layout: ServerLayout) -> dict:
+    """JSON-friendly dump of the split tree for inspection: nested dicts,
+    built bottom-up from ``split_blocks`` in reverse preorder, where a
+    block's left child is the last block finished and its right child the
+    one before.  D, Delta1, Delta2 and x are those of ``gap_table``."""
+    s = layout.positions
+    done: list[dict] = []
+    for lo, hi, a in reversed(list(split_blocks(layout.scaled[0]))):
         if a is None:
-            out[i] = {"server": tree.lo[i], "position": fraction_str(layout.positions[tree.lo[i]])}
+            done.append({"server": lo, "position": fraction_str(s[lo])})
             continue
-        d, delta1, delta2, x, critical = split_geometry(tree, i, layout)
-        out[i] = {
-            "lo": tree.lo[i],
-            "hi": tree.hi[i],
+        d, delta1, delta2 = s[a + 1] - s[a], s[a] - s[lo], s[hi] - s[a + 1]
+        x = d * (delta2 + d) / ((delta1 + d) + (delta2 + d))
+        left, right = done.pop(), done.pop()
+        done.append({
+            "lo": lo,
+            "hi": hi,
             "split_after": a,
             "gap": fraction_str(d),
             "delta1": fraction_str(delta1),
             "delta2": fraction_str(delta2),
             "x": fraction_str(x),
-            "critical": fraction_str(critical),
-            "left": out[i + 1],
-            "right": out[tree.right[i]],
-        }
-    return out[0]
+            "critical": fraction_str(s[a] + x),
+            "left": left,
+            "right": right,
+        })
+    return done.pop()

@@ -17,11 +17,12 @@ import sys
 from . import __version__
 from .alpha import alpha_fast, aspect_ratio, gap_ratio
 from .adversary import adversary, random_layout, random_sequences
-from .algorithms import RULE_BUILDERS, build_split_tree, tree_to_dict
+from .algorithms import RULE_BUILDERS, tree_to_dict
 from .core import (
     INF,
     OfalError,
     ParseError,
+    check_output_path,
     compute_rate,
     fraction_decimal,
     fraction_str,
@@ -88,9 +89,8 @@ def cmd_alpha(args) -> int:
 
 def cmd_tree(args) -> int:
     inst = load_instance(args.instance)
-    tree = build_split_tree(inst.layout)
     try:
-        text = json.dumps(tree_to_dict(tree, inst.layout), indent=2)
+        text = json.dumps(tree_to_dict(inst.layout), indent=2)
     except RecursionError:
         raise OfalError(f"the split tree of {inst.k} servers nests too deep to print as JSON")
     print(text)
@@ -117,6 +117,8 @@ def cmd_adversary(args) -> int:
     if args.out_prefix:
         inst_path = f"{args.out_prefix}.instance.json"
         seq_path = f"{args.out_prefix}.sequence.json"
+        for path in (inst_path, seq_path):
+            check_output_path(path, "--out-prefix file")
         save_instance(inst, inst_path)
         save_sequence(seq, seq_path)
         print(json.dumps({"instance": inst_path, "sequence": seq_path}))

@@ -338,6 +338,15 @@ def instance_to_dict(inst: Instance) -> dict:
     }
 
 
+def check_output_path(path: str, what: str) -> None:
+    """Raise ValidationError unless a file can be created at ``path``: it
+    must not name a directory, and its directory must exist."""
+    if Path(path).is_dir():
+        raise ValidationError(f"{what} {path} is a directory")
+    if not Path(path).parent.is_dir():
+        raise ValidationError(f"{what} {path} lies in a missing directory")
+
+
 def save_instance(inst: Instance, path: str | Path) -> None:
     Path(path).write_text(json.dumps(instance_to_dict(inst)) + "\n", encoding="utf-8")
 

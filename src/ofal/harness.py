@@ -32,6 +32,7 @@ from .core import (
     RequestSequence,
     ServerLayout,
     ValidationError,
+    check_output_path,
     compute_rate,
     fraction_decimal,
     fraction_str,
@@ -72,8 +73,9 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        """Check every field's type and range, and that the two sources fit
-        together, once, when the config is built."""
+        """Check every field's type and range, that each output path can be
+        created and that the two sources fit together, once, when the
+        config is built."""
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
@@ -84,6 +86,8 @@ class ExperimentConfig:
         for key in ("out_csv", "out_json"):
             if not isinstance(getattr(self, key), (str, type(None))):
                 raise ValidationError(f"config {key} must be a path string or null")
+            if getattr(self, key):
+                check_output_path(getattr(self, key), f"config {key}")
         if not isinstance(self.assert_bounds, bool):
             raise ValidationError("config assert_bounds must be true or false")
         src, seq_src = self.instance_source, self.sequence_source

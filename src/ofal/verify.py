@@ -12,6 +12,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 from .alpha import alpha_fast
@@ -341,7 +342,8 @@ def grid_search_max_rate(
                 f"grid search guard: {n_points} points to depth {depth_cap} "
                 f"exceed {GRID_SEARCH_MAX_NODES} nodes"
             )
-    servers_int, points_int, scale = scale_to_ints(inst.layout.positions, points)
+    # The fill is sized from the common scale before any point is scaled.
+    scale = lcm(*{v.denominator for v in (*inst.layout.positions, *points)})
     slots = sum(min(c, depth_cap) for c in inst.capacities)
     digits = scale.bit_length() * 30103 // 100000 + 1
     if n_points * slots * digits > GRID_FILL_MAX_SIZE:
@@ -349,6 +351,7 @@ def grid_search_max_rate(
             f"grid search guard: {n_points} points x {slots} slots x {digits} scale digits "
             f"exceed {GRID_FILL_MAX_SIZE}"
         )
+    servers_int, points_int, _ = scale_to_ints(inst.layout.positions, points)
     k = inst.k
     rows, weight, dist = multiset_optima(servers_int, inst.capacities, points_int, depth_cap)
     steps = tuple(zip(points, weight, dist))

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from ofal.algorithms import gap_table
 from ofal.core import AssignmentTrace, Instance, RequestSequence, RuleError, ServerLayout
 from ofal.engine import PriorityRule
 
@@ -23,6 +24,44 @@ def layout_of(*positions) -> ServerLayout:
 
 def seq_of(*requests) -> RequestSequence:
     return RequestSequence(tuple(Fraction(r) for r in requests))
+
+
+def reference_split_rows(layout: ServerLayout) -> list[tuple]:
+    """The split tree by the Fraction formula, each block scanned for its
+    leftmost maximum gap: preorder rows (lo, hi, a, D, Delta1, Delta2, x,
+    critical point), the last six None for a leaf.  O(k * depth)."""
+    positions, gaps = layout.positions, layout.gaps()
+    rows: list[tuple] = []
+    stack = [(0, layout.k - 1)]
+    while stack:
+        lo, hi = stack.pop()
+        if lo == hi:
+            rows.append((lo, hi) + (None,) * 6)
+            continue
+        a = max(range(lo, hi), key=gaps.__getitem__)
+        d = gaps[a]
+        delta1 = positions[a] - positions[lo]
+        delta2 = positions[hi] - positions[a + 1]
+        x = d * (delta2 + d) / ((delta1 + d) + (delta2 + d))
+        rows.append((lo, hi, a, d, delta1, delta2, x, positions[a] + x))
+        stack += ((a + 1, hi), (lo, a))
+    return rows
+
+
+def rows_by_split(rows) -> dict[int, tuple[tuple[int, int], int]]:
+    """{a: ((num, den) of the critical point, hi)} over the internal rows
+    of a reference tree whose row starts (lo, hi, a) and ends with the
+    critical point: what ``gap_table`` holds for gap a."""
+    return {
+        row[2]: ((row[-1].numerator, row[-1].denominator), row[1]) for row in rows if row[2] is not None
+    }
+
+
+def gap_table_by_split(layout: ServerLayout) -> dict[int, tuple[tuple[int, int], int]]:
+    """``gap_table`` as {a: (critical[a], reach[a])}."""
+    critical, reach = gap_table(layout)
+    assert len(critical) == len(reach) == layout.k - 1
+    return dict(enumerate(zip(critical, reach)))
 
 
 def check_trace(trace: AssignmentTrace, inst: Instance, seq: RequestSequence) -> None:

@@ -56,13 +56,15 @@ MUTANTS = (
             "tests/test_algorithms.py::TestGreedy::test_tie_breaks_left",
         ),
     ),
+    # The walk steps past right when a gap reaches exactly right, onto a
+    # gap outside the two servers.
     Mutant(
-        "ptcp-separating-block-right-edge",
+        "ptcp-chain-steps-past-right",
         "src/ofal/algorithms.py",
-        "if right <= a:",
-        "if right < a:",
+        "while reach[a] < right:",
+        "while reach[a] <= right:",
         (
-            "tests/test_online_kernels.py::TestSeparatingBlock::test_tie_heavy_layouts",
+            "tests/test_online_kernels.py::TestSeparatingBlock::test_every_layout_on_a_small_integer_grid",
             "tests/test_online_kernels.py::TestPtcpDecide::test_matches_the_any_scan_descent",
         ),
     ),
@@ -77,11 +79,14 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "split-right-child-index",
+        "tree-dump-children-swapped",
         "src/ofal/algorithms.py",
-        "len(rows) + 2 * (a - lo + 1)",
-        "len(rows) + 2 * (a - lo) + 1",
-        ("tests/test_algorithms.py::TestSplitTree::test_three_servers_asymmetric",),
+        "left, right = done.pop(), done.pop()",
+        "right, left = done.pop(), done.pop()",
+        (
+            "tests/test_algorithms.py::TestSplitTree::test_three_servers_asymmetric",
+            "tests/test_line_walk.py::test_split_tree_matches_the_rescanning_build",
+        ),
     ),
     # Greedy's midpoint moved one scaled unit left: an exact tie goes right.
     Mutant(

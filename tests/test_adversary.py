@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ofal.adversary import (
+    OFFSET_DEN,
     AdversaryParams,
     candidate_points,
     greedy_adversary,
@@ -16,13 +17,13 @@ from ofal.adversary import (
     random_sequences,
 )
 from ofal.algorithms import greedy_rule, ptcp_rule
-from ofal.core import Instance, ValidationError, compute_rate, unit_instance, validate_pair
+from ofal.core import Instance, ServerLayout, ValidationError, compute_rate, unit_instance, validate_pair
 from ofal.engine import simulate
 from ofal.offline import noncrossing_dp_cost, optimal_cost
 from ofal.permutation import permutation_run
 from ofal.verify import check_opposite
 
-from conftest import layout_of
+from conftest import layout_of, layouts, reference_split_rows
 
 
 class TestGreedyFamily:
@@ -178,7 +179,40 @@ class TestRandomFamilies:
                 assert validate_pair(inst, seq) is None
 
 
+def reference_candidate_points(layout, include_offsets=True):
+    """The two-loop version ``candidate_points`` replaced: the critical
+    point of every block of a reference split tree, then the midpoint of
+    every adjacent gap, each nudged by gap/OFFSET_DEN when asked."""
+    positions = layout.positions
+    lo, hi = positions[0], positions[-1]
+    points = set(positions)
+    for _, _, a, gap, _, _, _, crit in reference_split_rows(layout):
+        if a is not None:
+            points.add(crit)
+            if include_offsets:
+                points.update((crit - gap / OFFSET_DEN, crit + gap / OFFSET_DEN))
+    for a, b in zip(positions, positions[1:]):
+        gap = b - a
+        mid = (a + b) / 2
+        points.add(mid)
+        if include_offsets:
+            points.update((mid - gap / OFFSET_DEN, mid + gap / OFFSET_DEN, a + gap / OFFSET_DEN, b - gap / OFFSET_DEN))
+    return tuple(sorted(p for p in points if lo <= p <= hi))
+
+
 class TestGrids:
+    @given(layouts(max_k=10), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_candidate_points_match_the_two_loop_version(self, layout, offsets):
+        assert candidate_points(layout, include_offsets=offsets) == reference_candidate_points(layout, offsets)
+
+    def test_candidate_points_on_every_layout_of_a_small_grid(self):
+        # Equal gaps put critical points, midpoints and nudges together.
+        for mask in range(1, 1 << 7):
+            layout = ServerLayout(tuple(Fraction(i) for i in range(7) if mask >> i & 1))
+            for offsets in (False, True):
+                assert candidate_points(layout, offsets) == reference_candidate_points(layout, offsets), mask
+
     def test_candidate_points_k2(self):
         pts = candidate_points(layout_of(0, 1))
         assert pts == (

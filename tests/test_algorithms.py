@@ -6,73 +6,91 @@ from hypothesis import given, settings
 
 from ofal.algorithms import (
     RULE_BUILDERS,
-    SplitTree,
-    build_split_tree,
+    gap_table,
     split_blocks,
     greedy_rule,
     guard_rule,
     ptcp_rule,
-    split_geometry,
     tree_to_dict,
 )
 from ofal.alpha import alpha_fast, gap_ratio
 from ofal.core import ServerLayout, ValidationError, unit_instance
 from ofal.engine import simulate
 
-from conftest import check_trace, derive_priority_order, layout_of, layouts, seq_of
+from conftest import (
+    check_trace,
+    derive_priority_order,
+    gap_table_by_split,
+    layout_of,
+    layouts,
+    reference_split_rows,
+    rows_by_split,
+    seq_of,
+)
 
 
 class TestSplitTree:
     def test_two_servers_symmetric(self):
         layout = layout_of(0, 2)
-        tree = build_split_tree(layout)
-        assert tree.split[0] == 0
-        assert split_geometry(tree, 0, layout) == (2, 0, 0, 1, 1)
-        assert tree.critical[0] == (1, 1)
+        assert gap_table(layout) == (((1, 1),), (1,))
+        data = tree_to_dict(layout)
+        assert [data[key] for key in ("split_after", "gap", "delta1", "delta2", "x", "critical")] == [
+            0, "2", "0", "0", "1", "1"
+        ]
 
     def test_three_servers_asymmetric(self):
-        # Gap (1,3) dominates; x = 2*(0+2)/((1+2)+(0+2)) = 4/5.
+        # Gap (1,3) dominates; x = 2*(0+2)/((1+2)+(0+2)) = 4/5.  Gap 0
+        # splits the block 0..1, whose critical point is its midpoint.
         layout = layout_of(0, 1, 3)
-        tree = build_split_tree(layout)
-        d, delta1, delta2, x, critical = split_geometry(tree, 0, layout)
-        assert (tree.split[0], d, delta1, delta2) == (1, 2, 1, 0)
-        assert x == Fraction(4, 5)
-        assert critical == Fraction(9, 5) and tree.critical[0] == (9, 5)
-        # Preorder: root, its left block (0..1) and that block's two
-        # leaves, then the right leaf (2) at index right[0].
-        assert tree.hi[1] == 1 and tree.right[0] == 4
-        assert tree.lo[4] == tree.hi[4] == 2 and tree.split[4] is None
+        assert gap_table(layout) == (((1, 2), (9, 5)), (1, 2))
+        data = tree_to_dict(layout)
+        assert (data["split_after"], data["gap"], data["delta1"], data["delta2"]) == (1, "2", "1", "0")
+        assert data["x"] == "4/5" and data["critical"] == "9/5"
+        assert (data["left"]["lo"], data["left"]["hi"], data["left"]["critical"]) == (0, 1, "1/2")
+        assert data["left"]["left"]["server"] == 0 and data["left"]["right"]["server"] == 1
+        assert data["right"] == {"server": 2, "position": "3"}
 
     def test_single_server_leaf(self):
-        tree = build_split_tree(layout_of(5))
-        assert tree == SplitTree(lo=(0,), hi=(0,), split=(None,), right=(None,), critical=(None,))
-        with pytest.raises(ValidationError):
-            split_geometry(tree, 0, layout_of(5))
+        layout = layout_of(5)
+        assert gap_table(layout) == ((), ())
+        assert tree_to_dict(layout) == {"server": 0, "position": "5"}
+        assert ptcp_rule(layout).decide(Fraction(7), (0,)) == 0
 
     def test_max_gap_tie_breaks_left(self):
-        tree = build_split_tree(layout_of(0, 1, 2))
-        assert tree.split[0] == 0  # both gaps are 1; leftmost split wins
+        # Both gaps are 1; the leftmost split wins, so gap 0 splits the
+        # whole line and gap 1 reaches its end.
+        assert gap_table(layout_of(0, 1, 2)) == (((2, 3), (3, 2)), (2, 2))
+        assert tree_to_dict(layout_of(0, 1, 2))["split_after"] == 0
 
-    def test_deep_tree_compares_hashes_and_prints(self):
+    def test_deep_path_of_evenly_spaced_servers(self):
         # 1500 evenly spaced servers: every block splits after its leftmost
-        # server, so the tree is a path 1499 blocks deep.
+        # server, so the tree is a path 1499 blocks deep, and every gap
+        # reaches the last server.
         layout = ServerLayout(tuple(Fraction(i) for i in range(1500)))
-        a, b = build_split_tree(layout), build_split_tree(layout)
-        assert a == b and hash(a) == hash(b)
-        assert repr(a).startswith("SplitTree(")
-        assert a.split[:3] == (0, None, 1) and a.right[:3] == (2, None, 4)
+        critical, reach = gap_table(layout)
+        assert reach == (1499,) * 1499
+        # Block a..1499 splits at a: Delta1 = 0, D = 1, Delta2 = 1498 - a.
+        assert all(Fraction(*c) == a + Fraction(1499 - a, 1500 - a) for a, c in enumerate(critical))
+        decide = ptcp_rule(layout).decide
+        for left, right in ((0, 1), (0, 1499), (700, 701), (1498, 1499)):
+            c = Fraction(*critical[left])
+            assert decide(c, (left, right)) == left
+            assert decide(c + Fraction(1, 10**6), (left, right)) == right
+        free = tuple(range(0, 1500, 3))
+        points = [Fraction(i, 2) for i in range(3000)]
+        assert ptcp_rule(layout).picks(points)(free) == [decide(p, free) for p in points]
 
     @given(layouts(min_k=2, max_k=8))
     @settings(max_examples=120, deadline=None)
     def test_node_invariants(self, layout):
         positions = layout.positions
         alpha = alpha_fast(layout).alpha
-        tree = build_split_tree(layout)
-        for i, a in enumerate(tree.split):
+        rows = reference_split_rows(layout)
+        assert gap_table_by_split(layout) == rows_by_split(rows)
+        for lo, hi, a, d, delta1, delta2, x, critical in rows:
             if a is None:
                 continue
-            d, delta1, delta2, x, critical = split_geometry(tree, i, layout)
-            window = positions[tree.lo[i] : tree.hi[i] + 1]
+            window = positions[lo : hi + 1]
             gaps = [q - p for p, q in zip(window, window[1:])]
             assert d == max(gaps)
             assert 0 < x < d
@@ -89,8 +107,7 @@ class TestSplitTree:
             assert 2 * l_node + 1 <= 2 * alpha + 1
 
     def test_tree_dump_shape(self):
-        layout = layout_of(0, 1, 3)
-        data = tree_to_dict(build_split_tree(layout), layout)
+        data = tree_to_dict(layout_of(0, 1, 3))
         assert data["critical"] == "9/5"
         assert data["right"]["server"] == 2
 
@@ -131,7 +148,14 @@ class TestSplitBlocks:
         ints = list(range(2000))
         blocks = list(split_blocks(ints))
         assert blocks == list(reference_split_blocks(ints))
-        assert [b for b in blocks if b[2] is not None] == [(lo, 1999, lo) for lo in range(1999)]
+        inner = [b for b in blocks if b[2] is not None]
+        assert inner == [(lo, 1999, lo) for lo in range(1999)]
+        # gap_table keyed by split: gap a reaches its block's end hi, and
+        # its block has Delta1 = 0, D = 1 and Delta2 + D = hi - a.
+        critical, reach = gap_table(ServerLayout(tuple(map(Fraction, ints))))
+        assert [(reach[a], Fraction(*critical[a])) for _, _, a in inner] == [
+            (hi, a + Fraction(hi - a, 1 + (hi - a))) for _, hi, a in inner
+        ]
 
 
 class TestSplitRuleDecisions:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from ofal.algorithms import build_split_tree, greedy_rule, ptcp_rule
+from ofal.algorithms import gap_table, greedy_rule, ptcp_rule
 from ofal.core import Instance, ServerLayout, ValidationError
 from ofal.engine import PriorityRule
 
@@ -37,10 +37,9 @@ def seeded_layout(rng):
 def tie_points(layout):
     """Servers, critical points, every pairwise midpoint and a point past
     each end of the line."""
-    tree = build_split_tree(layout)
     s = layout.positions
     points = list(s)
-    points += [Fraction(*c) for c in tree.critical if c is not None]
+    points += [Fraction(*c) for c in gap_table(layout)[0]]
     points += [(a + b) / 2 for i, a in enumerate(s) for b in s[i + 1:]]
     points += [s[0] - 1, s[-1] + Fraction(1, 3)]
     return points

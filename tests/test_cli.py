@@ -168,6 +168,14 @@ class TestGenerators:
         assert len(inst["servers"]) == 4
         assert len(seq["requests"]) == 4
 
+    def test_adversary_into_a_missing_directory_is_one_error_line(self, capsys, tmp_path):
+        prefix = str(tmp_path / "missing" / "adv")
+        code, out, err = run_cli(capsys, "adversary", "greedy", "--k", "3", "--out-prefix", prefix)
+        assert code == EXIT_ERROR
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "lies in a missing directory" in err
+        assert not (tmp_path / "missing").exists()
+
     def test_permutation_adversary_input_limits(self, capsys, tmp_path):
         # At epsilon = 1/10, k = 108 is the largest whose files load back.
         prefix = str(tmp_path / "adv")
@@ -419,6 +427,22 @@ class TestBatch:
             code, _, err = run_cli(capsys, "run", str(cfg))
             assert code == EXIT_ERROR
             assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["out_csv", "out_json"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_run_refuses_an_unwritable_output_path(self, capsys, tmp_path, key, where):
+        # Refused when the config is read, before the first trial runs.
+        path = tmp_path / "missing" / "out.txt" if where == "missing-directory" else tmp_path
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "algorithms": ["ptcp"],
+            "instance_source": {"kind": "adversary", "family": "greedy", "k": 3},
+            "sequence_source": {"kind": "adversary"},
+            key: str(path),
+        }))
+        code, out, err = run_cli(capsys, "run", str(cfg))
+        assert code == EXIT_ERROR
+        assert out == "" and err.startswith(f"error: config {key} {path} ") and err.count("\n") == 1
 
     def test_run_rate_beyond_float_range(self, capsys, tmp_path):
         # Servers at 0 and 2^1..2^1039, requests at 2^t + 1/10 for t = 0..1039

@@ -1,12 +1,13 @@
 """Differential check: the split tree, the threshold-check candidates and
 the monotone-chain check agree with the code they replaced.
 
-``build_split_tree`` computes the gaps once and takes the leftmost
-maximum gap of each block; ``c3_candidates`` falls back to the
-surrounding servers of the rule's choice with that server taken out;
-``check_chain_monotone`` compares server indices.  The reference
-functions below are the earlier code, inlined: a recursion that
-recomputes every gap of a block at each level, left/right lists of free
+``gap_table`` keeps one critical point and one reach per gap, and
+``tree_to_dict`` nests ``split_blocks`` in one reverse pass;
+``c3_candidates`` falls back to the surrounding servers of the rule's
+choice with that server taken out; ``check_chain_monotone`` compares
+server indices.  The reference functions below are the earlier code,
+inlined: a recursion that recomputes every gap of a block at each level
+and derives each block's geometry by Fractions, left/right lists of free
 indices around the choice (after three scans of the free set for the
 surrounding servers), and comparisons of server positions.  Layouts are
 drawn on an integer grid so that equal maximum gaps occur, and the free
@@ -22,18 +23,12 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from ofal.algorithms import (
-    build_split_tree,
-    greedy_rule,
-    ptcp_rule,
-    split_geometry,
-    tree_to_dict,
-)
+from ofal.algorithms import greedy_rule, ptcp_rule, tree_to_dict
 from ofal.core import RequestSequence, ServerLayout, ValidationError, fraction_str, unit_instance
 from ofal.engine import PriorityRule, simulate
 from ofal.hybrid import CheckResult, c3_candidates, check_chain_monotone, free_before, run_hybrid
 
-from conftest import layouts
+from conftest import gap_table_by_split, layouts, rows_by_split
 
 
 def reference_build_split_tree(layout, lo=0, hi=None, i=0):
@@ -57,15 +52,6 @@ def reference_build_split_tree(layout, lo=0, hi=None, i=0):
     left = reference_build_split_tree(layout, lo, a, i + 1)
     right = reference_build_split_tree(layout, a + 1, hi, i + 1 + len(left))
     return [(lo, hi, a, i + 1 + len(left), d, delta1, delta2, x, positions[a] + x)] + left + right
-
-
-def table_rows(tree, layout):
-    """The same rows read from the preorder table and ``split_geometry``."""
-    return [
-        (tree.lo[i], tree.hi[i], a, tree.right[i])
-        + ((None,) * 5 if a is None else split_geometry(tree, i, layout))
-        for i, a in enumerate(tree.split)
-    ]
 
 
 def rows_to_dict(rows, layout, i=0):
@@ -204,11 +190,10 @@ def runs(draw, kinds=("ptcp", "greedy", "farthest", "seeded", "hashed")):
 @given(any_layout)
 @settings(max_examples=300, deadline=None)
 def test_split_tree_matches_the_rescanning_build(layout):
-    tree = build_split_tree(layout)
     reference = reference_build_split_tree(layout)
-    # Every block's bounds, split, right child and geometry, in preorder.
-    assert table_rows(tree, layout) == reference
-    assert tree_to_dict(tree, layout) == rows_to_dict(reference, layout)
+    # Every gap's critical point and reach, against the block it splits.
+    assert gap_table_by_split(layout) == rows_by_split(reference)
+    assert tree_to_dict(layout) == rows_to_dict(reference, layout)
 
 
 @given(runs())

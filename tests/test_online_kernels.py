@@ -2,21 +2,20 @@
 replaced.
 
 ptcp's ``decide`` takes the two ``surrounding_servers`` of a request and
-compares it with the critical point of the block that separates them by
-an integer cross product; ``alpha_fast`` scans intervals on scaled
+compares it with the critical point of the block that separates them,
+found from ``gap_table`` by following each gap to the next larger one,
+by an integer cross product; ``alpha_fast`` scans intervals on scaled
 integers; ``dp_cost_ints`` sends the sorted requests to increasing
 capacity slots, keeping only the slots each request can reach;
-``surrounding_servers``, greedy's ``decide`` and ``build_split_tree``
-work on the layout's scaled integers.  The reference
-functions below are the earlier code, inlined: the split-tree descent
-with two ``any()`` scans and a Fraction ``<=`` per tree level, one Fraction division per interval, the
+``surrounding_servers``, greedy's ``decide`` and ``gap_table`` work on
+the layout's scaled integers.  The reference functions below are the
+earlier code, inlined: the nested split tree of frozen node objects, its
+descent with two ``any()`` scans and a Fraction ``<=`` per tree level and
+its bisecting descent, one Fraction division per interval, the
 server-major DP over a window of reachable prefix lengths and, before it,
 the full triple loop over every state and block length, a bisection of
-the Fraction positions,
-two Fraction distances per greedy decision, the Fraction
-critical-point formula, and the nested split tree of frozen node objects
-with its bisecting descent, which the preorder table of ``SplitTree``
-replaced.
+the Fraction positions, two Fraction distances per greedy decision, and
+the Fraction critical-point formula (``conftest.reference_split_rows``).
 Results must be equal, including which of several tied maximisers or
 servers is reported.
 """
@@ -29,26 +28,103 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ofal.algorithms import build_split_tree, greedy_rule, ptcp_rule, separating_block, split_geometry
+from ofal.algorithms import gap_table, greedy_rule, ptcp_rule
 from ofal.alpha import Metrics, alpha_fast
 from ofal.core import Instance, RequestSequence, ServerLayout, ValidationError
 from ofal.engine import PriorityRule, simulate, surrounding_servers
 from ofal.offline import dp_cost_ints
 from ofal.verify import check_surrounding_oriented
 
-from conftest import layout_of, layouts
+from conftest import gap_table_by_split, layout_of, layouts, reference_split_rows, rows_by_split
+
+
+@dataclass(frozen=True)
+class NestedSplitTree:
+    lo: int
+    hi: int
+    a: int | None = None
+    d: Fraction | None = None
+    delta1: Fraction | None = None
+    delta2: Fraction | None = None
+    x: Fraction | None = None
+    critical: Fraction | None = None
+    left: "NestedSplitTree | None" = None
+    right: "NestedSplitTree | None" = None
+    critical_pair: tuple[int, int] | None = None
+
+    @property
+    def is_leaf(self):
+        return self.lo == self.hi
+
+    def nodes(self):
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if not node.is_leaf:
+                stack += (node.right, node.left)
+
+
+def nested_build_split_tree(layout):
+    ints, scale = layout.scaled
+    gaps = [b - a for a, b in zip(ints, ints[1:])]
+    order = []
+    stack = [(0, layout.k - 1)]
+    while stack:
+        lo, hi = stack.pop()
+        a = None if lo == hi else max(range(lo, hi), key=gaps.__getitem__)
+        order.append((lo, hi, a))
+        if a is not None:
+            stack += ((a + 1, hi), (lo, a))
+    built = []
+    for lo, hi, a in reversed(order):
+        if a is None:
+            built.append(NestedSplitTree(lo=lo, hi=hi))
+            continue
+        d = gaps[a]
+        delta1 = ints[a] - ints[lo]
+        delta2 = ints[hi] - ints[a + 1]
+        x_num, den = d * (delta2 + d), (delta1 + d) + (delta2 + d)
+        critical = Fraction(ints[a] * den + x_num, den * scale)
+        built.append(NestedSplitTree(
+            lo=lo,
+            hi=hi,
+            a=a,
+            d=Fraction(d, scale),
+            delta1=Fraction(delta1, scale),
+            delta2=Fraction(delta2, scale),
+            x=Fraction(x_num, den * scale),
+            critical=critical,
+            left=built.pop(),
+            right=built.pop(),
+            critical_pair=(critical.numerator, critical.denominator),
+        ))
+    return built.pop()
 
 
 def reference_ptcp_decide(tree, r, free):
-    i = 0
-    while (a := tree.split[i]) is not None:
-        left_free = any(tree.lo[i] <= j <= a for j in free)
-        right_free = any(a < j <= tree.hi[i] for j in free)
-        if (r <= Fraction(*tree.critical[i]) and left_free) or not right_free:
-            i += 1
+    node = tree
+    while not node.is_leaf:
+        left_free = any(node.lo <= j <= node.a for j in free)
+        right_free = any(node.a < j <= node.hi for j in free)
+        node = node.left if (r <= node.critical and left_free) or not right_free else node.right
+    return node.lo
+
+
+def nested_ptcp_decide(tree, r, free):
+    if not free:
+        raise ValidationError("ptcp undefined for an empty free set")
+    i0, i1 = 0, len(free)
+    rn, rd = r.numerator, r.denominator
+    node = tree
+    while not node.is_leaf:
+        m = bisect_right(free, node.a, i0, i1)
+        cn, cd = node.critical_pair
+        if m == i1 or (m > i0 and rn * cd <= cn * rd):
+            node, i1 = node.left, m
         else:
-            i = tree.right[i]
-    return tree.lo[i]
+            node, i0 = node.right, m
+    return node.lo
 
 
 def reference_alpha_fast(layout):
@@ -146,7 +222,7 @@ def reference_dp_cost_ints(servers, caps, requests):
 
 
 def critical_points(tree):
-    return [Fraction(*c) for c in tree.critical if c is not None]
+    return [node.critical for node in tree.nodes() if not node.is_leaf]
 
 
 @st.composite
@@ -165,19 +241,19 @@ def mixed_layouts(draw, max_k=12):
 
 @st.composite
 def ptcp_cases(draw):
-    """A layout, a request and a free set.  Layouts are on a quarter grid
-    or have mixed denominators and negative positions.  Requests sit on
-    critical points (which must go left), on servers or on an eighth
-    grid; the free set may have one block of a drawn node emptied."""
+    """A layout, its nested reference tree, a request and a free set.
+    Layouts are on a quarter grid or have mixed denominators and negative
+    positions.  Requests sit on critical points (which must go left), on
+    servers or on an eighth grid; the free set may have one block of a
+    drawn node emptied."""
     layout = draw(st.one_of(layouts(max_k=12), mixed_layouts()))
-    tree = build_split_tree(layout)
+    tree = nested_build_split_tree(layout)
     k = layout.k
     free = set(draw(st.sets(st.integers(0, k - 1), min_size=1)))
-    inner = [i for i, a in enumerate(tree.split) if a is not None]
+    inner = [node for node in tree.nodes() if not node.is_leaf]
     if inner and draw(st.booleans()):
-        i = draw(st.sampled_from(inner))
-        a = tree.split[i]
-        lo, hi = (tree.lo[i], a) if draw(st.booleans()) else (a + 1, tree.hi[i])
+        node = draw(st.sampled_from(inner))
+        lo, hi = (node.lo, node.a) if draw(st.booleans()) else (node.a + 1, node.hi)
         emptied = free - set(range(lo, hi + 1))
         if emptied:
             free = emptied
@@ -199,25 +275,24 @@ class TestPtcpDecide:
     def test_critical_points_go_left(self, layout):
         # With every server free, a request exactly on a block's critical
         # point that reaches the block lands in its left child.
-        tree = build_split_tree(layout)
+        tree = nested_build_split_tree(layout)
         decide = ptcp_rule(layout).decide
         full = tuple(range(layout.k))
-        for i, a in enumerate(tree.split):
-            if a is None:
+        for node in tree.nodes():
+            if node.is_leaf:
                 continue
-            critical = Fraction(*tree.critical[i])
-            free = tuple(range(tree.lo[i], tree.hi[i] + 1))
-            j = decide(critical, free)
-            assert tree.lo[i] <= j <= a
-            assert j == reference_ptcp_decide(tree, critical, free)
-            assert decide(critical, full) == reference_ptcp_decide(tree, critical, full)
+            free = tuple(range(node.lo, node.hi + 1))
+            j = decide(node.critical, free)
+            assert node.lo <= j <= node.a
+            assert j == reference_ptcp_decide(tree, node.critical, free)
+            assert decide(node.critical, full) == reference_ptcp_decide(tree, node.critical, full)
 
     def test_one_block_empty(self):
         layout = layout_of(0, 1, 3, 4)
-        tree = build_split_tree(layout)
         decide = ptcp_rule(layout).decide
-        # Root splits after server 1 at critical point 2.
-        assert tree.split[0] == 1 and tree.critical[0] == (2, 1)
+        # Root splits after server 1 at critical point 2; gaps 0 and 2
+        # split its children at their midpoints.
+        assert gap_table(layout) == (((1, 2), (2, 1), (7, 2)), (1, 3, 3))
         assert decide(Fraction(0), (2, 3)) == 2
         assert decide(Fraction(4), (0, 1)) == 1
         assert decide(Fraction(2), (0, 3)) == 0
@@ -237,7 +312,7 @@ class TestPtcpDecide:
             den = rng.choice((1, 2, 3))
             layout = ServerLayout(tuple(Fraction(t, den) for t in ticks))
             inst = Instance(layout, tuple(rng.randint(1, 3) for _ in range(k)))
-            tree = build_split_tree(layout)
+            tree = nested_build_split_tree(layout)
             points = critical_points(tree) + list(layout.positions) + [Fraction(t, 4) for t in range(-4, 60)]
             seq = RequestSequence(tuple(rng.choice(points) for _ in range(rng.randint(0, inst.total_capacity))))
             descent = PriorityRule("ptcp-descent", lambda r, free, tree=tree: reference_ptcp_decide(tree, r, free))
@@ -253,19 +328,38 @@ def leftmost_max_gap_split(layout, left, right):
     return max(range(left, right), key=lambda a: s[a + 1] - s[a])
 
 
+def nested_by_split(tree):
+    """{a: (critical pair, hi)} over the internal nodes of a nested tree."""
+    return {node.a: (node.critical_pair, node.hi) for node in tree.nodes() if not node.is_leaf}
+
+
 class TestSeparatingBlock:
     """The block that separates two servers is the one split at the
     leftmost maximum gap between them: each block splits at its own
     leftmost maximum gap, and the smallest block holding both servers
-    holds every gap between them."""
+    holds every gap between them.  ptcp's threshold for two free servers
+    walks ``gap_table``'s reach to that gap and returns its critical
+    point: a request there goes left, one just right of it goes right."""
+
+    def check_pairs(self, layout, splits):
+        """``splits`` holds (left, right, a), a the separating gap."""
+        critical, _ = gap_table(layout)
+        decide = ptcp_rule(layout).decide
+        s = layout.positions
+        for left, right, a in splits:
+            c = Fraction(*critical[a])
+            # Gap a holds no other critical point, so these pin the threshold.
+            assert decide(c, (left, right)) == left, (left, right)
+            assert decide((c + s[a + 1]) / 2, (left, right)) == right, (left, right)
 
     def check_every_pair(self, layout):
-        tree = build_split_tree(layout)
-        for left in range(layout.k):
-            for right in range(left + 1, layout.k):
-                i = separating_block(tree, left, right)
-                assert tree.lo[i] <= left <= tree.split[i] < right <= tree.hi[i]
-                assert tree.split[i] == leftmost_max_gap_split(layout, left, right)
+        assert gap_table_by_split(layout) == nested_by_split(nested_build_split_tree(layout))
+        k = layout.k
+        self.check_pairs(layout, [
+            (left, right, leftmost_max_gap_split(layout, left, right))
+            for left in range(k)
+            for right in range(left + 1, k)
+        ])
 
     @given(st.one_of(layouts(min_k=2, max_k=12, den=1, hull=16), mixed_layouts()))
     @settings(max_examples=150, deadline=None)
@@ -279,15 +373,15 @@ class TestSeparatingBlock:
 
     def test_evenly_spaced_servers_make_a_path(self):
         # Each block of 2000 evenly spaced servers splits after its first
-        # server, so the tree is a path and the descent runs left + 1 levels.
+        # server, so the tree is a path, every gap reaches the last server
+        # and the walk stops at once, on gap left.  ``TestSplitBlocks``
+        # checks the table against the reference blocks.
         layout = ServerLayout(tuple(Fraction(i) for i in range(2000)))
-        tree = build_split_tree(layout)
-        assert all(a is None or a == lo for a, lo in zip(tree.split, tree.lo))
+        assert gap_table(layout)[1] == (1999,) * 1999
         rng = random.Random(2000)
         pairs = [(0, 1), (0, 1999), (1998, 1999)] + [tuple(sorted(rng.sample(range(2000), 2))) for _ in range(300)]
-        for left, right in pairs:
-            i = separating_block(tree, left, right)
-            assert (tree.lo[i], tree.split[i]) == (left, left) == (left, leftmost_max_gap_split(layout, left, right))
+        # All gaps are equal, so the leftmost maximum is gap left.
+        self.check_pairs(layout, [(left, right, left) for left, right in pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +479,7 @@ class TestDpWindow:
 
 # ---------------------------------------------------------------------------
 # The scaled-integer layers: surrounding_servers, greedy's decide and
-# build_split_tree
+# gap_table
 # ---------------------------------------------------------------------------
 
 
@@ -413,25 +507,6 @@ def reference_greedy_decide(r, free, layout):
     return left
 
 
-def reference_fraction_split_tree(layout):
-    """Preorder rows (lo, hi, a, D, Delta1, Delta2, x, critical point)."""
-    positions = layout.positions
-    gaps = layout.gaps()
-
-    def build(lo, hi):
-        if lo == hi:
-            return [(lo, hi, None, None, None, None, None, None)]
-        a = max(range(lo, hi), key=gaps.__getitem__)
-        d = gaps[a]
-        delta1 = positions[a] - positions[lo]
-        delta2 = positions[hi] - positions[a + 1]
-        x = d * (delta2 + d) / ((delta1 + d) + (delta2 + d))
-        row = (lo, hi, a, d, delta1, delta2, x, positions[a] + x)
-        return [row] + build(lo, a) + build(a + 1, hi)
-
-    return build(0, layout.k - 1)
-
-
 def boundary_requests(layout):
     """Every server, every midpoint of two servers (a distance tie once the
     servers between them are used), every critical point, and points just
@@ -439,7 +514,7 @@ def boundary_requests(layout):
     positions = layout.positions
     points = set(positions)
     points.update((a + b) / 2 for i, a in enumerate(positions) for b in positions[i + 1 :])
-    points.update(critical_points(build_split_tree(layout)))
+    points.update(critical_points(nested_build_split_tree(layout)))
     eps = Fraction(1, 97)
     points.update((positions[0] - 1, positions[0] - eps, positions[-1] + eps, positions[-1] + 3))
     points.update(p + sign * eps for p in positions for sign in (-1, 1))
@@ -472,20 +547,11 @@ class TestScaledLayers:
     @given(mixed_layouts(max_k=16))
     @settings(max_examples=200, deadline=None)
     def test_split_tree_matches_the_fraction_formula(self, layout):
-        tree = build_split_tree(layout)
-        reference = reference_fraction_split_tree(layout)
-        # Every block's bounds, split and geometry, in preorder.
-        assert [
-            (tree.lo[i], tree.hi[i], a) + ((None,) * 5 if a is None else split_geometry(tree, i, layout))
-            for i, a in enumerate(tree.split)
-        ] == reference
-        for i, row in enumerate(reference):
-            c = row[-1]
-            if c is None:
-                assert tree.critical[i] is None
-            else:
-                assert tree.critical[i] == (c.numerator, c.denominator)
-                assert all(type(v) is Fraction for v in split_geometry(tree, i, layout))
+        # Every gap's critical point and reach, against the block it splits.
+        table = gap_table_by_split(layout)
+        assert table == rows_by_split(reference_split_rows(layout))
+        # No Fraction: every entry is an (int, int) pair and an int.
+        assert all(tuple(map(type, c)) == (int, int) and type(hi) is int for c, hi in table.values())
 
     def test_literal_boundaries(self):
         layout = ServerLayout((Fraction(-7, 3), Fraction(-1, 2), Fraction(5, 7)))
@@ -507,110 +573,15 @@ class TestScaledLayers:
         assert greedy(Fraction(-3), (2,)) == 2
 
 
-# ---------------------------------------------------------------------------
-# The split tree as a preorder table, against the nested tree it replaced
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NestedSplitTree:
-    lo: int
-    hi: int
-    a: int | None = None
-    d: Fraction | None = None
-    delta1: Fraction | None = None
-    delta2: Fraction | None = None
-    x: Fraction | None = None
-    critical: Fraction | None = None
-    left: "NestedSplitTree | None" = None
-    right: "NestedSplitTree | None" = None
-    critical_pair: tuple[int, int] | None = None
-
-    @property
-    def is_leaf(self):
-        return self.lo == self.hi
-
-    def nodes(self):
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            if not node.is_leaf:
-                stack += (node.right, node.left)
-
-
-def nested_build_split_tree(layout):
-    ints, scale = layout.scaled
-    gaps = [b - a for a, b in zip(ints, ints[1:])]
-    order = []
-    stack = [(0, layout.k - 1)]
-    while stack:
-        lo, hi = stack.pop()
-        a = None if lo == hi else max(range(lo, hi), key=gaps.__getitem__)
-        order.append((lo, hi, a))
-        if a is not None:
-            stack += ((a + 1, hi), (lo, a))
-    built = []
-    for lo, hi, a in reversed(order):
-        if a is None:
-            built.append(NestedSplitTree(lo=lo, hi=hi))
-            continue
-        d = gaps[a]
-        delta1 = ints[a] - ints[lo]
-        delta2 = ints[hi] - ints[a + 1]
-        x_num, den = d * (delta2 + d), (delta1 + d) + (delta2 + d)
-        critical = Fraction(ints[a] * den + x_num, den * scale)
-        built.append(NestedSplitTree(
-            lo=lo,
-            hi=hi,
-            a=a,
-            d=Fraction(d, scale),
-            delta1=Fraction(delta1, scale),
-            delta2=Fraction(delta2, scale),
-            x=Fraction(x_num, den * scale),
-            critical=critical,
-            left=built.pop(),
-            right=built.pop(),
-            critical_pair=(critical.numerator, critical.denominator),
-        ))
-    return built.pop()
-
-
-def nested_ptcp_decide(tree, r, free):
-    if not free:
-        raise ValidationError("ptcp undefined for an empty free set")
-    i0, i1 = 0, len(free)
-    rn, rd = r.numerator, r.denominator
-    node = tree
-    while not node.is_leaf:
-        m = bisect_right(free, node.a, i0, i1)
-        cn, cd = node.critical_pair
-        if m == i1 or (m > i0 and rn * cd <= cn * rd):
-            node, i1 = node.left, m
-        else:
-            node, i0 = node.right, m
-    return node.lo
-
-
 class TestPreorderTable:
+    """``gap_table`` and ptcp against the nested tree and its bisecting
+    descent, which the preorder table replaced before the gap table."""
+
     @given(mixed_layouts(max_k=16), st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_the_nested_tree(self, layout, data):
-        tree = build_split_tree(layout)
         nested = nested_build_split_tree(layout)
-        # Every block's bounds, split and critical point, in preorder.
-        assert [
-            (tree.lo[i], tree.hi[i], tree.split[i], tree.critical[i]) for i in range(len(tree.lo))
-        ] == [(node.lo, node.hi, node.a, node.critical_pair) for node in nested.nodes()]
-        # No Fraction and no nested node: every entry is an int, None or
-        # an (int, int) pair.
-        for column in (tree.lo, tree.hi, tree.split, tree.right, tree.critical):
-            for v in column:
-                assert v is None or type(v) is int or tuple(map(type, v)) == (int, int)
-        for i, node in enumerate(nested.nodes()):
-            if not node.is_leaf:
-                assert split_geometry(tree, i, layout) == (node.d, node.delta1, node.delta2, node.x, node.critical)
-                assert (tree.lo[tree.right[i]], tree.hi[tree.right[i]]) == (node.right.lo, node.right.hi)
+        assert gap_table_by_split(layout) == nested_by_split(nested)
         requests = boundary_requests(layout)
         decide = ptcp_rule(layout).decide
         for _ in range(3):

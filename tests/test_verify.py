@@ -315,6 +315,24 @@ class TestGridSearch:
         deep = Instance(layout, (10**12,))
         assert grid_search_max_rate(rule, deep, (), 10**12).nodes == 1
 
+    def test_fill_guard_runs_before_any_point_is_scaled(self, monkeypatch):
+        # One point on a 1000-digit scale, 2000 servers of 256 slots each:
+        # 1 x 512000 x 1000 exceeds the fill guard, which must refuse the
+        # search from the common scale alone, before scale_to_ints.
+        import ofal.verify
+
+        def no_scaling(*args):
+            raise AssertionError("points scaled before the fill guard")
+
+        monkeypatch.setattr(ofal.verify, "scale_to_ints", no_scaling)
+        layout = ServerLayout(tuple(Fraction(i) for i in range(2000)))
+        inst = Instance(layout, (GRID_SEARCH_MAX_DEPTH,) * 2000)
+        with pytest.raises(SizeGuardError) as refused:
+            grid_search_max_rate(ptcp_rule(layout), inst, (Fraction(1, 10**999),), GRID_SEARCH_MAX_DEPTH)
+        assert str(refused.value) == (
+            "grid search guard: 1 points x 512000 slots x 1000 scale digits exceed 500000000"
+        )
+
     def test_rule_naming_a_used_server_raises(self):
         # Server 0 is used after the first request; the second request of
         # the first DFS path (and of the same sequence under simulate) must
