@@ -340,15 +340,27 @@ def instance_to_dict(inst: Instance) -> dict:
 
 def check_output_path(path: str, what: str) -> None:
     """Raise ValidationError unless a file can be created at ``path``: it
-    must not name a directory, and its directory must exist."""
-    if Path(path).is_dir():
-        raise ValidationError(f"{what} {path} is a directory")
-    if not Path(path).parent.is_dir():
-        raise ValidationError(f"{what} {path} lies in a missing directory")
+    must not name a directory, its directory must exist, and the system
+    must accept the name (not one too long, say)."""
+    try:
+        if Path(path).is_dir():
+            raise ValidationError(f"{what} {path} is a directory")
+        if not Path(path).parent.is_dir():
+            raise ValidationError(f"{what} {path} lies in a missing directory")
+    except OSError as exc:
+        raise ValidationError(f"{what} {path}: {exc.strerror or exc}") from None
+
+
+def write_output(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path``; an OSError becomes a ValidationError."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(inst)) + "\n", encoding="utf-8")
+    write_output(path, json.dumps(instance_to_dict(inst)) + "\n")
 
 
 def parse_sequence(data: dict) -> RequestSequence:
@@ -369,7 +381,7 @@ def sequence_to_dict(seq: RequestSequence) -> dict:
 
 
 def save_sequence(seq: RequestSequence, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(sequence_to_dict(seq)) + "\n", encoding="utf-8")
+    write_output(path, json.dumps(sequence_to_dict(seq)) + "\n")
 
 
 def trace_to_dict(trace: AssignmentTrace) -> dict:

@@ -42,6 +42,7 @@ from .core import (
     sequence_to_dict,
     to_coord,
     unit_instance,
+    write_output,
 )
 from .algorithms import RULE_BUILDERS, ptcp_rule
 from .engine import simulate
@@ -324,9 +325,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     }
     csv_text = rows_to_csv(rows)
     if config.out_csv:
-        Path(config.out_csv).write_text(csv_text, encoding="utf-8")
+        write_output(config.out_csv, csv_text)
     if config.out_json:
-        Path(config.out_json).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+        write_output(config.out_json, json.dumps(summary, indent=2) + "\n")
     return ExperimentResult(rows=rows, summary=summary, csv_text=csv_text)
 
 

@@ -68,18 +68,24 @@ class AugmentingPathEngine:
     position, of largest index rightward and smallest index leftward.
 
     Each server keeps a potential under which every hop's reduced cost is
-    non-negative, so the search is a dense Dijkstra, O(k^2) per push with
-    no heap.  Server j starts at label |r - s_j| - pot[j], the new
-    request's own arc, which may be negative.  Servers settle in
-    (distance, index) order while the smallest unsettled label is at most
-    the distance of the first spare server settled; a label changes only
-    when it strictly falls, so a server's parent is the first settled
-    server that reached its final distance.  The path ends at the leftmost
-    spare server at that distance, not the first one settled: a zero-cost
-    hop can expose one further left.  A push raises every potential by
-    min(distance, target distance), so spare servers all carry the same
-    potential, and reduced and true distances order them alike.  The true
-    distance to spare server j is the optimum of all requests under
+    non-negative, so the search is a dense Dijkstra with no heap.  Server
+    j starts at label |r - s_j| - pot[j], the new request's own arc, which
+    may be negative.  Servers settle in (distance, index) order while the
+    smallest unsettled label is at most the distance of the first spare
+    server settled; a label changes only when it strictly falls, so a
+    server's parent is the first settled server that reached its final
+    distance.  The path ends at the leftmost spare server at that
+    distance, not the first one settled: a zero-cost hop can expose one
+    further left.  Potentials matter only up to one common constant
+    (successive shortest paths raise each by min(distance, target
+    distance)), so a push lowers only the servers settled before the
+    first spare one, each by the amount its distance falls short of the
+    target distance.  Every other server is at or beyond that distance
+    and keeps its potential.  Spare servers thus all carry the same
+    potential, and reduced and true distances order them alike.  A push
+    costs O(k) for the labels, O(k) per settled server for the search,
+    and O(settled) for the potentials, the target and the path.  The
+    true distance to spare server j is the optimum of all requests under
     capacities loads + e_j less ``cost``, so the server a push returns
     depends on the loads alone.  It is the server the permutation rule
     picks, which ``permutation_run`` finds from the sorted fill instead;
@@ -93,26 +99,33 @@ class AugmentingPathEngine:
         self.assigned: list[int] = []       # request -> server
         self._held: list[list[tuple[int, int]]] = [[] for _ in servers]  # sorted (r, i)
         self._pot = [0] * len(servers)
+        self._total = sum(caps)
         self.cost = 0
 
     def push(self, r: int) -> int:
         """Absorb one request; return the server whose load grew."""
         servers, caps, loads, held, pot = self.servers, self.caps, self.loads, self._held, self._pot
-        if len(self.assigned) >= sum(caps):
+        if len(self.assigned) >= self._total:
             raise ValidationError("no augmenting path; capacity exhausted")
         dist = [abs(r - s) - p for s, p in zip(servers, pot)]
-        par = [-1] * len(servers)           # previous server; -1 is the new request
+        par: dict[int, int] = {}            # previous server; none is the new request
         todo = list(range(len(servers)))    # unsettled servers, increasing
-        reach = None                        # distance of the first spare server settled
+        below: list[int] = []               # servers settled before the first spare one
+        reach = target = None               # the first spare server's distance; the leftmost spare at it
         while todo:
             j = min(todo, key=dist.__getitem__)
             dj = dist[j]
-            if reach is not None and dj > reach:
+            if target is not None and dj > reach:
                 break
             i = bisect_left(todo, j)
             del todo[i]
-            if reach is None and loads[j] < caps[j]:
-                reach = dj
+            if loads[j] < caps[j]:
+                if target is None:
+                    reach, target = dj, j
+                elif j < target:
+                    target = j
+            elif target is None:
+                below.append(j)
             hold = held[j]
             if not hold:
                 continue
@@ -123,14 +136,14 @@ class AugmentingPathEngine:
                     nd = base + abs(q - servers[x]) - pot[x]
                     if nd < dist[x]:
                         dist[x], par[x] = nd, j
-        target = next(j for j, d in enumerate(dist) if d == reach and loads[j] < caps[j])
         self.cost += reach + pot[target]   # the path's true cost
-        self._pot = [p + min(d, reach) for p, d in zip(pot, dist)]
+        for j in below:
+            pot[j] += dist[j] - reach
         # Augment from the target back: each server gives up its extreme
         # request before it receives one, so the hop moves the pair the
         # search priced.
         x = target
-        while par[x] >= 0:
+        while x in par:
             j = par[x]
             pair = held[j].pop() if x > j else held[j].pop(0)
             insort(held[x], pair)
@@ -148,7 +161,8 @@ def optimal_cost(inst: Instance, seq: RequestSequence) -> OptResult:
     Requests have unit supply, server j has capacity c_j, and the
     request->server arc costs |r - s|.  Solved by n successive shortest
     augmenting paths, one ``AugmentingPathEngine.push`` per request, in
-    O(n * k^2).
+    O(n * k^2) at worst: a push settles at most k servers, O(k) each, and
+    its bookkeeping is O(settled).
 
     The cost is unique; ``assignment`` is one optimal map, fixed by the
     engine's tie rule.  Servers settle in (distance, index) order, and a

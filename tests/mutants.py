@@ -115,12 +115,28 @@ MUTANTS = (
         "i = bisect_left(free, p + 1)",
         ("tests/test_online_kernels.py::TestScaledLayers::test_literal_boundaries",),
     ),
+    # A spare server settled at the target distance after the first one
+    # replaces the target only when it lies further left.
     Mutant(
         "engine-rightmost-spare-target",
         "src/ofal/offline.py",
-        "target = next(j for j, d in enumerate(dist) if d == reach and loads[j] < caps[j])",
-        "target = max(j for j, d in enumerate(dist) if d == reach and loads[j] < caps[j])",
-        ("tests/test_offline.py::TestHeldRequestLists::test_zero_cost_hop_reveals_a_spare_server_further_left",),
+        "elif j < target:",
+        "elif j > target:",
+        (
+            "tests/test_offline.py::TestHeldRequestLists::test_zero_cost_hop_reveals_a_spare_server_further_left",
+            "tests/test_offline.py::TestSettledBookkeeping::test_zero_cost_hop_state_matches_the_reference",
+            "tests/test_offline.py::TestSettledBookkeeping::test_every_push_matches_the_settle_all_reference",
+        ),
+    ),
+    # The push moves potentials less the target distance, a constant common
+    # to all; without it the servers settled before the first spare one
+    # move by their whole distance, apart from the rest.
+    Mutant(
+        "engine-potential-keeps-the-target-distance",
+        "src/ofal/offline.py",
+        "pot[j] += dist[j] - reach",
+        "pot[j] += dist[j]",
+        ("tests/test_offline.py::TestSettledBookkeeping::test_every_push_matches_the_settle_all_reference",),
     ),
     # The fill's pick keeps the first minimum over the increasing free tuple.
     Mutant(

@@ -176,6 +176,15 @@ class TestGenerators:
         assert "lies in a missing directory" in err
         assert not (tmp_path / "missing").exists()
 
+    def test_adversary_with_an_overlong_file_name_is_one_error_line(self, capsys, tmp_path):
+        # The system refuses a 300-character name (ENAMETOOLONG) already
+        # when the path is checked.
+        prefix = str(tmp_path / ("a" * 300))
+        code, out, err = run_cli(capsys, "adversary", "greedy", "--k", "2", "--out-prefix", prefix)
+        assert code == EXIT_ERROR
+        assert out == "" and err.startswith("error: --out-prefix file ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_permutation_adversary_input_limits(self, capsys, tmp_path):
         # At epsilon = 1/10, k = 108 is the largest whose files load back.
         prefix = str(tmp_path / "adv")
@@ -443,6 +452,21 @@ class TestBatch:
         code, out, err = run_cli(capsys, "run", str(cfg))
         assert code == EXIT_ERROR
         assert out == "" and err.startswith(f"error: config {key} {path} ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["out_csv", "out_json"])
+    def test_run_refuses_an_overlong_output_file_name(self, capsys, tmp_path, key):
+        # Refused when the config is read, before the first trial runs.
+        path = tmp_path / ("a" * 300)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "algorithms": ["ptcp"],
+            "instance_source": {"kind": "adversary", "family": "greedy", "k": 3},
+            "sequence_source": {"kind": "adversary"},
+            key: str(path),
+        }))
+        code, out, err = run_cli(capsys, "run", str(cfg))
+        assert code == EXIT_ERROR
+        assert out == "" and err.startswith(f"error: config {key} {path}: ") and err.count("\n") == 1
 
     def test_run_rate_beyond_float_range(self, capsys, tmp_path):
         # Servers at 0 and 2^1..2^1039, requests at 2^t + 1/10 for t = 0..1039

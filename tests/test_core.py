@@ -22,6 +22,7 @@ from ofal.core import (
     parse_instance,
     parse_sequence,
     save_instance,
+    save_sequence,
     scale_to_ints,
     scaled_pair,
     sequence_to_dict,
@@ -197,6 +198,15 @@ class TestInstanceIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_instance(tmp_path / "nope.json")
+
+    def test_a_failed_write_is_a_validation_error(self, tmp_path):
+        # A regular file cannot hold a directory entry (ENOTDIR).
+        (tmp_path / "file").write_text("")
+        inst = Instance(layout_of(0, 2), (1, 1))
+        with pytest.raises(ValidationError, match="cannot write"):
+            save_instance(inst, tmp_path / "file" / "inst.json")
+        with pytest.raises(ValidationError, match="cannot write"):
+            save_sequence(seq_of(1), tmp_path / "file" / "seq.json")
 
     def test_sequence_io(self, tmp_path):
         path = tmp_path / "seq.json"

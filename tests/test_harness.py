@@ -127,6 +127,15 @@ class TestRunExperiment:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["max_rate"] == result.summary["max_rate"]
 
+    def test_a_failed_write_is_a_validation_error(self, tmp_path):
+        # The directory goes away after the config was checked.
+        out = tmp_path / "gone"
+        out.mkdir()
+        config = ExperimentConfig(**dict(BASE_CONFIG, trials=1, out_csv=str(out / "rows.csv")))
+        out.rmdir()
+        with pytest.raises(ValidationError, match="cannot write"):
+            run_experiment(config)
+
     def test_greedy_above_bound_is_reported_not_fatal(self):
         config = ExperimentConfig(
             algorithms=("ptcp", "greedy"),

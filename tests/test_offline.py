@@ -1,5 +1,6 @@
 import heapq
 import random
+from bisect import bisect_left, insort
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,58 @@ class ReferenceEngine:
         return best
 
 
+class SettleAllEngine(AugmentingPathEngine):
+    """The push before O(settled) bookkeeping, verbatim: it raises every
+    potential by min(distance, target distance), keeps a parent for every
+    server and scans all k labels for the target."""
+
+    def push(self, r: int) -> int:
+        """Absorb one request; return the server whose load grew."""
+        servers, caps, loads, held, pot = self.servers, self.caps, self.loads, self._held, self._pot
+        if len(self.assigned) >= sum(caps):
+            raise ValidationError("no augmenting path; capacity exhausted")
+        dist = [abs(r - s) - p for s, p in zip(servers, pot)]
+        par = [-1] * len(servers)           # previous server; -1 is the new request
+        todo = list(range(len(servers)))    # unsettled servers, increasing
+        reach = None                        # distance of the first spare server settled
+        while todo:
+            j = min(todo, key=dist.__getitem__)
+            dj = dist[j]
+            if reach is not None and dj > reach:
+                break
+            i = bisect_left(todo, j)
+            del todo[i]
+            if reach is None and loads[j] < caps[j]:
+                reach = dj
+            hold = held[j]
+            if not hold:
+                continue
+            # todo[:i] lies left of j and todo[i:] right of it.
+            for xs, (q, _) in ((todo[:i], hold[0]), (todo[i:], hold[-1])):
+                base = dj + pot[j] - abs(q - servers[j])
+                for x in xs:
+                    nd = base + abs(q - servers[x]) - pot[x]
+                    if nd < dist[x]:
+                        dist[x], par[x] = nd, j
+        target = next(j for j, d in enumerate(dist) if d == reach and loads[j] < caps[j])
+        self.cost += reach + pot[target]   # the path's true cost
+        self._pot = [p + min(d, reach) for p, d in zip(pot, dist)]
+        # Augment from the target back: each server gives up its extreme
+        # request before it receives one, so the hop moves the pair the
+        # search priced.
+        x = target
+        while par[x] >= 0:
+            j = par[x]
+            pair = held[j].pop() if x > j else held[j].pop(0)
+            insort(held[x], pair)
+            self.assigned[pair[1]] = x
+            x = j
+        insort(held[x], (r, len(self.assigned)))
+        self.assigned.append(x)
+        loads[target] += 1
+        return target
+
+
 def check_engine_invariants(engine, requests):
     """The map is complete and optimal, the held lists mirror it, every
     server-to-server hop has a non-negative reduced cost, and all spare
@@ -259,6 +312,122 @@ def check_engine_invariants(engine, requests):
                 q = hold[-1][0] if x > j else hold[0][0]
                 assert abs(q - servers[x]) - abs(q - servers[j]) + pot[j] - pot[x] >= 0, (j, x)
     assert len({p for p, load, cap in zip(pot, engine.loads, engine.caps) if load < cap}) <= 1
+
+
+def certifies(servers, caps, requests, assigned, cost, u, w):
+    """Whether ``assigned`` is a feasible map of total ``cost`` and (u, w) a
+    dual of the same value, which proves ``cost`` optimal.  The assignment
+    LP, min sum |r_i - s_j| x_ij over x >= 0 with sum_j x_ij = 1 and
+    sum_i x_ij <= c_j, has the dual max sum u_i - sum c_j w_j over w >= 0
+    with u_i - w_j <= |r_i - s_j|; by weak duality no map costs less than
+    a feasible dual's value."""
+    loads = [assigned.count(j) for j in range(len(servers))]
+    return (
+        all(load <= c for load, c in zip(loads, caps))
+        and sum(abs(r - servers[j]) for r, j in zip(requests, assigned)) == cost
+        and all(x >= 0 for x in w)
+        and all(ui - wj <= abs(r - s) for r, ui in zip(requests, u) for s, wj in zip(servers, w))
+        and sum(u) - sum(c * x for c, x in zip(caps, w)) == cost
+    )
+
+
+def engine_dual(engine, requests):
+    """The dual read off the engine's potentials: w_j = P - pot[j], where P
+    is the spare servers' shared potential (the largest potential when
+    every server is full), and u_i = |r_i - s_a(i)| + w_a(i)."""
+    pot = engine._pot
+    spare = {p for p, load, cap in zip(pot, engine.loads, engine.caps) if load < cap}
+    top = spare.pop() if spare else max(pot)
+    w = [top - p for p in pot]
+    u = [abs(r - engine.servers[j]) + w[j] for r, j in zip(requests, engine.assigned)]
+    return u, w
+
+
+def check_dual_certificate(engine, requests):
+    """The engine's dual certifies its cost, and the checker refuses the
+    cost less one and the dual with any one w_j raised by one."""
+    servers, caps, assigned, cost = engine.servers, engine.caps, engine.assigned, engine.cost
+    u, w = engine_dual(engine, requests)
+    assert certifies(servers, caps, requests, assigned, cost, u, w)
+    assert not certifies(servers, caps, requests, assigned, cost - 1, u, w)
+    for j in range(len(w)):
+        raised = w[:j] + [w[j] + 1] + w[j + 1:]
+        assert not certifies(servers, caps, requests, assigned, cost, u, raised)
+
+
+def tie_heavy_cases(seed, count):
+    """Seeded capacitated cases that make distance ties and zero-slack
+    paths common: k <= 7 even servers of capacity <= 4, requests on
+    servers, on midpoints of two servers, one off a server or anywhere
+    near, and half of the cases filled to the total capacity."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(1, 7)
+        servers = sorted(rng.sample(range(0, 24, 2), k))
+        caps = [rng.randint(1, 4) for _ in range(k)]
+        total = sum(caps)
+        n = total if rng.random() < 0.5 else rng.randint(1, total)
+        requests = []
+        for _ in range(n):
+            kind = rng.randrange(4)
+            if kind == 0:
+                r = rng.choice(servers)
+            elif kind == 1:
+                r = (rng.choice(servers) + rng.choice(servers)) // 2
+            elif kind == 2:
+                r = rng.choice(servers) + rng.choice((-1, 1))
+            else:
+                r = rng.randint(-3, 27)
+            requests.append(r)
+        yield servers, caps, requests
+
+
+def assert_same_state(engine, reference):
+    """Same map, cost and loads, and potentials equal up to one offset."""
+    assert (engine.assigned, engine.cost, engine.loads) == (reference.assigned, reference.cost, reference.loads)
+    assert len({p - q for p, q in zip(engine._pot, reference._pot)}) == 1
+
+
+def zero_cost_hop_state(engine_class):
+    # Set by hand: server 1 holds request 0, at the midpoint of servers
+    # 0 and 2, while both servers are spare; an optimal map, and zero
+    # potentials are feasible for it.
+    engine = engine_class([0, 2], [2, 2])
+    engine.assigned, engine.loads, engine.cost = [1], [0, 1], 1
+    engine._held[1].append((1, 0))
+    return engine
+
+
+class TestSettledBookkeeping:
+    def test_every_push_matches_the_settle_all_reference(self):
+        for servers, caps, requests in tie_heavy_cases(27, 3000):
+            engine, reference = AugmentingPathEngine(servers, caps), SettleAllEngine(servers, caps)
+            for r in requests:
+                assert engine.push(r) == reference.push(r)
+                assert_same_state(engine, reference)
+            check_engine_invariants(engine, requests)
+
+    def test_zero_cost_hop_state_matches_the_reference(self):
+        engine, reference = zero_cost_hop_state(AugmentingPathEngine), zero_cost_hop_state(SettleAllEngine)
+        assert engine.push(3) == reference.push(3) == 0
+        assert_same_state(engine, reference)
+        check_dual_certificate(engine, [1, 3])
+
+    def test_dual_certificate_of_every_final_state(self):
+        for servers, caps, requests in tie_heavy_cases(27, 3000):
+            engine = AugmentingPathEngine(servers, caps)
+            for r in requests:
+                engine.push(r)
+            check_dual_certificate(engine, requests)
+
+    def test_certificate_on_a_full_instance(self):
+        # Every server full: P is the largest potential.
+        engine = AugmentingPathEngine([0, 4, 10], [1, 2, 1])
+        requests = [4, 4, 5, 9]
+        for r in requests:
+            engine.push(r)
+        assert engine.loads == engine.caps
+        check_dual_certificate(engine, requests)
 
 
 class TestHeldRequestLists:
@@ -283,15 +452,11 @@ class TestHeldRequestLists:
                 check_engine_invariants(engine, requests)
 
     def test_zero_cost_hop_reveals_a_spare_server_further_left(self):
-        # Set by hand: server 1 holds request 0, at the midpoint of servers
-        # 0 and 2, while both servers are spare; an optimal map, and zero
-        # potentials are feasible for it.  Request 3 settles server 1 first,
+        # Request 3 settles server 1 first,
         # at distance 1 against 3 for server 0.  The zero-cost hop that moves
         # request 0 to server 0 then reaches server 0 at distance 1 too, and
         # the leftmost spare server at the minimum distance wins.
-        engine = AugmentingPathEngine([0, 2], [2, 2])
-        engine.assigned, engine.loads, engine.cost = [1], [0, 1], 1
-        engine._held[1].append((1, 0))
+        engine = zero_cost_hop_state(AugmentingPathEngine)
         assert engine.push(3) == 0
         assert (engine.assigned, engine.loads, engine.cost) == ([0, 1], [1, 1], 2)
         check_engine_invariants(engine, [1, 3])
