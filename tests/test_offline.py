@@ -420,15 +420,6 @@ class TestSettledBookkeeping:
                 engine.push(r)
             check_dual_certificate(engine, requests)
 
-    def test_certificate_on_a_full_instance(self):
-        # Every server full: P is the largest potential.
-        engine = AugmentingPathEngine([0, 4, 10], [1, 2, 1])
-        requests = [4, 4, 5, 9]
-        for r in requests:
-            engine.push(r)
-        assert engine.loads == engine.caps
-        check_dual_certificate(engine, requests)
-
 
 class TestHeldRequestLists:
     def test_every_push_matches_the_request_scan(self):
