@@ -3,8 +3,9 @@ composition that bolts one extra server onto an existing rule.
 
 The split-tree rule ("ptcp") recursively partitions the servers at a
 maximum adjacent gap; each internal block has a critical point inside
-its gap.  Each gap splits exactly one block, so ``gap_table`` holds the
-tree as one critical point and one reach per gap.  ptcp and greedy pick
+its gap.  Each gap splits exactly one block, so ``split_blocks`` holds
+the tree as one block (lo, hi) per gap, and ``gap_table`` as one
+critical point and one reach per gap.  ptcp and greedy pick
 one of the two free servers around a request (``surrounding_rule``),
 switching from left to right at the critical point of the block that
 separates them, or at their midpoint.
@@ -13,7 +14,7 @@ separates them, or at their midpoint.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable
@@ -22,71 +23,59 @@ from .core import ServerLayout, ValidationError, fraction_str
 from .engine import PicksFn, PriorityRule, surrounding_servers
 
 
-def split_blocks(ints: Sequence[int]) -> Iterator[tuple[int, int, int | None]]:
-    """Yield (lo, hi, a) for every block of the split tree over the sorted,
-    distinct points ``ints``, in preorder.
+def split_blocks(ints: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(lo, hi), indexed by gap a between points a and a + 1 of the sorted,
+    distinct points ``ints``: the block of the split tree that splits at
+    gap a covers points lo[a]..hi[a].
 
-    Block (lo, hi) covers points lo..hi; the first covers all of them.  An
-    internal block splits after point a (lo <= a < hi) at its leftmost
-    maximum adjacent gap ints[a+1] - ints[a], and its children (lo, a) and
-    (a + 1, hi) follow it, left first.  A leaf (lo == hi) yields a = None.
-
-    The splits form the max-Cartesian tree of the gaps (Vuillemin 1980),
-    built in one stack pass: a gap pops the strictly smaller gaps before
-    it and takes the last popped as its left child, so an equal earlier
-    gap stays its ancestor and each block's root is its leftmost maximum.
-    Block (lo, a) splits at a's left child and (a + 1, hi) at its right
-    child, None when the block is one point.  The preorder walk uses an
-    explicit stack, so the depth of the tree (up to k - 1) is not bounded
-    by the recursion limit; O(k) in all.
+    The tree splits the block of all points, and then each block of two
+    or more points, at its leftmost maximum adjacent gap
+    ints[a+1] - ints[a], so each gap splits exactly one block.  That block
+    runs from just past the nearest gap left of a at least as large (point
+    0 when there is none) to the nearest gap right of a strictly larger
+    (point k - 1 when there is none).  Both are read off one stack pass,
+    which builds the max-Cartesian tree of the gaps (Vuillemin 1980): a gap
+    i pops the strictly smaller gaps before it, whose blocks so end at
+    point i, and its own block starts one past the gap it leaves on top
+    of the stack.  O(k), whatever the depth of the tree.
     """
     gaps = [b - a for a, b in zip(ints, ints[1:])]
-    left: list[int | None] = [None] * len(gaps)
-    right: list[int | None] = [None] * len(gaps)
+    lo, hi = [0] * len(gaps), [len(gaps)] * len(gaps)
     stack: list[int] = []
     for i, g in enumerate(gaps):
-        last = None
         while stack and gaps[stack[-1]] < g:
-            last = stack.pop()
-        left[i] = last
+            hi[stack.pop()] = i
         if stack:
-            right[stack[-1]] = i
+            lo[i] = stack[-1] + 1
         stack.append(i)
-    todo = [(0, len(ints) - 1, stack[0] if stack else None)]
-    while todo:
-        lo, hi, a = todo.pop()
-        yield lo, hi, a
-        if a is not None:
-            todo += ((a + 1, hi, right[a]), (lo, a, left[a]))
+    return lo, hi
 
 
 def gap_table(layout: ServerLayout) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """(critical, reach), indexed by gap a between servers a and a + 1,
-    which splits exactly one internal block (lo, hi) of ``split_blocks``
-    on ``layout.scaled``.  With D = s[a+1] - s[a], Delta1 = s[a] - s[lo]
-    and Delta2 = s[hi] - s[a+1], critical[a] is the block's critical point
+    which splits the block lo[a]..hi[a] of ``split_blocks`` on
+    ``layout.scaled``.  With D = s[a+1] - s[a], Delta1 = s[a] - s[lo[a]]
+    and Delta2 = s[hi[a]] - s[a+1], critical[a] is the block's critical
+    point
 
         s[a] + x,  x = D * (Delta2 + D) / ((Delta1 + D) + (Delta2 + D)),
 
     as ints over the layout's scale reduced to a (num, den) pair; D > 0,
-    so 0 < x < D.  reach[a] is hi: a gap pops only strictly smaller gaps,
-    so gap hi is the first gap right of a strictly larger than gap a, and
-    hi = k - 1 when there is none.
+    so 0 < x < D.  reach[a] is hi[a]: gap hi[a] is the first gap right of
+    a strictly larger than gap a, and hi[a] = k - 1 when there is none.
     """
     ints, scale = layout.scaled
-    critical: list = [None] * (len(ints) - 1)  # every gap is set below
-    reach = critical.copy()
-    for lo, hi, a in split_blocks(ints):
-        if a is None:
-            continue
+    lo, hi = split_blocks(ints)
+    critical = []
+    for a in range(len(hi)):
         d = ints[a + 1] - ints[a]
-        delta1 = ints[a] - ints[lo]
-        delta2 = ints[hi] - ints[a + 1]
+        delta1 = ints[a] - ints[lo[a]]
+        delta2 = ints[hi[a]] - ints[a + 1]
         den = (delta1 + d) + (delta2 + d)
         num, den = ints[a] * den + d * (delta2 + d), den * scale
         g = gcd(num, den)
-        critical[a], reach[a] = (num // g, den // g), hi
-    return tuple(critical), tuple(reach)
+        critical.append((num // g, den // g))
+    return tuple(critical), tuple(hi)
 
 
 def surrounding_rule(
@@ -230,21 +219,19 @@ RULE_BUILDERS = {
 
 def tree_to_dict(layout: ServerLayout) -> dict:
     """JSON-friendly dump of the split tree for inspection: nested dicts,
-    built bottom-up from ``split_blocks`` in reverse preorder, where a
-    block's left child is the last block finished and its right child the
-    one before.  D, Delta1, Delta2 and x are those of ``gap_table``."""
+    one per block of ``split_blocks``, built smallest block first so that
+    both children of a block, (lo, a) and (a + 1, hi), are built before it.
+    D, Delta1, Delta2 and x are those of ``gap_table``."""
     s = layout.positions
-    done: list[dict] = []
-    for lo, hi, a in reversed(list(split_blocks(layout.scaled[0]))):
-        if a is None:
-            done.append({"server": lo, "position": fraction_str(s[lo])})
-            continue
-        d, delta1, delta2 = s[a + 1] - s[a], s[a] - s[lo], s[hi] - s[a + 1]
+    lo, hi = split_blocks(layout.scaled[0])
+    node = {(j, j): {"server": j, "position": fraction_str(p)} for j, p in enumerate(s)}
+    for a in sorted(range(len(hi)), key=lambda a: hi[a] - lo[a]):
+        d, delta1, delta2 = s[a + 1] - s[a], s[a] - s[lo[a]], s[hi[a]] - s[a + 1]
         x = d * (delta2 + d) / ((delta1 + d) + (delta2 + d))
-        left, right = done.pop(), done.pop()
-        done.append({
-            "lo": lo,
-            "hi": hi,
+        left, right = node[lo[a], a], node[a + 1, hi[a]]
+        node[lo[a], hi[a]] = {
+            "lo": lo[a],
+            "hi": hi[a],
             "split_after": a,
             "gap": fraction_str(d),
             "delta1": fraction_str(delta1),
@@ -253,5 +240,5 @@ def tree_to_dict(layout: ServerLayout) -> dict:
             "critical": fraction_str(s[a] + x),
             "left": left,
             "right": right,
-        })
-    return done.pop()
+        }
+    return node[0, len(s) - 1]

@@ -93,8 +93,8 @@ def alpha_bruteforce(layout: ServerLayout) -> Metrics:
 
 
 def alpha_fast(layout: ServerLayout) -> Metrics:
-    """alpha as the largest span / D over the internal blocks of
-    ``split_blocks`` on ``layout.scaled``, D being a block's split gap.
+    """alpha as the largest span / D over the blocks lo[a]..hi[a] of
+    ``split_blocks`` on ``layout.scaled``, D being gap a, the block's split.
 
     Some contiguous interval reaches alpha: filling a subset in keeps its
     span and cannot enlarge its largest gap.  A maximizing interval I is
@@ -109,9 +109,7 @@ def alpha_fast(layout: ServerLayout) -> Metrics:
     """
     ints, _ = layout.scaled
     best_span, best_gap, best = 0, 1, (0, 0)
-    for lo, hi, a in split_blocks(ints):
-        if a is None:
-            continue
+    for a, (lo, hi) in enumerate(zip(*split_blocks(ints))):
         span, gap = ints[hi] - ints[lo], ints[a + 1] - ints[a]
         cross = span * best_gap - best_span * gap
         if cross > 0 or (cross == 0 and (lo, hi) < best):

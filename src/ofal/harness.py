@@ -12,7 +12,6 @@ import io
 import json
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -282,6 +281,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     # a fork pool may start every worker it is allowed up front.
     workers = min(config.jobs, config.trials, os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: multiprocessing is loaded only when a pool starts.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_trial, payloads))
     else:

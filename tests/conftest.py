@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from ofal.algorithms import gap_table
+from ofal.algorithms import gap_table, split_blocks
 from ofal.core import AssignmentTrace, Instance, RequestSequence, RuleError, ServerLayout
 from ofal.engine import PriorityRule
 
@@ -46,6 +46,13 @@ def reference_split_rows(layout: ServerLayout) -> list[tuple]:
         rows.append((lo, hi, a, d, delta1, delta2, x, positions[a] + x))
         stack += ((a + 1, hi), (lo, a))
     return rows
+
+
+def internal_blocks(layout: ServerLayout) -> list[tuple[int, int, int]]:
+    """(lo, hi, a) for each gap a: the block lo..hi of ``split_blocks`` on
+    ``layout.scaled`` that splits at gap a, in gap order."""
+    lo, hi = split_blocks(layout.scaled[0])
+    return list(zip(lo, hi, range(len(hi))))
 
 
 def rows_by_split(rows) -> dict[int, tuple[tuple[int, int], int]]:

@@ -78,11 +78,23 @@ MUTANTS = (
             "tests/test_algorithms.py::TestSplitBlocks::test_every_layout_on_a_nine_point_grid",
         ),
     ),
+    # A gap's block starts on the gap left on the stack, one point early.
+    Mutant(
+        "split-lo-one-short",
+        "src/ofal/algorithms.py",
+        "lo[i] = stack[-1] + 1",
+        "lo[i] = stack[-1]",
+        (
+            "tests/test_algorithms.py::TestSplitBlocks::test_tie_heavy_layouts",
+            "tests/test_alpha.py::TestAlphaFast::test_matches_the_interval_scan",
+            "tests/test_line_walk.py::test_split_tree_matches_the_rescanning_build",
+        ),
+    ),
     Mutant(
         "tree-dump-children-swapped",
         "src/ofal/algorithms.py",
-        "left, right = done.pop(), done.pop()",
-        "right, left = done.pop(), done.pop()",
+        "node[lo[a], a], node[a + 1, hi[a]]",
+        "node[a + 1, hi[a]], node[lo[a], a]",
         (
             "tests/test_algorithms.py::TestSplitTree::test_three_servers_asymmetric",
             "tests/test_line_walk.py::test_split_tree_matches_the_rescanning_build",
@@ -179,7 +191,7 @@ MUTANTS = (
         "F = [0] * slack + [1]",
         ("tests/test_online_kernels.py::TestDpWindow::test_edge_cases",),
     ),
-    # A tying block later in preorder would replace the witness.
+    # A tying block later in gap order would replace the witness.
     Mutant(
         "alpha-fast-last-maximizer",
         "src/ofal/alpha.py",

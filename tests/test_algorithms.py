@@ -127,8 +127,41 @@ def reference_split_blocks(ints):
         stack += ((a + 1, hi), (lo, a))
 
 
+def reference_per_gap(ints):
+    """(lo, hi) by gap a, read off the internal rows of the max scan."""
+    lo, hi = [None] * (len(ints) - 1), [None] * (len(ints) - 1)
+    for first, last, a in reference_split_blocks(ints):
+        if a is not None:
+            lo[a], hi[a] = first, last
+    return lo, hi
+
+
+def check_per_gap(ints, lo, hi):
+    """lo[a]..hi[a] is the block that gap a splits at its leftmost maximum:
+    the gaps before a inside it are strictly smaller and those after are
+    at most gap a, and it is bounded by a gap at least as large on the
+    left and a strictly larger one on the right, or by an end."""
+    gaps = [b - a for a, b in zip(ints, ints[1:])]
+    k = len(ints)
+    assert len(lo) == len(hi) == k - 1
+    for a, g in enumerate(gaps):
+        assert 0 <= lo[a] <= a < hi[a] <= k - 1, (ints, a)
+        assert all(gaps[j] < g for j in range(lo[a], a)), (ints, a)
+        assert all(gaps[j] <= g for j in range(a + 1, hi[a])), (ints, a)
+        assert lo[a] == 0 or gaps[lo[a] - 1] >= g, (ints, a)
+        assert hi[a] == k - 1 or gaps[hi[a]] > g, (ints, a)
+
+
 class TestSplitBlocks:
-    """The Cartesian-tree build against the max scan it replaced."""
+    """The per-gap arrays of the Cartesian-tree build against the max scan
+    it replaced, and against their definition."""
+
+    @staticmethod
+    def check(ints):
+        lo, hi = split_blocks(ints)
+        assert (lo, hi) == reference_per_gap(ints), ints
+        check_per_gap(ints, lo, hi)
+        return lo, hi
 
     def test_tie_heavy_layouts(self):
         rng = random.Random(1980)
@@ -136,25 +169,22 @@ class TestSplitBlocks:
             ints = [rng.randint(-5, 5)]
             for _ in range(rng.randint(0, 15)):
                 ints.append(ints[-1] + rng.choice((1, 2, 3)))
-            assert list(split_blocks(ints)) == list(reference_split_blocks(ints)), ints
+            self.check(ints)
 
     def test_every_layout_on_a_nine_point_grid(self):
         for mask in range(1, 1 << 9):
-            ints = [i for i in range(9) if mask >> i & 1]
-            assert list(split_blocks(ints)) == list(reference_split_blocks(ints)), ints
+            self.check([i for i in range(9) if mask >> i & 1])
 
     def test_evenly_spaced_servers_form_a_path(self):
         # Every block splits off its leftmost server: depth k - 1.
         ints = list(range(2000))
-        blocks = list(split_blocks(ints))
-        assert blocks == list(reference_split_blocks(ints))
-        inner = [b for b in blocks if b[2] is not None]
-        assert inner == [(lo, 1999, lo) for lo in range(1999)]
+        lo, hi = self.check(ints)
+        assert lo == list(range(1999)) and hi == [1999] * 1999
         # gap_table keyed by split: gap a reaches its block's end hi, and
         # its block has Delta1 = 0, D = 1 and Delta2 + D = hi - a.
         critical, reach = gap_table(ServerLayout(tuple(map(Fraction, ints))))
-        assert [(reach[a], Fraction(*critical[a])) for _, _, a in inner] == [
-            (hi, a + Fraction(hi - a, 1 + (hi - a))) for _, hi, a in inner
+        assert [(reach[a], Fraction(*critical[a])) for a in range(1999)] == [
+            (hi[a], a + Fraction(hi[a] - a, 1 + (hi[a] - a))) for a in range(1999)
         ]
 
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ofal.algorithms import split_blocks
 from ofal.alpha import (
     Metrics,
     alpha_bruteforce,
@@ -14,7 +13,7 @@ from ofal.alpha import (
 )
 from ofal.core import ServerLayout, SizeGuardError
 
-from conftest import layout_of, layouts
+from conftest import internal_blocks, layout_of, layouts
 
 
 def interval_scan(layout: ServerLayout) -> Metrics:
@@ -103,7 +102,7 @@ class TestAlphaFast:
 
     def test_witness_tie_with_a_later_block(self):
         # Gaps 2, 1, 1: the root (0..3) and its right child (1..3) both
-        # reach 2; the root comes first in preorder and in lexicographic
+        # reach 2; the root comes first in gap order and in lexicographic
         # order, so a later tying block must not replace it.
         metrics = alpha_fast(layout_of(0, 2, 3, 4))
         assert metrics == Metrics(alpha=Fraction(2), witness=(0, 1, 2, 3))
@@ -120,11 +119,11 @@ class TestAlphaFast:
 
     def test_path_layout(self):
         # Gaps 1, 2, ..., k - 1 strictly increase, so every block splits
-        # off its last server and the tree is a path of depth k - 1.
+        # off its last server and the tree is a path of depth k - 1: gap a
+        # splits the block 0..a + 1.
         k = 300
         layout = layout_of(*(i * (i + 1) // 2 for i in range(k)))
-        internal = [(lo, hi) for lo, hi, a in split_blocks(layout.scaled[0]) if a is not None]
-        assert internal == [(0, hi) for hi in range(k - 1, 0, -1)]
+        assert internal_blocks(layout) == [(0, a + 1, a) for a in range(k - 1)]
         assert alpha_fast(layout) == interval_scan(layout) == Metrics(Fraction(k, 2), tuple(range(k)))
 
     @given(layouts(max_k=8))

@@ -1,5 +1,10 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -70,7 +75,7 @@ class TestRunExperiment:
             def map(self, fn, payloads):
                 return map(fn, payloads)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
         serial = run_experiment(ExperimentConfig(**BASE_CONFIG))
         wide = run_experiment(ExperimentConfig(**dict(BASE_CONFIG, jobs=1000)))
@@ -85,6 +90,17 @@ class TestRunExperiment:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
         run_experiment(ExperimentConfig(**dict(BASE_CONFIG, jobs=1000)))
         assert made == [4, 3, 3]
+
+    def test_cli_import_loads_no_process_pool(self):
+        # The pool is imported only when run_experiment starts one, so no
+        # command and no serial run pays for loading multiprocessing.
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        code = (
+            "import sys, ofal.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout == "[]\n"
 
     def test_one_config_dict_per_run(self, monkeypatch):
         calls = []

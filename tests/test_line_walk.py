@@ -2,7 +2,7 @@
 the monotone-chain check agree with the code they replaced.
 
 ``gap_table`` keeps one critical point and one reach per gap, and
-``tree_to_dict`` nests ``split_blocks`` in one reverse pass;
+``tree_to_dict`` nests the blocks of ``split_blocks``, smallest first;
 ``c3_candidates`` falls back to the surrounding servers of the rule's
 choice with that server taken out; ``check_chain_monotone`` compares
 server indices.  The reference functions below are the earlier code,

@@ -25,14 +25,14 @@ from itertools import combinations_with_replacement
 
 from hypothesis import given, settings, strategies as st
 
-from ofal.algorithms import greedy_rule, ptcp_rule, split_blocks
+from ofal.algorithms import greedy_rule, ptcp_rule
 from ofal.alpha import alpha_fast
 from ofal.core import Instance, RequestSequence, ServerLayout, scale_to_ints, scaled_pair
 from ofal.engine import simulate
 from ofal.offline import dp_cost_ints, multiset_optima, noncrossing_dp_cost, optimal_cost
 from ofal.permutation import permutation_run
 
-from conftest import layout_of
+from conftest import internal_blocks, layout_of
 
 
 @st.composite
@@ -81,10 +81,6 @@ def test_positive_affine_map(pair, a, b):
 
 def mirror(layout: ServerLayout) -> ServerLayout:
     return ServerLayout(tuple(-p for p in reversed(layout.positions)))
-
-
-def internal_blocks(layout: ServerLayout) -> list[tuple[int, int, int]]:
-    return [(lo, hi, a) for lo, hi, a in split_blocks(layout.scaled[0]) if a is not None]
 
 
 def block_shapes(layout: ServerLayout) -> Counter:
