@@ -218,9 +218,9 @@ def random_sequences(
     n: int,
     seed: int,
     distribution: str = "uniform",
-    count: int | None = None,
+    count: int = 1,
 ) -> Iterator[RequestSequence]:
-    """Seeded stream of request sequences for an instance.
+    """Seeded stream of ``count`` request sequences for an instance.
 
     distributions:
       uniform   -- grid-uniform over the server hull;
@@ -244,16 +244,13 @@ def random_sequences(
         noise = random_rational(rng, -spread / 2, spread / 2, den=64)
         return positions[j] + noise
 
-    produced = 0
-    while count is None or produced < count:
+    for _ in range(count):
         if distribution in ("uniform", "mixture"):
-            seq = RequestSequence(tuple(one_request(distribution) for _ in range(n)))
+            yield RequestSequence(tuple(one_request(distribution) for _ in range(n)))
         elif distribution == "opposite":
-            seq = _opposite_biased(inst, n, rng)
+            yield _opposite_biased(inst, n, rng)
         else:
             raise ValidationError(f"unknown distribution {distribution!r}")
-        produced += 1
-        yield seq
 
 
 def _opposite_biased(inst: Instance, n: int, rng: random.Random) -> RequestSequence:

@@ -89,13 +89,14 @@ def surrounding_rule(
     (num, den) pair, den > 0, strictly between the two positions: one
     integer cross product, a tie going left.
 
-    The batch sorts the points once, as ints over the lcm of their
-    denominators.  A call walks the free tuple once: each adjacent free
-    pair gives the points up to its threshold to its left server, one
-    ``bisect_right`` from the previous cut (thresholds increase along the
-    tuple), and the rest go to the last free server: f - 1 thresholds and
-    bisections for f free servers plus O(m) for m points.  A call raises
-    ValidationError for an empty free set.
+    The batch takes strictly increasing points and scales them once, to
+    ints over the lcm of their denominators.  A call walks the free tuple
+    once: each adjacent free pair gives the points up to its threshold to
+    its left server, one ``bisect_right`` from the previous cut
+    (thresholds increase along the tuple), and the rest go to the last
+    free server: f - 1 thresholds and bisections for f free servers plus
+    O(m) for m points.  A call raises ValidationError for an empty free
+    set.
     """
 
     def decide(r: Fraction, free: tuple[int, ...]) -> int:
@@ -107,10 +108,8 @@ def surrounding_rule(
 
     def batch(points: Sequence[Fraction]) -> PicksFn:
         n = len(points)
-        order = sorted(range(n), key=points.__getitem__)
-        rank = None if order == list(range(n)) else sorted(range(n), key=order.__getitem__)
         scale = lcm(*(p.denominator for p in points))
-        xs = [points[i].numerator * (scale // points[i].denominator) for i in order]
+        xs = [p.numerator * (scale // p.denominator) for p in points]
 
         def picks(free: tuple[int, ...]) -> list[int]:
             if not free:
@@ -123,7 +122,7 @@ def surrounding_rule(
                 out += [left] * (c - c0)
                 c0 = c
             out += [free[-1]] * (n - c0)
-            return out if rank is None else [out[t] for t in rank]
+            return out
 
         return picks
 

@@ -155,7 +155,7 @@ def cmd_verify(args) -> int:
         payload = {"property": "surrounding-oriented", "trials": total, "violations": bad}
         failed = bad > 0
     elif args.check == "faithful":
-        seq = next(random_sequences(inst, inst.total_capacity, seed=args.seed, count=1))
+        seq = next(random_sequences(inst, inst.total_capacity, seed=args.seed))
         report = check_faithful(rule_builder, inst, seq, trials=args.trials, seed=args.seed)
         payload = report.to_dict()
         failed = not report.ok

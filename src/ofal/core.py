@@ -236,15 +236,6 @@ class AssignmentTrace:
         return tuple(j for j, c in enumerate(self.remaining_after[t]) if c > 0)
 
 
-def validate_pair(inst: Instance, seq: RequestSequence) -> str | None:
-    """None when the sequence fits the instance, else a violation message."""
-    if len(seq) > inst.total_capacity:
-        return (
-            f"{len(seq)} requests exceed total capacity {inst.total_capacity}"
-        )
-    return None
-
-
 def compute_rate(alg_cost: Fraction, opt_cost: Fraction) -> Fraction | float:
     """Cost ratio with the degenerate-denominator conventions.
 
@@ -419,8 +410,8 @@ def scale_to_ints(
 
 def scaled_pair(inst: Instance, seq: RequestSequence) -> tuple[list[int], list[int], int]:
     """``scale_to_ints`` of a pair's servers and requests; raises
-    ValidationError when the sequence does not fit the instance."""
-    violation = validate_pair(inst, seq)
-    if violation is not None:
-        raise ValidationError(violation)
+    ValidationError, "n requests exceed total capacity c", when the
+    sequence is longer than the instance's total capacity."""
+    if len(seq) > inst.total_capacity:
+        raise ValidationError(f"{len(seq)} requests exceed total capacity {inst.total_capacity}")
     return scale_to_ints(inst.layout.positions, seq.requests)

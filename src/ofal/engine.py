@@ -42,9 +42,9 @@ PicksFn = Callable[[tuple[int, ...]], list[int]]
 class PriorityRule:
     """A pure decision function plus a name for reports.
 
-    ``batch``, if given, takes a list of request positions (in any order,
-    repeats allowed) and returns a ``PicksFn``: for any free tuple, the
-    servers ``decide`` picks for those positions, in the list's order.  It
+    ``batch``, if given, takes a list of strictly increasing request
+    positions and returns a ``PicksFn``: for any free tuple, the servers
+    ``decide`` picks for those positions, in the list's order.  It
     may prepare once what depends only on the layout and the positions;
     every call still decides every position against its own free tuple.
     """

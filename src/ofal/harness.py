@@ -69,7 +69,6 @@ class ExperimentConfig:
     seed: int = 0
     out_csv: str | None = None
     out_json: str | None = None
-    assert_bounds: bool = True
     jobs: int = 1
 
     def __post_init__(self) -> None:
@@ -88,8 +87,6 @@ class ExperimentConfig:
                 raise ValidationError(f"config {key} must be a path string or null")
             if getattr(self, key):
                 check_output_path(getattr(self, key), f"config {key}")
-        if not isinstance(self.assert_bounds, bool):
-            raise ValidationError("config assert_bounds must be true or false")
         src, seq_src = self.instance_source, self.sequence_source
         for key, source in (("instance_source", src), ("sequence_source", seq_src)):
             if not isinstance(source, dict):
@@ -193,7 +190,6 @@ def _materialize_trial(config: ExperimentConfig, trial: int) -> tuple[str, Insta
                 n,
                 seed=rng.randint(0, 2**31),
                 distribution=seq_src.get("distribution", "uniform"),
-                count=1,
             )
         )
     return f"{label}-t{trial:04d}", inst, seq
@@ -297,7 +293,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         alg, rate = row["algorithm"], row["rate"]
         if alg not in max_rate or rate > max_rate[alg]:
             max_rate[alg] = rate
-        if row["verdict"] == "above-bound" and alg in BOUNDED_ALGORITHMS and config.assert_bounds:
+        if row["verdict"] == "above-bound" and alg in BOUNDED_ALGORITHMS:
             violations.append(
                 {
                     "instance_id": row["instance_id"],

@@ -250,45 +250,39 @@ def multiset_optima(
     """Each multiset's child row, by key; each point's key weight; and
     each point's distance to each server.
 
-    ``servers`` and ``points`` are scaled ints, the servers increasing and
-    the points in any order, repeats allowed.  The point of rank i by
-    position weighs (depth + 1)**i, and ``weight[x]`` is point x's
-    weight.  A multiset's key is the sum of its points' weights, each
-    counted once per copy; no point is taken more than ``depth`` times,
-    so each multiset has its own key.  ``rows[key]``, for every multiset
-    of fewer than ``depth`` points (the empty one's key is 0), is the
-    tuple of optima of that multiset plus point x, for each x in the
-    caller's order.  ``dist[x][j]`` is |points[x] - servers[j]|, the same
-    int objects the fill reads.
+    ``servers`` and ``points`` are scaled ints, both increasing.  Point i
+    weighs (depth + 1)**i, and ``weight[i]`` is that weight.  A multiset's
+    key is the sum of its points' weights, each counted once per copy; no
+    point is taken more than ``depth`` times, so each multiset has its own
+    key.  ``rows[key]``, for every multiset of fewer than ``depth`` points
+    (the empty one's key is 0), is the tuple of optima of that multiset
+    plus point i, for each i.  ``dist[i][j]`` is |points[i] - servers[j]|,
+    the same int objects the fill reads.
 
     This is ``dp_cost_ints``' slot recurrence without the slack window,
     since the multisets differ in size: server j owns min(c_j, depth)
-    slots, and a depth-first pass over rank-non-decreasing sequences, on
-    an explicit stack, extends the DP one request at a time.  F[u] is the
-    least cost of the prefix with its last request in slot u, so a
-    request r gives G[u] = min(F[v] for v < u) + |r - s(u)|, and the
-    multiset's optimum is min(G).  The prefix minima of F are taken once
-    per state and each point's row from slot d on once per depth d; the
-    last level keeps only min(G).  The caller keeps ``depth`` within the
-    total capacity, so G is never empty.
+    slots, and a depth-first pass over index-non-decreasing sequences, on
+    an explicit stack, extends the DP one request at a time, in position
+    order.  F[u] is the least cost of the prefix with its last request in
+    slot u, so a request r gives G[u] = min(F[v] for v < u) + |r - s(u)|,
+    and the multiset's optimum is min(G).  The prefix minima of F are
+    taken once per state and each point's row from slot d on once per
+    depth d; the last level keeps only min(G).  The caller keeps ``depth``
+    within the total capacity, so G is never empty.
     """
     dist = [[abs(p - s) for s in servers] for p in points]
-    order = sorted(range(len(points)), key=points.__getitem__)
-    ranked = [(depth + 1) ** i for i in range(len(points))]
-    weight = [0] * len(points)
-    for x, w in zip(order, ranked):
-        weight[x] = w
+    weight = [(depth + 1) ** i for i in range(len(points))]
     if not depth:
         return {}, weight, dist
     slot_server = [j for j, c in enumerate(caps) for _ in range(min(c, depth))]
-    by_rank = [dist[x] for x in order]
+    slot_rows = dist
     if slot_server != list(range(len(servers))):  # else a distance row is its slot row
-        by_rank = [list(map(row.__getitem__, slot_server)) for row in by_rank]
-    tails = [by_rank] + [[row[d:] for row in by_rank] for d in range(1, depth)]
+        slot_rows = [list(map(row.__getitem__, slot_server)) for row in dist]
+    tails = [slot_rows] + [[row[d:] for row in slot_rows] for d in range(1, depth)]
     optima: dict[int, int] = {}
     row_keys = [0]  # the multisets of fewer than ``depth`` points
     # (d, first, F, key): F prices a d-request prefix whose last point
-    # has rank ``first``, from slot d - 1 on, slot -1 being virtual at cost 0.
+    # is ``first``, from slot d - 1 on, slot -1 being virtual at cost 0.
     todo = [(0, 0, [0] * (len(slot_server) + 1), 0)]
     while todo:
         d, first, F, key = todo.pop()
@@ -297,14 +291,14 @@ def multiset_optima(
         if d + 1 < depth:
             for i in range(first, len(points)):
                 G = list(map(add, P, tail[i]))
-                child = key + ranked[i]
+                child = key + weight[i]
                 optima[child] = min(G)
                 row_keys.append(child)
                 todo.append((d + 1, i, G, child))
         else:
             for i in range(first, len(points)):
-                optima[key + ranked[i]] = min(map(add, P, tail[i]))
-    del tails, by_rank  # not held beside the rows
+                optima[key + weight[i]] = min(map(add, P, tail[i]))
+    del tails, slot_rows  # not held beside the rows
     rows = {key: tuple([optima[key + w] for w in weight]) for key in row_keys}
     return rows, weight, dist
 

@@ -158,31 +158,18 @@ def check_faithful(
     return report
 
 
-@dataclass(frozen=True)
-class OppositeReport:
-    """Per-request classification of a sequence against an optimal map."""
-
-    opposite: bool
-    failing_indices: tuple[int, ...]
-
-
 def check_opposite(
     trace: AssignmentTrace,
     opt: OptResult,
     seq: RequestSequence,
     layout: ServerLayout,
-) -> OppositeReport:
-    """A sequence is opposite when every request lies (inclusively) between
-    its online server and its offline-optimal server."""
-    failing = []
-    positions = layout.positions
-    for t, r in enumerate(seq):
-        a = positions[trace.assignment[t]]
-        b = positions[opt.assignment[t]]
-        lo, hi = (a, b) if a <= b else (b, a)
-        if not (lo <= r <= hi):
-            failing.append(t)
-    return OppositeReport(opposite=not failing, failing_indices=tuple(failing))
+) -> bool:
+    """Whether the sequence is opposite: every request lies (inclusively)
+    between its online server and its offline-optimal server."""
+    s = layout.positions
+    return all(
+        min(s[a], s[b]) <= r <= max(s[a], s[b]) for r, a, b in zip(seq, trace.assignment, opt.assignment)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +222,7 @@ def sweep_adx(
                 _reproducer(inst, seq, rate=str(rate), bound=str(bound))
             )
             continue
-        classification = check_opposite(trace, opt, seq, extended)
-        if classification.opposite:
+        if check_opposite(trace, opt, seq, extended):
             m = sum(1 for r in seq if zone_lo < r <= zone_hi)
             if m > 2:
                 report.violations.append(
@@ -302,13 +288,13 @@ def grid_search_max_rate(
     A state where the optimum is zero but the algorithm paid is recorded
     as an anomaly: for the rules in this package it must never happen.
 
-    The walk runs on the scaled integers of ``core.scale_to_ints``.  The
-    optimum depends only on the multiset of chosen points, so
-    ``offline.multiset_optima`` fills, before the walk, one child row per
-    multiset below the last level: the optima of that multiset plus each
-    point, in the caller's point order.  It also returns each point's key
-    weight, so callers may pass the points unsorted or repeated, and each
-    point's distances to the servers.  A node reads its row once, at its
+    ``points`` must be strictly increasing (``adversary.candidate_points``
+    returns them so).  The walk runs on the scaled integers of
+    ``core.scale_to_ints``.  The optimum depends only on the multiset of
+    chosen points, so ``offline.multiset_optima`` fills, before the walk,
+    one child row per multiset below the last level: the optima of that
+    multiset plus each point.  It also returns each point's key weight
+    and its distances to the servers.  A node reads its row once, at its
     multiset's key, and asks the rule for all of its children's picks in
     one call of ``rule.picks(points)``, the rule's batch or one ``decide``
     per point, before any child recurses.  It rates its children in its
@@ -321,10 +307,13 @@ def grid_search_max_rate(
     cache would hide a rule that is not pure, so every node decides every
     child against its own free tuple.  The rule gets ``simulate``'s
     increasing free tuple and O(1) pick check.  Raises ValidationError
-    for a negative ``n_max``, SizeGuardError above GRID_SEARCH_MAX_NODES,
-    GRID_SEARCH_MAX_DEPTH or GRID_FILL_MAX_SIZE, and RuleError, as
-    ``simulate`` does, for a pick that is not a free server.
+    for points that do not strictly increase or a negative ``n_max``,
+    SizeGuardError above GRID_SEARCH_MAX_NODES, GRID_SEARCH_MAX_DEPTH or
+    GRID_FILL_MAX_SIZE, and RuleError, as ``simulate`` does, for a pick
+    that is not a free server.
     """
+    if any(a >= b for a, b in zip(points, points[1:])):
+        raise ValidationError("grid search points must be strictly increasing")
     if n_max < 0:
         raise ValidationError(f"grid search depth n_max={n_max} is negative")
     n_points = len(points)

@@ -263,11 +263,13 @@ MUTANTS = (
         "if not candidates and len(free) > 0:",
         ("tests/test_hybrid.py::TestC3::test_split_rule_satisfies_threshold_condition",),
     ),
+    # The memo gives each point its own key weight, so a repeated point
+    # would be walked twice: the grid search refuses it.
     Mutant(
-        "grid-memo-ranks-in-caller-order",
-        "src/ofal/offline.py",
-        "for x, w in zip(order, ranked):",
-        "for x, w in enumerate(ranked):",
+        "grid-points-allow-repeats",
+        "src/ofal/verify.py",
+        "if any(a >= b for a, b in zip(points, points[1:])):",
+        "if any(a > b for a, b in zip(points, points[1:])):",
         ("tests/test_exhaustive_oracles.py::TestGridSearch::test_unsorted_and_repeated_points",),
     ),
     Mutant(
@@ -277,15 +279,13 @@ MUTANTS = (
         "P = list(accumulate(F, min))[1:]",
         ("tests/test_exhaustive_oracles.py::TestMultisetOptima::test_every_multiset_matches_the_dp",),
     ),
+    # A request on its online or its optimal server lies between them.
     Mutant(
-        "grid-child-row-in-rank-order",
-        "src/ofal/offline.py",
-        "tuple([optima[key + w] for w in weight])",
-        "tuple([optima[key + w] for w in ranked])",
-        (
-            "tests/test_exhaustive_oracles.py::TestGridSearch::test_unsorted_and_repeated_points",
-            "tests/test_exhaustive_oracles.py::TestMultisetOptima::test_child_rows_match_the_flat_fill",
-        ),
+        "opposite-excludes-endpoints",
+        "src/ofal/verify.py",
+        "min(s[a], s[b]) <= r",
+        "min(s[a], s[b]) < r",
+        ("tests/test_verify.py::TestOpposite::test_endpoint_counts_as_between",),
     ),
     # The one batch cut of ptcp and greedy: a point at the threshold (a
     # critical point, an exact midpoint) goes left.

@@ -507,6 +507,7 @@ class TestBatch:
                 "instance_source": {"kind": "adversary", "family": "greedy", "k": "x"},
                 "sequence_source": {"kind": "adversary"},
             },
+            {"assert_bounds": False},
         ],
         ids=[
             "trials-string",
@@ -516,6 +517,7 @@ class TestBatch:
             "n_max-string",
             "file-no-path",
             "adversary-k-string",
+            "assert_bounds-is-no-key",
         ],
     )
     def test_bad_config_values_are_input_errors(self, capsys, tmp_path, change):

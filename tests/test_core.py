@@ -28,7 +28,6 @@ from ofal.core import (
     sequence_to_dict,
     to_coord,
     unit_instance,
-    validate_pair,
 )
 from ofal.adversary import AdversaryParams, greedy_adversary
 from ofal.algorithms import greedy_rule
@@ -127,7 +126,7 @@ class TestScaling:
         seq = seq_of("1/3", 2, 0)
         with pytest.raises(ValidationError) as excinfo:
             scaled_pair(inst, seq)
-        assert str(excinfo.value) == validate_pair(inst, seq)
+        assert str(excinfo.value) == "3 requests exceed total capacity 2"
         assert scaled_pair(inst, RequestSequence(seq.requests[:2])) == ([-3, 18], [2, 12], 6)
 
 
@@ -149,11 +148,12 @@ class TestTypes:
         with pytest.raises(ValidationError):
             Instance(layout_of(0, 2), (1, 0))
 
-    def test_validate_pair(self):
+    def test_pair_fits_up_to_total_capacity(self):
         inst = Instance(layout_of(0, 2), (1, 1))
-        assert validate_pair(inst, seq_of(1, 1)) is None
-        assert validate_pair(inst, seq_of(1, 1, 1)) is not None
-        assert validate_pair(Instance(layout_of(0), (5,)), seq_of(0, 0, 0, 0, 0)) is None
+        assert scaled_pair(inst, seq_of(1, 1)) == ([0, 2], [1, 1], 1)
+        with pytest.raises(ValidationError, match="^3 requests exceed total capacity 2$"):
+            scaled_pair(inst, seq_of(1, 1, 1))
+        assert scaled_pair(Instance(layout_of(0), (5,)), seq_of(0, 0, 0, 0, 0)) == ([0], [0] * 5, 1)
 
 
 class TestInstanceIO:

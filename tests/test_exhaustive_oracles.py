@@ -21,12 +21,13 @@ from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
 from operator import add
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ofal.adversary import candidate_points
 from ofal.algorithms import greedy_rule, ptcp_rule
 from ofal.alpha import BRUTEFORCE_MAX_K, Metrics, alpha_bruteforce, alpha_fast, gap_ratio
-from ofal.core import Instance, ServerLayout, scale_to_ints
+from ofal.core import Instance, ServerLayout, ValidationError, scale_to_ints
 from ofal.engine import PriorityRule
 from ofal.offline import multiset_optima
 from ofal.verify import GridSearchResult, grid_search_max_rate
@@ -168,7 +169,7 @@ def grid_cases(draw):
         st.lists(st.one_of(on_servers, quarter_grid, thirds), min_size=0, max_size=5, unique=True)
     )
     n_max = draw(st.integers(0, 4))
-    return Instance(layout, tuple(caps)), tuple(points), n_max
+    return Instance(layout, tuple(caps)), tuple(sorted(points)), n_max
 
 
 class TestGridSearch:
@@ -181,11 +182,25 @@ class TestGridSearch:
             rule, inst, points, n_max
         )
 
-    def test_unsorted_and_repeated_points(self):
-        # The memo ranks multisets over the points in position order; ranks
-        # taken in the caller's order read the optimum of another multiset.
-        # Hypothesis draws unique points and may go many runs without an
-        # order that exposes it, so this sweep is seeded and wide.
+    def test_unsorted_and_repeated_points(self, monkeypatch):
+        # The memo weighs point i by (depth + 1)**i and extends multisets
+        # in index order, so only strictly increasing points are walked.
+        import ofal.verify
+
+        def no_fill(*args):
+            raise AssertionError("memo filled before the points were checked")
+
+        monkeypatch.setattr(ofal.verify, "multiset_optima", no_fill)
+        layout = ServerLayout((Fraction(0), Fraction(1), Fraction(3)))
+        rule = ptcp_rule(layout)
+        inst = Instance(layout, (2, 2, 2))
+        for points in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1), Fraction(1))):
+            with pytest.raises(ValidationError, match="^grid search points must be strictly increasing$"):
+                grid_search_max_rate(rule, inst, points, 2)
+
+    def test_seeded_sweep_of_increasing_points(self):
+        # Hypothesis may go many runs without a case that tells two
+        # multisets apart, so this sweep is seeded and wide.
         rng = random.Random(15)
         for case in range(2100):
             k = rng.randint(1, 3)
@@ -194,11 +209,7 @@ class TestGridSearch:
             layout = ServerLayout(tuple(Fraction(t, den) for t in ticks))
             inst = Instance(layout, tuple(rng.randint(1, 2) for _ in range(k)))
             pool = (*layout.positions, *(Fraction(t, 4) for t in range(-8, 4 * 8 + 8)))
-            points = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
-            if points and rng.random() < 0.5:
-                points[rng.randrange(len(points))] = rng.choice(points)
-            rng.shuffle(points)
-            points = tuple(points)
+            points = tuple(sorted(set(rng.choice(pool) for _ in range(rng.randint(0, 5)))))
             n_max = rng.randint(0, 4)
             rule = RULES[case % len(RULES)](layout)
             assert grid_search_max_rate(rule, inst, points, n_max) == reference_grid_search(
@@ -211,7 +222,7 @@ class TestGridSearch:
         # rule, the anomaly list (in walk order) carry the result.
         layout = ServerLayout((Fraction(0), Fraction(1), Fraction(3)))
         inst = Instance(layout, (2, 3, 2))
-        points = (Fraction(3), Fraction(0), Fraction(1), Fraction(0))
+        points = (Fraction(0), Fraction(1), Fraction(3))
         results = {}
         for builder in RULES:
             rule = builder(layout)
@@ -221,9 +232,9 @@ class TestGridSearch:
         # The nearest free server is always optimal here, so the first
         # zero-cost state gives the rate 1 and no later state beats it.
         for rule_id in ("ptcp", "greedy"):
-            assert results[rule_id].best_rate == 1 and results[rule_id].best_sequence == (Fraction(3),)
+            assert results[rule_id].best_rate == 1 and results[rule_id].best_sequence == (Fraction(0),)
             assert not results[rule_id].zero_opt_anomalies
-        assert len(results["rightmost"].zero_opt_anomalies) == 233
+        assert len(results["rightmost"].zero_opt_anomalies) == 95
 
     def test_candidate_grids(self):
         # Tie-heavy grids from the split tree, for every rule; the bad rule
@@ -265,18 +276,14 @@ class TestMultisetOptima:
             assert rows == expected
 
     def test_child_rows_match_the_flat_fill(self):
-        # Unsorted and repeated points, depth 0 and depth equal to the
-        # total capacity: every child row reads the flat fill's optimum of
-        # its multiset plus each point, in the caller's order.
+        # Depth 0 and depth equal to the total capacity: every child row
+        # reads the flat fill's optimum of its multiset plus each point.
         rng = random.Random(2424)
         for case in range(400):
             k = rng.randint(1, 3)
             servers = sorted(rng.sample(range(-30, 31), k))
             caps = [rng.randint(1, 3) for _ in range(k)]
-            points = [rng.randint(-40, 40) for _ in range(rng.randint(0, 5))]
-            if points and rng.random() < 0.5:
-                points[rng.randrange(len(points))] = rng.choice(points)
-            rng.shuffle(points)
+            points = sorted(rng.sample(range(-40, 41), rng.randint(0, 5)))
             depth = sum(caps) if case % 4 == 0 else rng.randint(0, min(4, sum(caps)))
             rows, weight, dist = multiset_optima(servers, caps, points, depth)
             optima, expected_weight = reference_multiset_optima(servers, caps, points, depth)

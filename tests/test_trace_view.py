@@ -33,7 +33,6 @@ from ofal.core import (
     scaled_pair,
     trace_to_dict,
     unit_instance,
-    validate_pair,
 )
 from ofal.engine import PriorityRule, simulate
 from ofal.hybrid import HybridTrace, check_chain_monotone, run_hybrid
@@ -43,9 +42,8 @@ from ofal.permutation import permutation_run
 
 def eager_simulate(rule: PriorityRule, inst: Instance, seq: RequestSequence) -> AssignmentTrace:
     """The simulation loop as it was: one stored tuple per step, Fraction costs."""
-    violation = validate_pair(inst, seq)
-    if violation is not None:
-        raise ValidationError(violation)
+    if len(seq) > inst.total_capacity:
+        raise ValidationError(f"{len(seq)} requests exceed total capacity {inst.total_capacity}")
     remaining = list(inst.capacities)
     free = tuple(range(inst.k))
     assignment, snapshots, costs = [], [], []
@@ -190,7 +188,7 @@ def test_over_capacity_message_unchanged():
     seq = RequestSequence((Fraction(0),) * 3)
     with pytest.raises(ValidationError) as excinfo:
         simulate(greedy_rule(inst.layout), inst, seq)
-    assert str(excinfo.value) == validate_pair(inst, seq)
+    assert str(excinfo.value) == "3 requests exceed total capacity 2"
 
 
 def test_costs_are_a_view_that_compares_as_a_tuple():
