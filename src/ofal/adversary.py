@@ -189,10 +189,10 @@ def adversary(family: str, k: int, epsilon: Fraction, capacity: int) -> tuple[In
 def random_rational(rng: random.Random, lo: Fraction, hi: Fraction, den: int = 1024) -> Fraction:
     """Uniform rational on the den-step grid over [lo, hi]: lo + m/den * (hi - lo)
     for one draw m, built as a single Fraction over the common denominator."""
-    if hi < lo:
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    if c * b < a * d:
         raise ValidationError("empty interval")
     m = rng.randint(0, den)
-    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     return Fraction(a * d * den + m * (c * b - a * d), b * d * den)
 
 
@@ -262,11 +262,11 @@ def _opposite_biased(inst: Instance, n: int, rng: random.Random) -> RequestSeque
     pilot = RequestSequence(tuple(random_rational(rng, lo, hi) for _ in range(n)))
     online = simulate(ptcp_rule(inst.layout), inst, pilot)
     offline = optimal_cost(inst, pilot)
-    requests = []
-    for t in range(n):
-        a, b = sorted((positions[online.assignment[t]], positions[offline.assignment[t]]))
-        requests.append(random_rational(rng, a, b, den=64))
-    return RequestSequence(tuple(requests))
+    # Positions increase with the index, so the lower index is the left end.
+    return RequestSequence(tuple(
+        random_rational(rng, positions[min(u, v)], positions[max(u, v)], den=64)
+        for u, v in zip(online.assignment, offline.assignment)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +287,31 @@ def candidate_points(
     midpoint, and (optionally) each of those nudged by gap/OFFSET_DEN into
     its gap, clipped to the hull.  Adversarial inputs in this problem pivot
     on exactly these points.
-    """
-    positions = layout.positions
-    lo, hi = positions[0], positions[-1]
-    points: set[Fraction] = set(positions)
-    critical, _ = gap_table(layout)
-    for a, b, (num, den) in zip(positions, positions[1:], critical):
-        crit, mid = Fraction(num, den), (a + b) / 2
-        points.update((crit, mid))
-        if include_offsets:
-            step = (b - a) / OFFSET_DEN
-            points.update((crit - step, crit + step, mid - step, mid + step, a + step, b - step))
-    return tuple(sorted(p for p in points if lo <= p <= hi))
 
+    The points are built and sorted as exact keys (q, f) on one scale,
+    unit = 2 * OFFSET_DEN times the layout's: a point is (q + f) / ticks
+    with ticks = unit * scale, q an int and 0 <= f < 1.  Every point but
+    a critical point and its two nudges is a multiple of 1/ticks (f = 0);
+    those three share the critical point's f, as a nudge is a multiple of
+    1/ticks too.  Keys order and deduplicate like the points, and only
+    keys with equal q compare an f.
+    """
+    ints, scale = layout.scaled
+    unit = 2 * OFFSET_DEN
+    ticks = unit * scale
+    critical, _ = gap_table(layout)
+    keys = {(unit * x, 0) for x in ints}
+    for x, y, (num, den) in zip(ints, ints[1:], critical):
+        q, rem = divmod(num * ticks, den)
+        f = Fraction(rem, den) if rem else 0
+        mid = OFFSET_DEN * (x + y)
+        keys.update(((q, f), (mid, 0)))
+        if include_offsets:
+            nudge = 2 * (y - x)
+            keys.update(((q - nudge, f), (q + nudge, f), (mid - nudge, 0), (mid + nudge, 0)))
+            keys.update(((unit * x + nudge, 0), (unit * y - nudge, 0)))
+    lo, hi = (unit * ints[0], 0), (unit * ints[-1], 0)
+    return tuple(
+        Fraction(q * f.denominator + f.numerator, f.denominator * ticks) if f else Fraction(q, ticks)
+        for q, f in sorted(key for key in keys if lo <= key <= hi)
+    )

@@ -70,21 +70,40 @@ class AugmentingPathEngine:
     Each server keeps a potential under which every hop's reduced cost is
     non-negative, so the search is a dense Dijkstra with no heap.  Server
     j starts at label |r - s_j| - pot[j], the new request's own arc, which
-    may be negative.  Servers settle in (distance, index) order while the
-    smallest unsettled label is at most the distance of the first spare
-    server settled; a label changes only when it strictly falls, so a
-    server's parent is the first settled server that reached its final
-    distance.  The path ends at the leftmost spare server at that
-    distance, not the first one settled: a zero-cost hop can expose one
-    further left.  Potentials matter only up to one common constant
+    may be negative.  Servers settle in (distance, index) order, and a
+    label changes only when it strictly falls, so a server's parent is
+    the first settled server that reached its final distance.  The path
+    ends at the leftmost spare server at the distance of the first spare
+    server settled, t0.  Potentials matter only up to one common constant
     (successive shortest paths raise each by min(distance, target
-    distance)), so a push lowers only the servers settled before the
-    first spare one, each by the amount its distance falls short of the
-    target distance.  Every other server is at or beyond that distance
-    and keeps its potential.  Spare servers thus all carry the same
-    potential, and reduced and true distances order them alike.  A push
-    costs O(k) for the labels, O(k) per settled server for the search,
-    and O(settled) for the potentials, the target and the path.  The
+    distance)), so a push lowers only the servers settled before t0,
+    each by the amount its distance falls short of the target distance.
+    Every other server is at or beyond that distance and keeps its
+    potential.  Spare servers thus keep potential 0 and full ones stay at
+    or below 0, and reduced and true distances order spare servers alike.
+
+    The search stops at t0 unless a spare server lies left of t0, t0
+    holds a request, and t0's leftmost held request q0 has 2 * q0 <=
+    s[t0 - 1] + s[t0]; only then does it settle on to t0's distance d and
+    keep the leftmost spare server reached.  The stop is exact.  A spare
+    server y < t0 is unsettled and beyond d when t0 settles, as the index
+    breaks distance ties, and every server settled before t0 has relaxed
+    its hops, so y can fall to d only through zero-cost hops out of t0
+    and the servers settled after it.  Take the first server x < t0 to
+    fall to d.  A hop to it from a server z > t0 moves z's leftmost
+    request q.  If q >= s[t0], the hop costs strictly more than z's hop
+    to t0 (|q - s_x| > |q - s_t0| and pot[x] <= 0 = pot[t0]), which is
+    non-negative, so x stays beyond d.  If q < s[t0], moving q from z to
+    the spare t0 would lower the cost of the optimal map the push started
+    from.  So x falls through a hop out of t0, which moves q0 at reduced
+    cost |q0 - s_x| - |q0 - s_t0| - pot[x] >= |q0 - s_x| - |q0 - s_t0|.
+    That is zero only if t0 holds a request and q0 is no further from
+    s_x, and so from s[t0 - 1], than from s[t0].  The leftmost spare
+    server is kept as one index, ``_spare``, that only moves right: O(1)
+    amortized per push.
+
+    A push costs O(k) for the labels, O(k) per settled server for the
+    search, and O(settled) for the potentials, the target and the path.  The
     true distance to spare server j is the optimum of all requests under
     capacities loads + e_j less ``cost``, so the server a push returns
     depends on the loads alone.  It is the server the permutation rule
@@ -100,6 +119,7 @@ class AugmentingPathEngine:
         self._held: list[list[tuple[int, int]]] = [[] for _ in servers]  # sorted (r, i)
         self._pot = [0] * len(servers)
         self._total = sum(caps)
+        self._spare = 0                     # no spare server lies left of it
         self.cost = 0
 
     def push(self, r: int) -> int:
@@ -107,6 +127,10 @@ class AugmentingPathEngine:
         servers, caps, loads, held, pot = self.servers, self.caps, self.loads, self._held, self._pot
         if len(self.assigned) >= self._total:
             raise ValidationError("no augmenting path; capacity exhausted")
+        spare = self._spare
+        while loads[spare] >= caps[spare]:
+            spare += 1
+        self._spare = spare
         dist = [abs(r - s) - p for s, p in zip(servers, pot)]
         par: dict[int, int] = {}            # previous server; none is the new request
         todo = list(range(len(servers)))    # unsettled servers, increasing
@@ -119,14 +143,17 @@ class AugmentingPathEngine:
                 break
             i = bisect_left(todo, j)
             del todo[i]
+            hold = held[j]
             if loads[j] < caps[j]:
                 if target is None:
                     reach, target = dj, j
+                    # No zero-cost hop can reach a spare server left of j.
+                    if spare == j or not hold or 2 * hold[0][0] > servers[j - 1] + servers[j]:
+                        break
                 elif j < target:
                     target = j
             elif target is None:
                 below.append(j)
-            hold = held[j]
             if not hold:
                 continue
             # todo[:i] lies left of j and todo[i:] right of it.
@@ -169,7 +196,9 @@ def optimal_cost(inst: Instance, seq: RequestSequence) -> OptResult:
     server's path comes from the first settled server that reaches its
     final distance.  A hop to the right moves the held request of largest
     (position, index), a hop to the left the one of smallest.  Each path
-    ends at the leftmost spare server at minimum distance.
+    ends at the leftmost spare server at minimum distance; the search
+    stops at the first spare server settled unless a zero-cost hop out of
+    it could reach a spare server further left.
     """
     servers, requests, scale = scaled_pair(inst, seq)
     engine = AugmentingPathEngine(servers, list(inst.capacities))

@@ -140,6 +140,42 @@ MUTANTS = (
             "tests/test_offline.py::TestSettledBookkeeping::test_every_push_matches_the_settle_all_reference",
         ),
     ),
+    # The push settles on past the first spare server only when a
+    # zero-cost hop could reach a spare server further left; stopping
+    # always misses the hop.
+    Mutant(
+        "engine-always-stops-at-the-first-spare-server",
+        "src/ofal/offline.py",
+        "or 2 * hold[0][0] > servers[j - 1] + servers[j]:",
+        "or True:",
+        (
+            "tests/test_offline.py::TestStopAtTheFirstSpareServer::test_hand_set_states_match_the_reference",
+            "tests/test_offline.py::TestHeldRequestLists::test_zero_cost_hop_reveals_a_spare_server_further_left",
+        ),
+    ),
+    # A held request exactly on the midpoint is as close to the server on
+    # its left, so its hop there costs zero.
+    Mutant(
+        "engine-stops-at-the-midpoint",
+        "src/ofal/offline.py",
+        "2 * hold[0][0] > servers[j - 1]",
+        "2 * hold[0][0] >= servers[j - 1]",
+        (
+            "tests/test_offline.py::TestStopAtTheFirstSpareServer::test_hand_set_states_match_the_reference",
+            "tests/test_offline.py::TestHeldRequestLists::test_zero_cost_hop_reveals_a_spare_server_further_left",
+        ),
+    ),
+    # The leftmost spare index may only pass full servers; past a spare
+    # one, the push stops where a zero-cost hop leads further left.
+    Mutant(
+        "engine-leftmost-spare-passes-a-spare-server",
+        "src/ofal/offline.py",
+        "self._spare = spare",
+        "self._spare = spare + 1",
+        (
+            "tests/test_offline.py::TestStopAtTheFirstSpareServer::test_hand_set_states_match_the_reference",
+        ),
+    ),
     # The push moves potentials less the target distance, a constant common
     # to all; without it the servers settled before the first spare one
     # move by their whole distance, apart from the rest.

@@ -136,6 +136,22 @@ class TestRandomFamilies:
             assert type(value) is Fraction and lo <= value <= hi
         assert ours.getstate() == ref.getstate()
 
+    def test_empty_interval_is_refused(self):
+        # -2/5 < -1/3: hi lies left of lo by a cross product of mixed
+        # denominators.  The refusal draws nothing.
+        rng = random.Random(4)
+        state = rng.getstate()
+        for lo, hi in ((Fraction(-1, 3), Fraction(-2, 5)), (Fraction(1, 7), Fraction(-1, 6)), (Fraction(-3, 4), Fraction(-5, 4))):
+            with pytest.raises(ValidationError, match="empty interval"):
+                random_rational(rng, lo, hi)
+        assert rng.getstate() == state
+        assert random_rational(rng, Fraction(-2, 5), Fraction(-1, 3), 8) in {Fraction(-2, 5) + Fraction(m, 120) for m in range(9)}
+
+    def test_a_one_point_interval_returns_it(self):
+        rng = random.Random(5)
+        for value in (Fraction(-3, 7), Fraction(0), Fraction(5, 12)):
+            assert random_rational(rng, value, Fraction(value.numerator * 3, value.denominator * 3), 64) == value
+
     def test_seed_determinism(self):
         inst = unit_instance(layout_of(0, 1, 3))
         a = list(random_sequences(inst, 3, seed=7, count=5))
@@ -212,6 +228,19 @@ class TestGrids:
             layout = ServerLayout(tuple(Fraction(i) for i in range(7) if mask >> i & 1))
             for offsets in (False, True):
                 assert candidate_points(layout, offsets) == reference_candidate_points(layout, offsets), mask
+
+    def test_candidate_points_match_the_fraction_sort_on_seeded_layouts(self):
+        # Mixed denominators, negative positions and gaps of very different
+        # sizes, or few small integers, whose critical points and nudges
+        # share a 1/(32 * scale) step with other points.
+        rng = random.Random(31)
+        for _ in range(300):
+            k = rng.randint(1, 60)
+            width, dens = rng.choice(((400, (1, 3, 7, 8, 12)), (10, (1,)), (6, (1, 2))))
+            points = {Fraction(rng.randint(-width, width), rng.choice(dens)) for _ in range(k)}
+            layout = ServerLayout(tuple(sorted(points)))
+            for offsets in (False, True):
+                assert candidate_points(layout, offsets) == reference_candidate_points(layout, offsets)
 
     def test_candidate_points_k2(self):
         pts = candidate_points(layout_of(0, 1))

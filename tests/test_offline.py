@@ -295,6 +295,64 @@ class SettleAllEngine(AugmentingPathEngine):
         return target
 
 
+class SettleToTargetEngine(AugmentingPathEngine):
+    """The push before the stop at the first spare server, verbatim: it
+    always settles on to that server's distance and takes the leftmost
+    spare server there."""
+
+    def push(self, r: int) -> int:
+        """Absorb one request; return the server whose load grew."""
+        servers, caps, loads, held, pot = self.servers, self.caps, self.loads, self._held, self._pot
+        if len(self.assigned) >= self._total:
+            raise ValidationError("no augmenting path; capacity exhausted")
+        dist = [abs(r - s) - p for s, p in zip(servers, pot)]
+        par: dict[int, int] = {}            # previous server; none is the new request
+        todo = list(range(len(servers)))    # unsettled servers, increasing
+        below: list[int] = []               # servers settled before the first spare one
+        reach = target = None               # the first spare server's distance; the leftmost spare at it
+        while todo:
+            j = min(todo, key=dist.__getitem__)
+            dj = dist[j]
+            if target is not None and dj > reach:
+                break
+            i = bisect_left(todo, j)
+            del todo[i]
+            if loads[j] < caps[j]:
+                if target is None:
+                    reach, target = dj, j
+                elif j < target:
+                    target = j
+            elif target is None:
+                below.append(j)
+            hold = held[j]
+            if not hold:
+                continue
+            # todo[:i] lies left of j and todo[i:] right of it.
+            for xs, (q, _) in ((todo[:i], hold[0]), (todo[i:], hold[-1])):
+                base = dj + pot[j] - abs(q - servers[j])
+                for x in xs:
+                    nd = base + abs(q - servers[x]) - pot[x]
+                    if nd < dist[x]:
+                        dist[x], par[x] = nd, j
+        self.cost += reach + pot[target]   # the path's true cost
+        for j in below:
+            pot[j] += dist[j] - reach
+        # Augment from the target back: each server gives up its extreme
+        # request before it receives one, so the hop moves the pair the
+        # search priced.
+        x = target
+        while x in par:
+            j = par[x]
+            pair = held[j].pop() if x > j else held[j].pop(0)
+            insort(held[x], pair)
+            self.assigned[pair[1]] = x
+            x = j
+        insort(held[x], (r, len(self.assigned)))
+        self.assigned.append(x)
+        loads[target] += 1
+        return target
+
+
 def check_engine_invariants(engine, requests):
     """The map is complete and optimal, the held lists mirror it, every
     server-to-server hop has a non-negative reduced cost, and all spare
@@ -388,14 +446,52 @@ def assert_same_state(engine, reference):
     assert len({p - q for p, q in zip(engine._pot, reference._pot)}) == 1
 
 
+def hand_set(engine_class, servers, caps, held):
+    """An engine whose server j holds the requests at ``held[j]``, numbered
+    in that order, with zero potentials; each state below is an optimal
+    map for which zero potentials are feasible.  Returns the engine and
+    its requests."""
+    engine = engine_class(servers, caps)
+    requests = []
+    for j, positions in enumerate(held):
+        for q in positions:
+            engine._held[j].append((q, len(requests)))
+            engine.assigned.append(j)
+            engine.loads[j] += 1
+            engine.cost += abs(q - servers[j])
+            requests.append(q)
+    return engine, requests
+
+
 def zero_cost_hop_state(engine_class):
-    # Set by hand: server 1 holds request 0, at the midpoint of servers
-    # 0 and 2, while both servers are spare; an optimal map, and zero
-    # potentials are feasible for it.
-    engine = engine_class([0, 2], [2, 2])
-    engine.assigned, engine.loads, engine.cost = [1], [0, 1], 1
-    engine._held[1].append((1, 0))
-    return engine
+    # Server 1 holds request 0, at the midpoint of servers 0 and 2, while
+    # both servers are spare.
+    return hand_set(engine_class, [0, 2], [2, 2], [[], [1]])[0]
+
+
+#: (servers, caps, held, pushes, servers the pushes return) per way a
+#: push can end at its first spare server t0 or settle on past it.
+HAND_SET_STATES = {
+    # Request 3 settles t0 = 1 first; t0's request 1 sits on the midpoint
+    # of servers 0 and 2, so the zero-cost hop reaches server 0.
+    "q0-on-the-midpoint": ([0, 2], [2, 2], [[], [1]], [3], [0]),
+    # Two zero-cost hops: 3 moves from server 2 to the full server 1, and
+    # 1 from server 1 to server 0.
+    "q0-on-the-midpoint-two-hops": ([0, 2, 4], [2, 1, 2], [[], [1], [3]], [5], [0]),
+    # The first push goes right of every other spare server; the second
+    # must still see server 0 as the leftmost spare one.
+    "q0-on-the-midpoint-after-a-push": ([0, 2, 10], [2, 2, 1], [[], [1], []], [10, 3], [2, 0]),
+    "no-spare-server-left-of-t0": ([0, 2], [1, 2], [[0], [1]], [3], [1]),
+    "t0-holds-nothing": ([0, 2, 4], [2, 1, 2], [[], [1], []], [4], [2]),
+    "q0-right-of-the-midpoint": ([0, 4], [2, 2], [[], [3]], [5], [1]),
+}
+
+
+def assert_exact_state(engine, reference):
+    """Same map, cost, loads, potentials and held lists."""
+    assert (engine.assigned, engine.cost, engine.loads, engine._pot, engine._held) == (
+        reference.assigned, reference.cost, reference.loads, reference._pot, reference._held
+    )
 
 
 class TestSettledBookkeeping:
@@ -419,6 +515,27 @@ class TestSettledBookkeeping:
             for r in requests:
                 engine.push(r)
             check_dual_certificate(engine, requests)
+
+
+class TestStopAtTheFirstSpareServer:
+    def test_every_push_matches_the_settle_to_target_reference(self):
+        for servers, caps, requests in tie_heavy_cases(31, 3000):
+            engine, reference = AugmentingPathEngine(servers, caps), SettleToTargetEngine(servers, caps)
+            for r in requests:
+                assert engine.push(r) == reference.push(r)
+                assert_exact_state(engine, reference)
+
+    @pytest.mark.parametrize("name", HAND_SET_STATES)
+    def test_hand_set_states_match_the_reference(self, name):
+        servers, caps, held, pushes, returns = HAND_SET_STATES[name]
+        engine, requests = hand_set(AugmentingPathEngine, servers, caps, held)
+        reference, _ = hand_set(SettleToTargetEngine, servers, caps, held)
+        check_engine_invariants(engine, requests)
+        for r, expected in zip(pushes, returns):
+            assert engine.push(r) == reference.push(r) == expected
+            assert_exact_state(engine, reference)
+            requests.append(r)
+            check_engine_invariants(engine, requests)
 
 
 class TestHeldRequestLists:
